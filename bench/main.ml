@@ -1,12 +1,12 @@
-(* Benchmark & figure-regeneration harness.
+(* Figure-regeneration and paper-reproduction harness.
 
    `dune exec bench/main.exe` regenerates every table and figure of the paper
-   (Figures 1-17 as machine-checked artifacts) and then runs Bechamel timing
-   benchmarks validating the complexity claims (Theorem 3.3, Propositions 7.5
-   and 7.7) and the tractable-vs-NP-hard shape.
+   (Figures 1-17 as machine-checked artifacts), re-checks the solvers'
+   values on the tractability theorems (Theorem 3.3, Propositions 7.5 and
+   7.7), runs the ablation tables and prints the scaling series.
 
-   `dune exec bench/main.exe -- figures` or `-- timing` selects a part;
-   `-- fig1` etc. selects a single section. *)
+   `dune exec bench/main.exe -- fig1 thm33` etc. selects sections by name.
+   Performance is measured end to end by perfbench/ (perfbench/README.md). *)
 
 open Resilience
 module Db = Graphdb.Db
@@ -15,13 +15,9 @@ let lang = Automata.Lang.of_string
 
 let selected name =
   let args = Array.to_list Sys.argv |> List.tl in
-  args = []
-  || List.mem name args
-  || (List.mem "figures" args && not (String.equal name "timing"))
+  args = [] || List.mem name args
 
-(* Wall-clock timing (these sections report elapsed time, not processor
-   time — the pool ablation in particular spends most of it blocked in
-   [select] waiting on workers, which [Sys.time] would not see). *)
+(* Wall-clock timing for the scaling series and the ablation tables. *)
 let time_it f =
   let t0 = Obs.Clock.now () in
   let r = f () in
@@ -414,113 +410,6 @@ let scaling_submodular () =
     [ 10; 20; 40; 80 ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks.                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The micro-benchmark cases, shared between Bechamel (statistical OLS
-   estimates) and the hand-rolled sampler below (absolute wall-clock
-   medians written to BENCH_pr4.json for cross-commit diffing). *)
-let micro_cases () =
-  let grid w = Graphdb.Generate.flow_grid ~width:w ~depth:w ~max_mult:3 ~seed:1 () in
-  let layered w =
-    Graphdb.Generate.layered ~layers:[ 'a'; 'b'; 'c' ] ~width:w ~density:0.4 ~seed:1 ()
-  in
-  let rnd n f =
-    Graphdb.Generate.random ~nnodes:n ~nfacts:f ~alphabet:[ 'a'; 'b'; 'c'; 'e' ] ~seed:5 ()
-  in
-  let axb = lang "ax*b" and abbc = lang "ab|bc" and abcbe = lang "abc|be" in
-  let abbc_cl = Classify.classify abbc in
-  let axb_cl = Classify.classify axb in
-  let d8 = grid 8 and d16 = grid 16 in
-  let l6 = layered 6 and l12 = layered 12 in
-  let r7 = rnd 5 8 in
-  let g_aa, l_aa = Gadgets.gadget_aa () in
-  let xi5 = Gadgets.encode g_aa (Graphs.Ugraph.path 5) in
-  [
-    ("THM3.3/local-mincut/grid8", fun () -> ignore (Solver.solve ~classification:axb_cl d8 axb));
-    ( "THM3.3/local-mincut/grid16",
-      fun () -> ignore (Solver.solve ~classification:axb_cl d16 axb) );
-    ( "PROP7.5/bcl-mincut/layered6",
-      fun () -> ignore (Solver.solve ~classification:abbc_cl l6 abbc) );
-    ( "PROP7.5/bcl-mincut/layered12",
-      fun () -> ignore (Solver.solve ~classification:abbc_cl l12 abbc) );
-    ("PROP7.7/submodular/random8", fun () -> ignore (Submod_solver.solve r7 abcbe));
-    ("HARD/exact-bnb/aa-path5", fun () -> ignore (Exact.hitting_set xi5 l_aa));
-    ("CLASSIFY/figure1/axb|cxd", fun () -> ignore (Classify.classify_regex "axb|cxd"));
-    ("GADGET/verify/aa", fun () -> ignore (Gadgets.verify g_aa l_aa));
-  ]
-
-let bechamel_tests cases =
-  let open Bechamel in
-  List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) cases
-
-let run_bechamel cases =
-  let open Bechamel in
-  let open Toolkit in
-  Printf.printf "Bechamel micro-benchmarks (estimated time per run)\n%!";
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~kde:None () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let est =
-            match Analyze.OLS.estimates ols_result with Some (e :: _) -> e | _ -> nan
-          in
-          let unit, value =
-            if est > 1e9 then ("s ", est /. 1e9)
-            else if est > 1e6 then ("ms", est /. 1e6)
-            else if est > 1e3 then ("us", est /. 1e3)
-            else ("ns", est)
-          in
-          Printf.printf "  %-42s %10.2f %s/run\n%!" name value unit)
-        results)
-    (bechamel_tests cases)
-
-(* Absolute wall-clock samples over the same cases: 3 warmups, 31 timed
-   runs, median and p99 per section. The machine-readable artifact lets
-   CI diff timings across commits without parsing Bechamel's output. *)
-let write_bench_json cases =
-  let nruns = 31 in
-  let sample f =
-    for _ = 1 to 3 do
-      f ()
-    done;
-    let xs =
-      Array.init nruns (fun _ ->
-          let t0 = Obs.Clock.now () in
-          f ();
-          Obs.Clock.now () -. t0)
-    in
-    Array.sort compare xs;
-    let rank q = min (nruns - 1) (int_of_float (Float.ceil (q *. float_of_int nruns)) - 1) in
-    (xs.(rank 0.5), xs.(rank 0.99))
-  in
-  let open Runner.Proto.Json in
-  let entries =
-    List.map
-      (fun (name, f) ->
-        let median, p99 = sample f in
-        Obj
-          [
-            ("name", Str name); ("n", Int nruns); ("median_s", Float median); ("p99_s", Float p99);
-          ])
-      cases
-  in
-  Out_channel.with_open_text "BENCH_pr4.json" (fun oc ->
-      output_string oc (to_string (List entries));
-      output_char oc '\n');
-  Printf.printf "  wrote BENCH_pr4.json (%d sections, n=%d each)\n%!" (List.length entries) nruns
-
-let run_timing () =
-  let cases = micro_cases () in
-  run_bechamel cases;
-  write_bench_json cases
-
-(* ------------------------------------------------------------------ *)
 (* ABLATION: anytime degradation chain — answer quality vs work budget. *)
 (* ------------------------------------------------------------------ *)
 
@@ -550,541 +439,6 @@ let ablation_anytime () =
       in
       Printf.printf "  %10d  %-28s %.3fs (%d ticks spent)\n%!" steps show dt spent.Budget.steps)
     [ 100; 500; 1_000; 2_000; 5_000; 20_000; 100_000 ]
-
-let ablation_pool () =
-  Printf.printf
-    "Supervised pool throughput on a mixed job file (easy exact solves, budgeted hard\n\
-     solves, and one kill:50 crasher that must degrade through retries), vs worker count.\n\
-     Machine-readable: one `BENCH {json}` line per configuration.\n\n";
-  let pre, _ = Gadgets.gadget_aa () in
-  let hard_db = Graphdb.Serialize.to_string (Gadgets.encode pre (Graphs.Ugraph.complete 5)) in
-  let easy_db = "s a m\nm a t\n" in
-  let job id db steps faults =
-    {
-      Runner.Proto.id;
-      db;
-      query = "aa";
-      budget = { Runner.Proto.no_budget with steps };
-      faults;
-      deadline_ms = None;
-      priority = Runner.Proto.default_priority;
-      trace = None;
-    }
-  in
-  let jobs =
-    List.init 24 (fun i -> job (Printf.sprintf "easy%d" i) easy_db None (Some "off"))
-    @ List.init 11 (fun i -> job (Printf.sprintf "hard%d" i) hard_db (Some 400) (Some "off"))
-    @ [ job "crash" hard_db (Some 1000) (Some "kill:50") ]
-  in
-  let njobs = List.length jobs in
-  let percentile sorted p =
-    sorted.(min (Array.length sorted - 1) (int_of_float (p *. float_of_int (Array.length sorted))))
-  in
-  Printf.printf "  %8s %10s %12s %10s %10s %10s\n" "workers" "jobs" "wall (s)" "jobs/s" "p50 (s)"
-    "p99 (s)";
-  List.iter
-    (fun workers ->
-      let cfg = { Runner.default_config with Runner.workers; retries = 3; backoff = 0.005 } in
-      let t0 = Runner.now_s () in
-      let replies, stats = Runner.run_batch cfg jobs in
-      let wall = Runner.now_s () -. t0 in
-      let lat =
-        List.map (fun (r : Runner.Proto.reply) -> r.Runner.Proto.wall_s) replies
-        |> Array.of_list
-      in
-      Array.sort compare lat;
-      let p50 = percentile lat 0.50 and p99 = percentile lat 0.99 in
-      let rate = float_of_int njobs /. wall in
-      Printf.printf "  %8d %10d %12.3f %10.1f %10.4f %10.4f  (%d failures)\n%!" workers njobs
-        wall rate p50 p99 stats.Runner.failures;
-      let open Runner.Proto.Json in
-      Printf.printf "BENCH %s\n%!"
-        (to_string
-           (Obj
-              [
-                ("bench", Str "pool_throughput");
-                ("workers", Int workers);
-                ("jobs", Int njobs);
-                ("wall_s", Float wall);
-                ("jobs_per_s", Float rate);
-                ("p50_s", Float p50);
-                ("p99_s", Float p99);
-                ("failures", Int stats.Runner.failures);
-              ])))
-    [ 1; 2; 4; 8 ]
-
-(* ------------------------------------------------------------------ *)
-(* ABLATION: journal durability — sync policy, recovery, compaction.   *)
-(* ------------------------------------------------------------------ *)
-
-let ablation_journal () =
-  Printf.printf
-    "Journal v2 ablation: per-append cost of each sync policy (Never / Per_line /\n\
-     Per_job over Done records, so Per_job actually fsyncs), recovery (load) time vs\n\
-     journal size, and the compaction ratio on a heavily superseded journal.\n\
-     Machine-readable: BENCH_pr5.json.\n\n";
-  let module J = Runner.Journal in
-  let open Runner.Proto.Json in
-  let with_temp f =
-    let path = Filename.temp_file "rpq_bench_journal" ".jnl" in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; path ^ ".tmp" ])
-      (fun () -> Sys.remove path; f path)
-  in
-  let done_entry id =
-    J.Done
-      {
-        id;
-        digest = "bench-digest";
-        reply = Runner.Proto.failed ~id ~kind:"bench" "journal ablation payload";
-      }
-  in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
-  in
-  (* Per-append latency under each sync policy. *)
-  let nappends = 201 in
-  let sync_name = function
-    | J.Never -> "never" | J.Per_line -> "per_line" | J.Per_job -> "per_job"
-  in
-  Printf.printf "  %-10s %10s %14s %14s %14s\n" "sync" "appends" "median (s)" "p99 (s)"
-    "records/s";
-  let append_rows =
-    List.map
-      (fun sync ->
-        with_temp (fun path ->
-            let j = match J.open_append ~sync path with Ok j -> j | Error e -> failwith e in
-            Fun.protect ~finally:(fun () -> J.close j) @@ fun () ->
-            for i = 1 to 8 do
-              J.append j (done_entry (Printf.sprintf "warm%d" i))
-            done;
-            let xs =
-              Array.init nappends (fun i ->
-                  let e = done_entry (Printf.sprintf "job%d" i) in
-                  let t0 = Obs.Clock.now () in
-                  J.append j e;
-                  Obs.Clock.now () -. t0)
-            in
-            let total = Array.fold_left ( +. ) 0.0 xs in
-            Array.sort compare xs;
-            let median = percentile xs 0.5 and p99 = percentile xs 0.99 in
-            let rate = float_of_int nappends /. total in
-            Printf.printf "  %-10s %10d %14.6f %14.6f %14.0f\n%!" (sync_name sync) nappends
-              median p99 rate;
-            Obj
-              [
-                ("sync", Str (sync_name sync));
-                ("appends", Int nappends);
-                ("median_append_s", Float median);
-                ("p99_append_s", Float p99);
-                ("records_per_s", Float rate);
-              ]))
-      [ J.Never; J.Per_line; J.Per_job ]
-  in
-  (* Recovery: load time as a function of journal size. *)
-  Printf.printf "\n  %10s %12s %12s\n" "records" "bytes" "load (s)";
-  let recovery_rows =
-    List.map
-      (fun records ->
-        with_temp (fun path ->
-            let j = match J.open_append ~sync:J.Never path with
-              | Ok j -> j | Error e -> failwith e
-            in
-            for i = 1 to records do
-              J.append j (done_entry (Printf.sprintf "job%d" i))
-            done;
-            J.close j;
-            let rep, load_s =
-              time_it (fun () ->
-                  match J.load path with Ok r -> r | Error e -> failwith e)
-            in
-            Printf.printf "  %10d %12d %12.6f\n%!" rep.J.records rep.J.bytes load_s;
-            Obj
-              [
-                ("records", Int rep.J.records); ("bytes", Int rep.J.bytes);
-                ("load_s", Float load_s);
-              ]))
-      [ 100; 400; 1600 ]
-  in
-  (* Compaction: 50 jobs, 8 superseded Done versions each. *)
-  let compaction_row =
-    with_temp (fun path ->
-        let j = match J.open_append ~sync:J.Never path with
-          | Ok j -> j | Error e -> failwith e
-        in
-        for v = 1 to 8 do
-          ignore v;
-          for i = 1 to 50 do
-            J.append j (done_entry (Printf.sprintf "job%d" i))
-          done
-        done;
-        J.close j;
-        let stats, compact_s =
-          time_it (fun () ->
-              match J.compact path with Ok s -> s | Error e -> failwith e)
-        in
-        let ratio =
-          float_of_int stats.J.after_bytes /. float_of_int stats.J.before_bytes
-        in
-        Printf.printf
-          "\n  compaction: %d kept, %d dropped, %d -> %d bytes (ratio %.3f) in %.6fs\n%!"
-          stats.J.kept stats.J.dropped stats.J.before_bytes stats.J.after_bytes ratio
-          compact_s;
-        Obj
-          [
-            ("kept", Int stats.J.kept); ("dropped", Int stats.J.dropped);
-            ("before_bytes", Int stats.J.before_bytes);
-            ("after_bytes", Int stats.J.after_bytes); ("ratio", Float ratio);
-            ("compact_s", Float compact_s);
-          ])
-  in
-  Out_channel.with_open_text "BENCH_pr5.json" (fun oc ->
-      output_string oc
-        (to_string
-           (Obj
-              [
-                ("append", List append_rows); ("recovery", List recovery_rows);
-                ("compaction", compaction_row);
-              ]));
-      output_char oc '\n');
-  Printf.printf "  wrote BENCH_pr5.json\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* ABLATION: multi-client serve — cache, throughput, shedding.         *)
-(* ------------------------------------------------------------------ *)
-
-let ablation_serve () =
-  Printf.printf
-    "Serve ablation: certificate-gated cache hit vs recompute latency, throughput vs\n\
-     concurrent client count over pre-connected socketpairs, and the shed rate when\n\
-     the admission queue saturates.\n\
-     Machine-readable: BENCH_pr8.json.\n\n";
-  let open Runner.Proto.Json in
-  let percentile sorted q =
-    sorted.(min (Array.length sorted - 1) (int_of_float (q *. float_of_int (Array.length sorted))))
-  in
-  let pre, _ = Gadgets.gadget_aa () in
-  let hard_db = Graphdb.Serialize.to_string (Gadgets.encode pre (Graphs.Ugraph.complete 5)) in
-  let easy_db = "s a m\nm a t\n" in
-  let job id db steps =
-    {
-      Runner.Proto.id;
-      db;
-      query = "aa";
-      budget = { Runner.Proto.no_budget with steps };
-      faults = Some "off";
-      deadline_ms = None;
-      priority = Runner.Proto.default_priority;
-      trace = None;
-    }
-  in
-  (* Drive serve_sockets end-to-end: each client pre-writes its job
-     lines on its socketpair end and half-closes; replies are read back
-     after the server returns. *)
-  let serve_clients scfg jobs_per_client =
-    let ends = List.map (fun _ -> Runner.Transport.pair ()) jobs_per_client in
-    let chans = List.map (fun (_, fd) -> Runner.Transport.channels_of_fd fd) ends in
-    List.iter2
-      (fun (_, oc) js ->
-        List.iter (fun j -> output_string oc (Runner.Proto.job_to_json j ^ "\n")) js;
-        Runner.Transport.shutdown_send oc)
-      chans jobs_per_client;
-    let (), wall =
-      time_it (fun () -> Runner.serve_sockets ~preconnected:(List.map fst ends) scfg)
-    in
-    let replies =
-      List.concat_map
-        (fun (ic, oc) ->
-          let rec rd acc =
-            match input_line ic with
-            | line -> rd (line :: acc)
-            | exception End_of_file ->
-                close_in ic;
-                close_out_noerr oc;
-                List.rev acc
-          in
-          List.filter_map
-            (fun line -> Result.to_option (Runner.Proto.reply_of_json line))
-            (rd []))
-        chans
-    in
-    (wall, replies)
-  in
-  (* 1. Cache hit (certificate re-check included) vs recompute, on a
-     budgeted hard solve. *)
-  let jh = job "h" hard_db (Some 400) in
-  let digest = Runner.Journal.canonical_digest jh in
-  let reply = Runner.run_job_locally jh in
-  let cache = Runner.Cache.create ~entries:16 in
-  Runner.Cache.store cache ~digest reply;
-  let time_many n f = Array.init n (fun _ -> snd (time_it f)) in
-  let hit_lat =
-    time_many 500 (fun () ->
-        match Runner.Cache.find cache ~digest ~id:"x" with
-        | Runner.Cache.Hit _ -> ()
-        | Runner.Cache.Miss | Runner.Cache.Cert_reject _ -> ())
-  in
-  let miss_lat = time_many 40 (fun () -> ignore (Runner.run_job_locally jh)) in
-  Array.sort compare hit_lat;
-  Array.sort compare miss_lat;
-  let hit_p50 = percentile hit_lat 0.50 and hit_p99 = percentile hit_lat 0.99 in
-  let miss_p50 = percentile miss_lat 0.50 and miss_p99 = percentile miss_lat 0.99 in
-  Printf.printf "  cache hit   p50 %.6fs  p99 %.6fs  (n=%d, cert re-checked per hit)\n"
-    hit_p50 hit_p99 (Array.length hit_lat);
-  Printf.printf "  recompute   p50 %.6fs  p99 %.6fs  (n=%d)\n%!" miss_p50 miss_p99
-    (Array.length miss_lat);
-  let cache_row =
-    Obj
-      [
-        ("hit_p50_s", Float hit_p50); ("hit_p99_s", Float hit_p99);
-        ("miss_p50_s", Float miss_p50); ("miss_p99_s", Float miss_p99);
-        ("speedup_p50", Float (miss_p50 /. Float.max hit_p50 1e-9));
-      ]
-  in
-  (* 2. Throughput vs concurrent clients: a fixed mixed job set split
-     round-robin across k clients, cache off so every job computes. *)
-  let total = 48 in
-  let all_jobs =
-    List.init total (fun i ->
-        if i mod 4 = 3 then job (Printf.sprintf "h%d" i) hard_db (Some 400)
-        else job (Printf.sprintf "e%d" i) easy_db None)
-  in
-  Printf.printf "\n  %8s %10s %12s %10s\n" "clients" "jobs" "wall (s)" "jobs/s";
-  let throughput_rows =
-    List.map
-      (fun nclients ->
-        let buckets = Array.make nclients [] in
-        List.iteri (fun i j -> buckets.(i mod nclients) <- j :: buckets.(i mod nclients)) all_jobs;
-        let per_client = Array.to_list (Array.map List.rev buckets) in
-        let base =
-          { Runner.default_config with Runner.workers = 4; retries = 1; backoff = 0.005 }
-        in
-        let scfg = { Runner.default_serve_config with Runner.base = base; cache_entries = 0 } in
-        let wall, replies = serve_clients scfg per_client in
-        let rate = float_of_int (List.length replies) /. wall in
-        Printf.printf "  %8d %10d %12.3f %10.1f\n%!" nclients (List.length replies) wall rate;
-        Obj
-          [
-            ("clients", Int nclients); ("jobs", Int (List.length replies));
-            ("wall_s", Float wall); ("jobs_per_s", Float rate);
-          ])
-      [ 1; 2; 4; 8 ]
-  in
-  (* 3. Shedding under overload: a tiny queue cap against four eager
-     clients; retriable `overloaded' replies are the safety valve. *)
-  let overload_jobs = List.init 32 (fun i -> job (Printf.sprintf "o%d" i) easy_db None) in
-  let per_client = List.init 4 (fun c ->
-      List.map (fun (j : Runner.Proto.job) ->
-          { j with Runner.Proto.id = Printf.sprintf "c%d_%s" c j.Runner.Proto.id })
-        overload_jobs)
-  in
-  let base = { Runner.default_config with Runner.workers = 2; retries = 0; queue_cap = 8 } in
-  let scfg = { Runner.default_serve_config with Runner.base = base; cache_entries = 0 } in
-  let wall, replies = serve_clients scfg per_client in
-  let shed =
-    List.length
-      (List.filter
-         (fun (r : Runner.Proto.reply) ->
-           match r.Runner.Proto.verdict with
-           | Runner.Proto.V_failed { kind = "overloaded"; _ } -> true
-           | _ -> false)
-         replies)
-  in
-  let nreplies = List.length replies in
-  let shed_rate = float_of_int shed /. float_of_int (max 1 nreplies) in
-  Printf.printf
-    "\n  overload: %d jobs over 4 clients, queue cap 8 -> %d shed (%.1f%%) in %.3fs\n%!"
-    nreplies shed (100.0 *. shed_rate) wall;
-  let shed_row =
-    Obj
-      [
-        ("jobs", Int nreplies); ("clients", Int 4); ("queue_cap", Int 8);
-        ("shed", Int shed); ("shed_rate", Float shed_rate); ("wall_s", Float wall);
-      ]
-  in
-  Out_channel.with_open_text "BENCH_pr8.json" (fun oc ->
-      output_string oc
-        (to_string
-           (Obj
-              [
-                ("cache", cache_row); ("throughput", List throughput_rows);
-                ("shedding", shed_row);
-              ]));
-      output_char oc '\n');
-  Printf.printf "  wrote BENCH_pr8.json\n%!"
-
-let ablation_hedge () =
-  Printf.printf
-    "Hedging / overload ablation: per-job latency with certificate-gated hedging off\n\
-     vs on under a deterministic wedge mix (the parity claim: identical settlements,\n\
-     wall clock aside), and the shed rate by priority class at ~2x queue overload.\n\
-     Machine-readable: BENCH_pr10.json.\n\n";
-  let open Runner.Proto.Json in
-  let percentile sorted q =
-    sorted.(min (Array.length sorted - 1) (int_of_float (q *. float_of_int (Array.length sorted))))
-  in
-  let pre, _ = Gadgets.gadget_aa () in
-  let hard_db = Graphdb.Serialize.to_string (Gadgets.encode pre (Graphs.Ugraph.complete 5)) in
-  let easy_db = "s a m\nm a t\n" in
-  let job ?deadline_ms ?(priority = Runner.Proto.default_priority) ?(faults = "off") id db
-      steps =
-    {
-      Runner.Proto.id;
-      db;
-      query = "aa";
-      budget = { Runner.Proto.no_budget with steps };
-      faults = Some faults;
-      deadline_ms;
-      priority;
-      trace = None;
-    }
-  in
-  (* 1. Hedging off vs on over one batch: every third job wedges at tick
-     50 (so it burns wall timeout + grace per attempt until degradation
-     preempts the wedge), the rest are clean. The hedge duplicates the
-     primary's payload verbatim, so under this deterministic plan it can
-     never win on outcome — the measurement is that it also costs
-     nothing: settlements are pairwise equal modulo wall clock. *)
-  let mix () =
-    List.init 24 (fun i ->
-        if i mod 3 = 0 then
-          job (Printf.sprintf "w%d" i) hard_db (Some 1000) ~faults:"wedge:50"
-        else if i mod 3 = 1 then job (Printf.sprintf "h%d" i) hard_db (Some 200)
-        else job (Printf.sprintf "e%d" i) easy_db None)
-  in
-  let cfg hedge_after =
-    {
-      Runner.default_config with
-      Runner.workers = 4;
-      retries = 2;
-      job_timeout = Some 0.3;
-      grace = 0.2;
-      backoff = 0.005;
-      hedge_after;
-    }
-  in
-  let latencies replies =
-    let a =
-      Array.of_list (List.map (fun (r : Runner.Proto.reply) -> r.Runner.Proto.wall_s) replies)
-    in
-    Array.sort compare a;
-    a
-  in
-  let hedge_counter = Obs.Metrics.counter "runner.hedges_total" in
-  let win_counter = Obs.Metrics.counter "runner.hedge_wins_total" in
-  let off_replies, _ = Runner.run_batch (cfg None) (mix ()) in
-  let hedges0 = Obs.Metrics.count hedge_counter and wins0 = Obs.Metrics.count win_counter in
-  let on_replies, _ = Runner.run_batch (cfg (Some 0.02)) (mix ()) in
-  let hedges = Obs.Metrics.count hedge_counter - hedges0 in
-  let wins = Obs.Metrics.count win_counter - wins0 in
-  let off_lat = latencies off_replies and on_lat = latencies on_replies in
-  let off_p50 = percentile off_lat 0.50 and off_p99 = percentile off_lat 0.99 in
-  let on_p50 = percentile on_lat 0.50 and on_p99 = percentile on_lat 0.99 in
-  let parity =
-    List.for_all2 Runner.Proto.reply_equal_ignoring_time off_replies on_replies
-  in
-  Printf.printf "  hedging off  p50 %.4fs  p99 %.4fs  (n=%d)\n" off_p50 off_p99
-    (Array.length off_lat);
-  Printf.printf "  hedging on   p50 %.4fs  p99 %.4fs  (%d hedges, %d wins)\n" on_p50 on_p99
-    hedges wins;
-  Printf.printf "  settlement parity (modulo wall clock): %b\n%!" parity;
-  let hedging_row =
-    Obj
-      [
-        ("off_p50_s", Float off_p50); ("off_p99_s", Float off_p99);
-        ("on_p50_s", Float on_p50); ("on_p99_s", Float on_p99);
-        ("hedges", Int hedges); ("hedge_wins", Int wins); ("parity", Bool parity);
-      ]
-  in
-  (* 2. Shed rate by priority class: one client per class, each pushing
-     16 budgeted hard jobs at a queue capped at 8 with one worker —
-     roughly 2x overload once inflight and queued slots are counted.
-     Interactive arrivals evict queued batch work at the cap, so the
-     shed burden lands on the low classes. *)
-  let per_class = 16 and queue_cap = 8 in
-  let classes = [ "batch"; "normal"; "interactive" ] in
-  let per_client =
-    List.map
-      (fun cls ->
-        List.init per_class (fun i ->
-            job (Printf.sprintf "%s%d" cls i) hard_db (Some 200) ~priority:cls))
-      classes
-  in
-  let base =
-    { Runner.default_config with Runner.workers = 1; retries = 0; queue_cap }
-  in
-  let scfg =
-    { Runner.default_serve_config with Runner.base = base; cache_entries = 0 }
-  in
-  let ends = List.map (fun _ -> Runner.Transport.pair ()) per_client in
-  let chans = List.map (fun (_, fd) -> Runner.Transport.channels_of_fd fd) ends in
-  List.iter2
-    (fun (_, oc) js ->
-      List.iter
-        (fun j -> output_string oc (Runner.Proto.job_to_wire_json j ^ "\n"))
-        js;
-      Runner.Transport.shutdown_send oc)
-    chans per_client;
-  let (), wall =
-    time_it (fun () -> Runner.serve_sockets ~preconnected:(List.map fst ends) scfg)
-  in
-  let shed_of replies =
-    List.length
-      (List.filter
-         (fun (r : Runner.Proto.reply) ->
-           match r.Runner.Proto.verdict with
-           | Runner.Proto.V_failed { kind = "overloaded"; _ } -> true
-           | _ -> false)
-         replies)
-  in
-  Printf.printf "\n  %12s %6s %6s %10s\n" "class" "jobs" "shed" "shed rate";
-  let class_rows =
-    List.map2
-      (fun cls (ic, oc) ->
-        let rec rd acc =
-          match input_line ic with
-          | line -> rd (line :: acc)
-          | exception End_of_file ->
-              close_in ic;
-              close_out_noerr oc;
-              List.rev acc
-        in
-        let replies =
-          List.filter_map
-            (fun line -> Result.to_option (Runner.Proto.reply_of_json line))
-            (rd [])
-        in
-        let shed = shed_of replies in
-        let rate = float_of_int shed /. float_of_int (max 1 (List.length replies)) in
-        Printf.printf "  %12s %6d %6d %9.1f%%\n%!" cls (List.length replies) shed
-          (100.0 *. rate);
-        Obj
-          [
-            ("class", Str cls); ("jobs", Int (List.length replies));
-            ("shed", Int shed); ("shed_rate", Float rate);
-          ])
-      classes chans
-  in
-  Printf.printf "  overload wall: %.3fs (queue cap %d, %d jobs)\n%!" wall queue_cap
-    (3 * per_class);
-  Out_channel.with_open_text "BENCH_pr10.json" (fun oc ->
-      output_string oc
-        (to_string
-           (Obj
-              [
-                ("hedging", hedging_row);
-                ( "priority_shedding",
-                  Obj
-                    [
-                      ("queue_cap", Int queue_cap); ("workers", Int 1);
-                      ("jobs", Int (3 * per_class)); ("wall_s", Float wall);
-                      ("classes", List class_rows);
-                    ] );
-              ]));
-      output_char oc '\n');
-  Printf.printf "  wrote BENCH_pr10.json\n%!"
 
 let () =
   section "fig1" "FIG1: classification table" fig1;
@@ -1119,12 +473,7 @@ let () =
   section "ablation_solvers" "ABLATION: exact solvers and the LP bound" ablation_solvers;
   section "ablation_chain" "ABLATION: Lemma F.2 extraction vs determinization" ablation_chain_extraction;
   section "ablation_anytime" "ABLATION: anytime bounds vs work budget" ablation_anytime;
-  section "ablation_pool" "ABLATION: supervised pool throughput vs worker count" ablation_pool;
-  section "ablation_journal" "ABLATION: journal sync policy, recovery, compaction" ablation_journal;
-  section "ablation_serve" "ABLATION: multi-client serve, cache, shedding" ablation_serve;
-  section "ablation_hedge" "ABLATION: hedging latency/parity, shed rate by priority" ablation_hedge;
   section "scaling_submodular" "SCALING: Proposition 7.7" scaling_submodular;
   section "scaling_local" "SCALING: Theorem 3.3" scaling_local;
   section "scaling_bcl" "SCALING: Proposition 7.5" scaling_bcl;
   section "scaling_hard" "SCALING: hardness shape" scaling_hardness;
-  section "timing" "TIMING: Bechamel micro-benchmarks" run_timing

@@ -707,7 +707,7 @@ let batch_cmd =
         | Ok [] -> input_error "%s: no jobs" jobfile
         | Ok jobs -> begin
             match
-              Obs.Trace.with_span ~args:[ ("jobs", Obs.Jtext.Int (List.length jobs)) ] "batch"
+              Obs.Trace.with_span ~args:[ ("jobs", Cert.Json.Int (List.length jobs)) ] "batch"
                 (fun () -> Runner.run_batch ?journal cfg jobs)
             with
             (* An unreadable/corrupt/locked journal is an input problem
@@ -1064,7 +1064,7 @@ let submit_cmd =
                   (fun (j : Runner.Proto.job) ->
                     let h =
                       Obs.Trace.open_span
-                        ~args:[ ("id", Obs.Jtext.Str j.Runner.Proto.id) ]
+                        ~args:[ ("id", Cert.Json.Str j.Runner.Proto.id) ]
                         "request"
                     in
                     Option.iter (fun h -> Hashtbl.replace spans j.Runner.Proto.id h) h;
@@ -1099,7 +1099,7 @@ let submit_cmd =
                                   ~args:
                                     [
                                       ( "outcome",
-                                        Obs.Jtext.Str
+                                        Cert.Json.Str
                                           (Runner.Proto.verdict_name r.Runner.Proto.verdict) );
                                     ]
                                   h
@@ -1122,7 +1122,7 @@ let submit_cmd =
                     Hashtbl.iter
                       (fun _ h ->
                         Obs.Trace.close_span
-                          ~args:[ ("outcome", Obs.Jtext.Str "lost") ]
+                          ~args:[ ("outcome", Cert.Json.Str "lost") ]
                           h)
                       spans;
                     input_error "submit: %s" e
@@ -1197,7 +1197,7 @@ let journal_inspect_line path (rep : Journal.report) =
     (J.Obj
        [
          ("path", J.Str path);
-         ("version", J.Str (match rep.Journal.version with Journal.V1 -> "v1" | Journal.V2 -> "v2"));
+         ("version", J.Str "v2");
          ("records", J.Int rep.Journal.records);
          ("started", J.Int started);
          ("done", J.Int (rep.Journal.records - started));
@@ -1300,10 +1300,9 @@ let journal_compact_cmd =
     (Cmd.info "compact"
        ~doc:
          "Rewrite the journal to only the last $(i,Done) record per job id (atomic: temp + \
-          fsync + rename), reclaiming dead bytes; also migrates v1 journals to the v2 \
-          checksummed format. The settled-answer map is unchanged — $(b,inspect)'s \
-          $(b,live_md5) agrees before and after. Refuses (exit 2) when a live settled \
-          answer's certificate fails re-check, unless $(b,--force).")
+          fsync + rename), reclaiming dead bytes. The settled-answer map is unchanged — \
+          $(b,inspect)'s $(b,live_md5) agrees before and after. Refuses (exit 2) when a live \
+          settled answer's certificate fails re-check, unless $(b,--force).")
     Term.(const run $ journal_file_arg $ force)
 
 let journal_cmd =

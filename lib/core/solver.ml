@@ -19,7 +19,7 @@ let algorithm_name = function
    [Obs.Trace.stage], so a traced run shows where a hard instance spends
    its budget and [Runner.run_job_locally] can report per-stage totals. *)
 let stage = Obs.Trace.stage
-let reason_arg reason = [ ("reason", Obs.Jtext.Str (Budget.exhaustion_name reason)) ]
+let reason_arg reason = [ ("reason", Cert.Json.Str (Budget.exhaustion_name reason)) ]
 
 type result = {
   value : Value.t;

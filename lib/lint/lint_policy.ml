@@ -21,7 +21,8 @@ type t = {
    The layer contract (lower may never depend on higher; equal only
    within peer layers):
 
-     0  invariant, lint          axioms: violation reporting, this tool
+     0  invariant, lint, cert    axioms: violation reporting, this tool,
+                                 JSON + certificates (no dependencies)
      1  obs                      clocks, metrics, traces
      2  automata, graphs, flow,  leaf solver toolkits (peers: may use
         lp, hypergraph,          each other acyclically)
@@ -39,7 +40,7 @@ let default =
       [
         ("invariant", 0);
         ("lint", 0);
-        ("cert", 1);
+        ("cert", 0);
         ("obs", 1);
         ("automata", 2);
         ("graphs", 2);

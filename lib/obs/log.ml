@@ -4,9 +4,11 @@
 
    The [event] field is a stable reason code (kebab-case), the rest are
    key/value context — greppable, and parseable with the same JSON
-   grammar as every other telemetry surface ([Jtext] emit, [Proto.Json]
-   parse). This module is the only place outside [bin/] allowed to write
-   to stderr (enforced by the rpq_lint stderr-confinement rule). *)
+   grammar as every other telemetry surface ([Cert.Json]). This module
+   is the only place outside [bin/] allowed to write to stderr (enforced
+   by the rpq_lint stderr-confinement rule). *)
+
+module Json = Cert.Json
 
 type level = Debug | Info | Warn | Error
 
@@ -77,11 +79,11 @@ let reset_repeats () = Hashtbl.reset seen
 
 let record lvl event fields =
   let line =
-    Jtext.Obj
+    Json.Obj
       ([
-         ("lvl", Jtext.Str (level_name lvl));
-         ("event", Jtext.Str event);
-         ("ts", Jtext.Float (Clock.now ()));
+         ("lvl", Json.Str (level_name lvl));
+         ("event", Json.Str event);
+         ("ts", Json.Float (Clock.now ()));
        ]
       @ fields)
   in
@@ -97,10 +99,10 @@ let record lvl event fields =
             if n <= repeat_window then line
             else
               match line with
-              | Jtext.Obj fs -> Jtext.Obj (fs @ [ ("repeat", Jtext.Int n) ])
+              | Json.Obj fs -> Json.Obj (fs @ [ ("repeat", Json.Int n) ])
               | other -> other
           in
-          output_string !out (Jtext.to_string line);
+          output_string !out (Json.to_string line);
           output_char !out '\n';
           flush !out
     end

@@ -3,8 +3,8 @@
     Every record is one JSON line —
     [{"lvl":"warn","event":"worker-death","ts":…, …context…}] — where
     [event] is a stable kebab-case reason code and the remaining fields
-    are key/value context rendered with {!Jtext} (the same grammar the
-    rest of the telemetry stack emits and [Runner.Proto.Json] parses).
+    are key/value context rendered with {!Cert.Json} (the grammar the
+    whole tree emits and parses).
 
     Defaults: level {!Warn}, destination stderr. [RPQ_LOG] (or the CLI's
     [--log-level]/[--log-file]) reconfigures both. This module is the
@@ -35,10 +35,10 @@ val configure_from_env : unit -> unit
 (** Honors [RPQ_LOG]: [off] | LEVEL | LEVEL:PATH (e.g.
     [debug:/tmp/rpq.log]). Unset leaves the defaults. *)
 
-val debug : string -> (string * Jtext.t) list -> unit
-val info : string -> (string * Jtext.t) list -> unit
-val warn : string -> (string * Jtext.t) list -> unit
-val error : string -> (string * Jtext.t) list -> unit
+val debug : string -> (string * Cert.Json.t) list -> unit
+val info : string -> (string * Cert.Json.t) list -> unit
+val warn : string -> (string * Cert.Json.t) list -> unit
+val error : string -> (string * Cert.Json.t) list -> unit
 
 val reset_repeats : unit -> unit
 (** Forget repeat-suppression counts (tests). *)

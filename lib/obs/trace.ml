@@ -1,3 +1,5 @@
+module Json = Cert.Json
+
 type format = Jsonl | Chrome
 
 type sink = {
@@ -69,7 +71,7 @@ let write_event s json =
   | Chrome ->
       if s.first then s.first <- false
       else output_string s.oc ",\n");
-  output_string s.oc (Jtext.to_string json);
+  output_string s.oc (Json.to_string json);
   (match s.fmt with Jsonl -> output_char s.oc '\n' | Chrome -> ());
   (* One event may be the process's last act before a crash; flush per
      event so the trace is useful exactly when it matters most. *)
@@ -79,87 +81,87 @@ let write_event s json =
 let us t = t *. 1e6
 
 let id_fields ~tid ~sid ~psid =
-  (if tid = "" then [] else [ ("tid", Jtext.Str tid) ])
-  @ (match sid with None -> [] | Some s -> [ ("sid", Jtext.Str s) ])
-  @ match psid with None -> [] | Some p -> [ ("psid", Jtext.Str p) ]
+  (if tid = "" then [] else [ ("tid", Json.Str tid) ])
+  @ (match sid with None -> [] | Some s -> [ ("sid", Json.Str s) ])
+  @ match psid with None -> [] | Some p -> [ ("psid", Json.Str p) ]
 
 (* [ts]/[dur] are relative to the sink epoch. *)
 let span_json s ~name ~ts ~dur ~depth:d ~pid ~ids args =
   match s.fmt with
   | Chrome ->
-      Jtext.Obj
+      Json.Obj
         [
-          ("name", Jtext.Str name);
-          ("ph", Jtext.Str "X");
-          ("ts", Jtext.Float (us ts));
-          ("dur", Jtext.Float (us dur));
-          ("pid", Jtext.Int pid);
-          ("tid", Jtext.Int pid);
-          ("args", Jtext.Obj (("depth", Jtext.Int d) :: (ids @ args)));
+          ("name", Json.Str name);
+          ("ph", Json.Str "X");
+          ("ts", Json.Float (us ts));
+          ("dur", Json.Float (us dur));
+          ("pid", Json.Int pid);
+          ("tid", Json.Int pid);
+          ("args", Json.Obj (("depth", Json.Int d) :: (ids @ args)));
         ]
   | Jsonl ->
-      Jtext.Obj
+      Json.Obj
         ([
-           ("ev", Jtext.Str "span");
-           ("name", Jtext.Str name);
-           ("ts", Jtext.Float ts);
-           ("dur", Jtext.Float dur);
-           ("depth", Jtext.Int d);
-           ("pid", Jtext.Int pid);
+           ("ev", Json.Str "span");
+           ("name", Json.Str name);
+           ("ts", Json.Float ts);
+           ("dur", Json.Float dur);
+           ("depth", Json.Int d);
+           ("pid", Json.Int pid);
          ]
         @ ids @ args)
 
 let instant_json s ~name ~ts ~depth:d ~pid ~ids args =
   match s.fmt with
   | Chrome ->
-      Jtext.Obj
+      Json.Obj
         [
-          ("name", Jtext.Str name);
-          ("ph", Jtext.Str "i");
-          ("ts", Jtext.Float (us ts));
-          ("s", Jtext.Str "p");
-          ("pid", Jtext.Int pid);
-          ("tid", Jtext.Int pid);
-          ("args", Jtext.Obj (("depth", Jtext.Int d) :: (ids @ args)));
+          ("name", Json.Str name);
+          ("ph", Json.Str "i");
+          ("ts", Json.Float (us ts));
+          ("s", Json.Str "p");
+          ("pid", Json.Int pid);
+          ("tid", Json.Int pid);
+          ("args", Json.Obj (("depth", Json.Int d) :: (ids @ args)));
         ]
   | Jsonl ->
-      Jtext.Obj
+      Json.Obj
         ([
-           ("ev", Jtext.Str "instant");
-           ("name", Jtext.Str name);
-           ("ts", Jtext.Float ts);
-           ("depth", Jtext.Int d);
-           ("pid", Jtext.Int pid);
+           ("ev", Json.Str "instant");
+           ("name", Json.Str name);
+           ("ts", Json.Float ts);
+           ("depth", Json.Int d);
+           ("pid", Json.Int pid);
          ]
         @ ids @ args)
 
 (* Open events exist only on pipe sinks: they let the supervisor close a
    killed worker's unfinished spans as [interrupted]. *)
 let open_json ~name ~ts ~depth:d ~pid ~ids args =
-  Jtext.Obj
+  Json.Obj
     ([
-       ("ev", Jtext.Str "open");
-       ("name", Jtext.Str name);
-       ("ts", Jtext.Float ts);
-       ("depth", Jtext.Int d);
-       ("pid", Jtext.Int pid);
+       ("ev", Json.Str "open");
+       ("name", Json.Str name);
+       ("ts", Json.Float ts);
+       ("depth", Json.Int d);
+       ("pid", Json.Int pid);
      ]
     @ ids @ args)
 
 (* A JSONL stream opens with a meta record carrying the absolute epoch,
    so files from different processes (each with its own relative clock)
    can be concatenated and re-anchored by a reader. The epoch is integer
-   microseconds: a wall-clock epoch rendered through Jtext's %.9g float
+   microseconds: a wall-clock epoch rendered through Json's %.9g float
    format would be truncated to tens of seconds, which is exactly the
    precision cross-process stitching cannot afford to lose. *)
 let meta_json s =
-  Jtext.Obj
+  Json.Obj
     ([
-       ("ev", Jtext.Str "meta");
-       ("pid", Jtext.Int s.pid);
-       ("t0", Jtext.Int (int_of_float (Float.round (s.t0 *. 1e6))));
+       ("ev", Json.Str "meta");
+       ("pid", Json.Int s.pid);
+       ("t0", Json.Int (int_of_float (Float.round (s.t0 *. 1e6))));
      ]
-    @ if !own_trace_id = "" then [] else [ ("tid", Jtext.Str !own_trace_id) ])
+    @ if !own_trace_id = "" then [] else [ ("tid", Json.Str !own_trace_id) ])
 
 let emitting () = Option.is_some !sink && not !suppressed
 
@@ -215,7 +217,7 @@ type handle = {
   h_tid : string;
   h_depth : int;
   h_start : float;
-  h_args : (string * Jtext.t) list;
+  h_args : (string * Json.t) list;
   mutable h_open : bool;
 }
 
@@ -323,7 +325,7 @@ let stage ?(args = []) name f =
                     r
               in
               cell := !cell +. (Clock.now () -. start))
-      (fun () -> with_span ~args:(("stage", Jtext.Str name) :: args) ("stage:" ^ name) f)
+      (fun () -> with_span ~args:(("stage", Json.Str name) :: args) ("stage:" ^ name) f)
   end
 
 let with_stages f =

@@ -62,7 +62,7 @@ let find t ~digest ~id =
     | Some n -> begin
         match
           Obs.Trace.with_span
-            ~args:[ ("digest", Obs.Jtext.Str digest) ]
+            ~args:[ ("digest", Json.Str digest) ]
             "cert-check"
             (fun () -> Cert.Checker.check_reply n.reply)
         with
@@ -75,9 +75,9 @@ let find t ~digest ~id =
             remove t n;
             Obs.Metrics.incr m_cert_rejects;
             Obs.Trace.instant "cache.cert_reject"
-              ~args:[ ("digest", Obs.Jtext.Str digest); ("reason", Obs.Jtext.Str reason) ];
+              ~args:[ ("digest", Json.Str digest); ("reason", Json.Str reason) ];
             Obs.Log.warn "cache-cert-reject"
-              [ ("digest", Obs.Jtext.Str digest); ("reason", Obs.Jtext.Str reason) ];
+              [ ("digest", Json.Str digest); ("reason", Json.Str reason) ];
             Cert_reject reason
       end
 

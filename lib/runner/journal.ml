@@ -85,8 +85,8 @@ let crc32 s =
 (* [len] is the payload's byte length (self-delimiting framing — the    *)
 (* payload is opaque), [crc] covers "<seq>:<payload>" so a corrupted    *)
 (* sequence number cannot masquerade as valid, [seq] is strictly        *)
-(* increasing from 1. A v1 journal (bare JSON lines from PR 3) is       *)
-(* detected by the missing header and loaded read-only.                 *)
+(* increasing from 1. A non-empty file that neither starts with the    *)
+(* header nor is a torn prefix of it is refused.                        *)
 (* ------------------------------------------------------------------ *)
 
 let header = "rpq-journal-v2"
@@ -96,13 +96,10 @@ let frame ~seq payload =
   let body = Printf.sprintf "%d:%s" seq payload in
   Printf.sprintf "%d:%08x:%s\n" (String.length payload) (crc32 body) body
 
-type version = V1 | V2
-
 type torn = Truncated | Bad_checksum
 
 type report = {
   entries : entry list;
-  version : version;
   records : int;
   bytes : int;
   dead_bytes : int;
@@ -114,7 +111,6 @@ type report = {
 let empty_report =
   {
     entries = [];
-    version = V2;
     records = 0;
     bytes = 0;
     dead_bytes = 0;
@@ -235,7 +231,6 @@ let parse_v2 path s =
     Ok
       {
         entries = List.map fst sized;
-        version = V2;
         records = List.length sized;
         bytes = n;
         dead_bytes = dead_of sized + torn_bytes;
@@ -244,42 +239,6 @@ let parse_v2 path s =
         last_seq = !last_seq;
       }
   with Refuse (lineno, msg) -> Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-
-(* v1 journals: bare JSON lines, no checksums. Byte-precise torn rule
-   (this is the fixed semantics — the old reader's
-   [pos_in ic >= in_channel_length ic] heuristic tolerated a malformed
-   *complete* final line): torn means exactly "the file does not end in a
-   newline", and the newline-less tail is the discarded crash artifact.
-   Any malformed *newline-terminated* line refuses the resume. *)
-let parse_v1 path s =
-  let ( let* ) = Result.bind in
-  let n = String.length s in
-  let rec go o lineno acc =
-    if o >= n then Ok (List.rev acc, 0)
-    else
-      match String.index_from_opt s o '\n' with
-      | None -> Ok (List.rev acc, n - o)
-      | Some i ->
-          let line = String.sub s o (i - o) in
-          if String.trim line = "" then go (i + 1) (lineno + 1) acc
-          else begin
-            match entry_of_json line with
-            | Ok e -> go (i + 1) (lineno + 1) ((e, i - o + 1) :: acc)
-            | Error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-          end
-  in
-  let* sized, torn_bytes = go 0 1 [] in
-  Ok
-    {
-      entries = List.map fst sized;
-      version = V1;
-      records = List.length sized;
-      bytes = n;
-      dead_bytes = dead_of sized + torn_bytes;
-      torn_bytes;
-      torn = (if torn_bytes = 0 then None else Some Truncated);
-      last_seq = 0;
-    }
 
 let read_file path =
   let ic = open_in_bin path in
@@ -305,7 +264,7 @@ let load path =
             torn_bytes = n;
             torn = (if n = 0 then None else Some Truncated);
           }
-      else parse_v1 path s
+      else Error (Printf.sprintf "%s:1: not an rpq journal (missing %s header)" path header)
 
 let completed entries =
   let tbl = Hashtbl.create 64 in
@@ -321,7 +280,7 @@ let completed entries =
 
 (* ------------------------------------------------------------------ *)
 (* Atomic rewrite: temp + fsync + rename. Shared by explicit            *)
-(* compaction, the auto-compaction in open_append, and v1 migration.    *)
+(* compaction and the auto-compaction in open_append.                  *)
 (* ------------------------------------------------------------------ *)
 
 let fsync_dir dir =
@@ -431,12 +390,10 @@ let open_append ?(sync = Per_job) ?(compact_ratio = default_compact_ratio) path 
         && float_of_int rep.dead_bytes /. float_of_int rep.bytes >= compact_ratio
       in
       let* fd, key, rep =
-        if rep.version = V1 || auto_compact then begin
-          (* Rewrite in place (v1 migration keeps every entry; dead-ratio
-             compaction keeps only live ones), then re-acquire: the rename
-             replaced the inode our lock lives on. *)
-          let kept = if auto_compact then compact_entries rep.entries else rep.entries in
-          match rewrite_atomic path kept with
+        if auto_compact then begin
+          (* Rewrite in place, keeping only live entries, then re-acquire:
+             the rename replaced the inode our lock lives on. *)
+          match rewrite_atomic path (compact_entries rep.entries) with
           | () ->
               release fd key;
               let* fd, key = acquire path in

@@ -18,10 +18,9 @@
     schema-shared with the wire protocol), [len] its byte length
     (self-delimiting framing), [crc] the CRC32 (IEEE) of
     ["<seq>:<payload>"] as 8 lowercase hex digits, and [seq] a strictly
-    increasing sequence number from 1. A file without the header is a v1
-    journal (PR 3's bare JSON lines): still loadable, read-only;
-    {!open_append} migrates it to v2 in place (atomic rewrite) before
-    appending.
+    increasing sequence number from 1. A non-empty file without the
+    header (and not a torn prefix of it) is not a journal: {!load}
+    refuses it with a [path:1:] error.
 
     {2 Recovery semantics}
 
@@ -65,15 +64,12 @@ val entry_to_json : entry -> string
 
 val entry_of_json : string -> (entry, string) result
 
-type version = V1 | V2
-
 type torn =
   | Truncated  (** the final record is a strict prefix of a valid frame *)
   | Bad_checksum  (** the final record is complete but its CRC fails *)
 
 type report = {
   entries : entry list;  (** every intact record, in file order *)
-  version : version;
   records : int;  (** [List.length entries] *)
   bytes : int;  (** total file size *)
   dead_bytes : int;
@@ -82,14 +78,15 @@ type report = {
           tail *)
   torn_bytes : int;  (** trailing bytes discarded as a torn write *)
   torn : torn option;  (** why the tail was discarded, if it was *)
-  last_seq : int;  (** highest sequence number seen; 0 for empty or v1 *)
+  last_seq : int;  (** highest sequence number seen; 0 for empty *)
 }
 
 val load : string -> (report, string) result
 (** Reads a journal back. A missing file is an empty journal. A torn tail
     is tolerated and reported; mid-file corruption (checksum, framing,
-    sequence regression) is an [Error] carrying a [path:line] position —
-    resuming from such a file would silently drop results. *)
+    sequence regression) and a missing header are an [Error] carrying a
+    [path:line] position — resuming from such a file would silently drop
+    results. *)
 
 val completed : entry list -> (string, string * Proto.reply) Hashtbl.t
 (** Settled jobs by id, mapping to [(digest, reply)]; for duplicate ids
@@ -109,12 +106,12 @@ val open_append : ?sync:sync -> ?compact_ratio:float -> string -> (t, string) re
     exclusive: the file is locked ([Unix.lockf], plus an in-process
     registry — record locks do not exclude within one process) so two
     supervisors cannot interleave records; a held lock is an [Error].
-    On open, a v1 journal is migrated to v2 and a journal whose dead-byte
-    ratio is at least [compact_ratio] (default 0.5) is auto-compacted —
-    both via the atomic rewrite of {!compact} — and a torn tail is
-    truncated, so appends always extend a clean prefix. New records
-    continue the sequence from the last intact one. [sync] defaults to
-    [Per_job]. Corruption refuses exactly as {!load} does. *)
+    On open, a journal whose dead-byte ratio is at least [compact_ratio]
+    (default 0.5) is auto-compacted via the atomic rewrite of {!compact},
+    and a torn tail is truncated, so appends always extend a clean
+    prefix. New records continue the sequence from the last intact one.
+    [sync] defaults to [Per_job]. Corruption refuses exactly as {!load}
+    does. *)
 
 val append : t -> entry -> unit
 (** Frames and appends one record, then runs the single sync point:
@@ -140,5 +137,5 @@ val compact : string -> (compact_stats, string) result
     fsync), so a crash at any point leaves either the old or the new
     journal intact — never a mix (crash site [journal.mid_compact] fires
     between the temp fsync and the rename). Takes the same exclusive
-    lock as {!open_append}; also migrates v1 files to v2. Timed in the
-    [journal.compact_s] histogram. *)
+    lock as {!open_append} and refuses what {!load} refuses. Timed in
+    the [journal.compact_s] histogram. *)

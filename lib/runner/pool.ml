@@ -218,8 +218,8 @@ let dead_worker t w status =
   w.wedged <- false;
   Obs.Log.info "worker-respawn"
     [
-      ("death", Obs.Jtext.Str (death_to_string death));
-      ("pid", Obs.Jtext.Int fresh.pid);
+      ("death", Cert.Json.Str (death_to_string death));
+      ("pid", Cert.Json.Int fresh.pid);
     ];
   if id = "" then None else Some (Crashed { id; death })
 

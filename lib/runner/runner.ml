@@ -190,9 +190,9 @@ let run_job_locally (job : job) : reply =
         Trace.with_span
           ~args:
             [
-              ("id", Obs.Jtext.Str job.id);
-              ("query", Obs.Jtext.Str job.query);
-              ("db_bytes", Obs.Jtext.Int (String.length job.db));
+              ("id", Json.Str job.id);
+              ("query", Json.Str job.query);
+              ("db_bytes", Json.Int (String.length job.db));
             ]
           "solve"
           (fun () ->
@@ -352,7 +352,7 @@ let submit ?deadline_abs e (job : job) =
   let span =
     Trace.open_span
       ?parent:(Option.bind job.trace Trace.ctx_of_string)
-      ~args:[ ("id", Obs.Jtext.Str job.id) ]
+      ~args:[ ("id", Json.Str job.id) ]
       "job"
   in
   let submitted = now_s () in
@@ -396,15 +396,15 @@ let settle e t reply =
   update_gauges e;
   Trace.instant
     ~args:
-      [ ("id", Obs.Jtext.Str t.job.id); ("outcome", Obs.Jtext.Str (verdict_name reply.verdict)) ]
+      [ ("id", Json.Str t.job.id); ("outcome", Json.Str (verdict_name reply.verdict)) ]
     "settle";
   Option.iter
     (fun h ->
       Trace.close_span
         ~args:
           [
-            ("outcome", Obs.Jtext.Str (verdict_name reply.verdict));
-            ("attempts", Obs.Jtext.Int t.attempts);
+            ("outcome", Json.Str (verdict_name reply.verdict));
+            ("attempts", Json.Int t.attempts);
           ]
         h)
     t.span;
@@ -450,9 +450,9 @@ let hedge_ready e =
               t.hedged <- true;
               t.hedge_up <- true;
               Obs.Metrics.incr m_hedges;
-              Trace.instant ~args:[ ("id", Obs.Jtext.Str t.job.id) ] "hedge";
+              Trace.instant ~args:[ ("id", Json.Str t.job.id) ] "hedge";
               Log.info "hedge"
-                [ ("id", Obs.Jtext.Str t.job.id); ("attempt", Obs.Jtext.Int t.attempts) ];
+                [ ("id", Json.Str t.job.id); ("attempt", Json.Int t.attempts) ];
               Pool.assign e.pool ~id:(hedge_tag t.job.id)
                 ?timeout:(pool_timeout (remaining_wall t ~t_now))
                 ~payload:t.wire ()
@@ -477,12 +477,12 @@ let dispatch_ready e =
          back with a fresh deadline. *)
       Obs.Metrics.incr m_deadline_exceeded;
       Trace.instant
-        ~args:[ ("id", Obs.Jtext.Str t.job.id); ("reason", Obs.Jtext.Str "deadline_exceeded") ]
+        ~args:[ ("id", Json.Str t.job.id); ("reason", Json.Str "deadline_exceeded") ]
         "shed";
       Log.warn "deadline-exceeded"
         [
-          ("id", Obs.Jtext.Str t.job.id);
-          ("late_s", Obs.Jtext.Float (t_now -. t.deadline_abs));
+          ("id", Json.Str t.job.id);
+          ("late_s", Json.Float (t_now -. t.deadline_abs));
         ];
       if t.first_dispatch = 0.0 then t.first_dispatch <- t.submitted;
       settle e t
@@ -502,7 +502,7 @@ let dispatch_ready e =
       t.hedge_up <- false;
       t.fallback <- None;
       Hashtbl.replace e.inflight t.job.id t;
-      Trace.instant ~args:[ ("id", Obs.Jtext.Str t.job.id) ] "dispatch";
+      Trace.instant ~args:[ ("id", Json.Str t.job.id) ] "dispatch";
       (* The worker parents its spans under this task's supervisor span;
          an untraced supervisor forwards whatever context the job came in
          with, so propagation survives un-instrumented hops. *)
@@ -528,15 +528,15 @@ let death_counter = function
 
 let log_death ?(hedge = false) t death =
   Trace.instant
-    ~args:[ ("id", Obs.Jtext.Str t.job.id); ("death", Obs.Jtext.Str (death_kind death)) ]
+    ~args:[ ("id", Json.Str t.job.id); ("death", Json.Str (death_kind death)) ]
     "worker-death";
   Log.warn "worker-death"
     ([
-       ("id", Obs.Jtext.Str t.job.id);
-       ("death", Obs.Jtext.Str (Pool.death_to_string death));
-       ("attempt", Obs.Jtext.Int t.attempts);
+       ("id", Json.Str t.job.id);
+       ("death", Json.Str (Pool.death_to_string death));
+       ("attempt", Json.Int t.attempts);
      ]
-    @ if hedge then [ ("hedge", Obs.Jtext.Bool true) ] else [])
+    @ if hedge then [ ("hedge", Json.Bool true) ] else [])
 
 (* Both attempts of the current round are down: quarantine, give up, or
    degrade-and-retry. Quarantine preempts the retry budget — a job that
@@ -548,20 +548,20 @@ let retry_or_fail e t death =
   if e.cfg.poison_k > 0 && t.deaths >= e.cfg.poison_k then begin
     Obs.Metrics.incr m_poisoned;
     Trace.instant
-      ~args:[ ("id", Obs.Jtext.Str t.job.id); ("deaths", Obs.Jtext.Int t.deaths) ]
+      ~args:[ ("id", Json.Str t.job.id); ("deaths", Json.Int t.deaths) ]
       "poison";
     Log.error "poison"
       [
-        ("id", Obs.Jtext.Str t.job.id);
-        ("deaths", Obs.Jtext.Int t.deaths);
-        ("death", Obs.Jtext.Str (Pool.death_to_string death));
+        ("id", Json.Str t.job.id);
+        ("deaths", Json.Int t.deaths);
+        ("death", Json.Str (Pool.death_to_string death));
       ];
     Obs.Flight.note
-      (Obs.Jtext.Obj
+      (Json.Obj
          [
-           ("poison", Obs.Jtext.Str t.job.id);
-           ("deaths", Obs.Jtext.Int t.deaths);
-           ("death", Obs.Jtext.Str (Pool.death_to_string death));
+           ("poison", Json.Str t.job.id);
+           ("deaths", Json.Int t.deaths);
+           ("death", Json.Str (Pool.death_to_string death));
          ]);
     settle e t
       (failed ~id:t.job.id ~kind:"poison" "quarantined after killing %d workers (%s)" t.deaths
@@ -577,7 +577,7 @@ let retry_or_fail e t death =
     Hashtbl.remove e.wopen (hedge_tag t.job.id);
     Obs.Metrics.incr m_retries;
     Log.info "retry"
-      [ ("id", Obs.Jtext.Str t.job.id); ("attempt", Obs.Jtext.Int (t.attempts + 1)) ];
+      [ ("id", Json.Str t.job.id); ("attempt", Json.Int (t.attempts + 1)) ];
     (* Shrink the budget so whatever made the worker die (a fault tick, a
        runaway search) is preempted by exhaustion on a later attempt and
        the job settles as Bounded instead of failing outright. *)
@@ -604,27 +604,11 @@ let task_of_event e id =
 
 (* Args on re-emitted worker events keep only the scalar fields the
    worker attached; identity/position fields were already lifted. *)
-let jtext_of_json : Json.t -> Obs.Jtext.t =
-  let rec conv = function
-    | Json.Null -> Obs.Jtext.Null
-    | Json.Bool b -> Obs.Jtext.Bool b
-    | Json.Int i -> Obs.Jtext.Int i
-    | Json.Float f -> Obs.Jtext.Float f
-    | Json.Str s -> Obs.Jtext.Str s
-    | Json.List xs -> Obs.Jtext.List (List.map conv xs)
-    | Json.Obj fs -> Obs.Jtext.Obj (List.map (fun (k, v) -> (k, conv v)) fs)
-  in
-  conv
-
 let structural_fields = [ "ev"; "name"; "ts"; "dur"; "depth"; "pid"; "tid"; "sid"; "psid" ]
 
 let event_args obj =
   match obj with
-  | Json.Obj fields ->
-      List.filter_map
-        (fun (k, v) ->
-          if List.mem k structural_fields then None else Some (k, jtext_of_json v))
-        fields
+  | Json.Obj fields -> List.filter (fun (k, _) -> not (List.mem k structural_fields)) fields
   | _ -> []
 
 (* One line from a worker's pipe sink. ["open"] records are remembered
@@ -698,8 +682,8 @@ let close_interrupted_spans ?outcome e id =
   | Some ws, Some t0 ->
       let now_rel = now_s () -. t0 in
       let args =
-        ("interrupted", Obs.Jtext.Bool true)
-        :: (match outcome with None -> [] | Some o -> [ ("outcome", Obs.Jtext.Str o) ])
+        ("interrupted", Json.Bool true)
+        :: (match outcome with None -> [] | Some o -> [ ("outcome", Json.Str o) ])
       in
       List.iter
         (fun w ->
@@ -719,7 +703,7 @@ let kill_loser e t ~loser_is_hedge =
   if loser_is_hedge then t.hedge_up <- false else t.primary_up <- false;
   Trace.instant
     ~args:
-      [ ("id", Obs.Jtext.Str t.job.id); ("loser", Obs.Jtext.Str (if loser_is_hedge then "hedge" else "primary")) ]
+      [ ("id", Json.Str t.job.id); ("loser", Json.Str (if loser_is_hedge then "hedge" else "primary")) ]
     "hedged-loser";
   close_interrupted_spans ~outcome:"hedged_loser" e loser
 
@@ -751,8 +735,8 @@ let handle_event e = function
                 else begin
                   Log.warn "hedge-cert-reject"
                     [
-                      ("id", Obs.Jtext.Str t.job.id);
-                      ("hedge", Obs.Jtext.Bool is_hedge);
+                      ("id", Json.Str t.job.id);
+                      ("hedge", Json.Bool is_hedge);
                     ];
                   t.fallback <- Some r
                 end
@@ -768,7 +752,7 @@ let handle_event e = function
               end
           | Error msg ->
               Log.error "malformed-reply"
-                [ ("id", Obs.Jtext.Str id); ("error", Obs.Jtext.Str msg) ];
+                [ ("id", Json.Str id); ("error", Json.Str msg) ];
               if other_up then
                 (* The racing attempt may still settle the job; this
                    malformed attempt is simply out of the race. *)
@@ -823,7 +807,7 @@ let abort_task e t =
   close_interrupted_spans ~outcome:"cancelled" e (hedge_tag t.job.id);
   Hashtbl.remove e.inflight t.job.id;
   Option.iter
-    (fun h -> Trace.close_span ~args:[ ("outcome", Obs.Jtext.Str "cancelled") ] h)
+    (fun h -> Trace.close_span ~args:[ ("outcome", Json.Str "cancelled") ] h)
     t.span;
   update_gauges e
 
@@ -978,16 +962,12 @@ let run_batch ?journal cfg (jobs : job list) : reply list * batch_stats =
 
 (* A [{"stats": true}] line (optionally carrying an [id]) is a control
    request, not a job: it answers immediately with the supervisor's
-   metrics snapshot and consumes no queue slot. The snapshot is spliced
-   in textually — [Obs.Metrics.snapshot_string] emits the same JSON
-   grammar this layer parses (see [Obs.Jtext]). *)
+   metrics snapshot and consumes no queue slot. *)
 let is_stats_request v =
   match Json.member "stats" v with Some (Json.Bool true) -> true | _ -> false
 
 let stats_line id =
-  Printf.sprintf {|{"id":%s,"stats":%s}|}
-    (Json.to_string (Json.Str id))
-    (Obs.Metrics.snapshot_string ())
+  Json.to_string (Json.Obj [ ("id", Json.Str id); ("stats", Obs.Metrics.to_json ()) ])
 
 let m_serve_clients = Obs.Metrics.gauge "serve.clients"
 let m_serve_queued = Obs.Metrics.gauge "serve.queued"
@@ -1260,11 +1240,11 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
           brownout := active;
           Obs.Metrics.set m_brownout (if active then 1.0 else 0.0);
           Trace.instant
-            ~args:[ ("queued", Obs.Jtext.Int (Admission.queued adm)) ]
+            ~args:[ ("queued", Json.Int (Admission.queued adm)) ]
             (if active then "brownout-enter" else "brownout-exit");
           Log.warn
             (if active then "brownout-enter" else "brownout-exit")
-            [ ("queued", Obs.Jtext.Int (Admission.queued adm)) ]
+            [ ("queued", Json.Int (Admission.queued adm)) ]
         end
   in
   (* internal id -> (client, original id, parsed job, request span).
@@ -1278,7 +1258,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
     Option.iter
       (fun h ->
         Trace.close_span
-          ~args:(if outcome = "" then [] else [ ("outcome", Obs.Jtext.Str outcome) ])
+          ~args:(if outcome = "" then [] else [ ("outcome", Json.Str outcome) ])
           h)
       h
   in
@@ -1374,7 +1354,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                     Admission.settled adm cid;
                     close_request ~outcome:"deadline_exceeded" rspan;
                     Log.warn "deadline-exceeded"
-                      [ ("cid", Obs.Jtext.Int cid); ("id", Obs.Jtext.Str orig) ];
+                      [ ("cid", Json.Int cid); ("id", Json.Str orig) ];
                     deliver cid
                       (failed ~retriable:true ~id:orig ~kind:"deadline_exceeded"
                          "deadline expired while queued for admission")
@@ -1385,7 +1365,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                     Obs.Metrics.incr m_brownout_degraded;
                     Trace.instant
                       ~args:
-                        [ ("id", Obs.Jtext.Str j.id); ("reason", Obs.Jtext.Str "brownout") ]
+                        [ ("id", Json.Str j.id); ("reason", Json.Str "brownout") ]
                       "degrade";
                     { j with budget = degrade_budget ~degrade:cfg.degrade j.budget }
                   end
@@ -1451,7 +1431,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                   status ctype (String.length body) body))
         in
         Log.debug "scrape"
-          [ ("cid", Obs.Jtext.Int (Transport.cid c)); ("target", Obs.Jtext.Str target) ];
+          [ ("cid", Json.Int (Transport.cid c)); ("target", Json.Str target) ];
         (match target with
         | "/metrics" ->
             respond "200 OK" "text/plain; version=0.0.4" (Obs.Metrics.prometheus_string ())
@@ -1478,9 +1458,9 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
             close_request ~outcome:"shed" rspan;
             Log.warn "priority-evict"
               [
-                ("cid", Obs.Jtext.Int vcid);
-                ("id", Obs.Jtext.Str orig);
-                ("priority", Obs.Jtext.Str vjob.priority);
+                ("cid", Json.Int vcid);
+                ("id", Json.Str orig);
+                ("priority", Json.Str vjob.priority);
               ];
             deliver vcid
               (failed ~retriable:true ~id:orig ~kind:"overloaded"
@@ -1529,7 +1509,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                 Obs.Metrics.incr m_shed;
                 Obs.Metrics.incr m_brownout_shed;
                 Log.warn "brownout-shed"
-                  [ ("cid", Obs.Jtext.Int cid); ("id", Obs.Jtext.Str job.id) ];
+                  [ ("cid", Json.Int cid); ("id", Json.Str job.id) ];
                 send_reply
                   (failed ~retriable:true ~id:job.id ~kind:"overloaded"
                      "brownout: batch work shed under sustained overload; resubmit later")
@@ -1545,7 +1525,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                    [shed_lower_priority] — and is admitted.) *)
                 Obs.Metrics.incr m_shed;
                 Log.warn "shed"
-                  [ ("cid", Obs.Jtext.Int cid); ("id", Obs.Jtext.Str job.id) ];
+                  [ ("cid", Json.Int cid); ("id", Json.Str job.id) ];
                 send_reply
                   (failed ~retriable:true ~id:job.id ~kind:"overloaded"
                      "queue full (%d jobs); resubmit later" cfg.queue_cap)
@@ -1556,13 +1536,13 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                 let rspan =
                   Trace.open_span
                     ?parent:(Option.bind job.trace Trace.ctx_of_string)
-                    ~args:[ ("cid", Obs.Jtext.Int cid); ("id", Obs.Jtext.Str job.id) ]
+                    ~args:[ ("cid", Json.Int cid); ("id", Json.Str job.id) ]
                     "request"
                 in
                 let digest = Journal.canonical_digest job in
                 match Cache.find cache ~digest ~id:job.id with
                 | Cache.Hit r ->
-                    Trace.instant ~args:[ ("id", Obs.Jtext.Str job.id) ] "cache-hit";
+                    Trace.instant ~args:[ ("id", Json.Str job.id) ] "cache-hit";
                     close_request ~outcome:"cache-hit" rspan;
                     Option.iter
                       (fun jl ->
@@ -1590,7 +1570,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
   in
   let handle_tev = function
     | Transport.Accepted c ->
-        Trace.instant ~args:[ ("cid", Obs.Jtext.Int (Transport.cid c)) ] "client-accept"
+        Trace.instant ~args:[ ("cid", Json.Int (Transport.cid c)) ] "client-accept"
     | Transport.Line (c, line) ->
         (* Lines split from the same read batch as a poisoning line
            still arrive as events; a closing client's input is dead.
@@ -1605,7 +1585,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
            drains to completion, as `serve` always has. *)
         if not (Transport.eof_drains c) then cancel_client c
     | Transport.Overlong c ->
-        Log.warn "overlong-line" [ ("cid", Obs.Jtext.Int (Transport.cid c)) ];
+        Log.warn "overlong-line" [ ("cid", Json.Int (Transport.cid c)) ];
         handle_tevs
           (Transport.send tr c
              (reply_to_json
@@ -1614,10 +1594,10 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
     | Transport.Dead (c, reason) ->
         Trace.instant
           ~args:
-            [ ("cid", Obs.Jtext.Int (Transport.cid c)); ("reason", Obs.Jtext.Str reason) ]
+            [ ("cid", Json.Int (Transport.cid c)); ("reason", Json.Str reason) ]
           "client-dead";
         Log.info "client-dead"
-          [ ("cid", Obs.Jtext.Int (Transport.cid c)); ("reason", Obs.Jtext.Str reason) ];
+          [ ("cid", Json.Int (Transport.cid c)); ("reason", Json.Str reason) ];
         cancel_client c
   in
   tev_handler := handle_tev;

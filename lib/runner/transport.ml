@@ -276,7 +276,7 @@ let check_timeouts t =
     (fun c ->
       Obs.Metrics.incr m_write_timeouts;
       Obs.Log.warn "write-timeout"
-        [ ("cid", Obs.Jtext.Int c.ccid); ("timeout_s", Obs.Jtext.Float t.write_timeout) ];
+        [ ("cid", Cert.Json.Int c.ccid); ("timeout_s", Cert.Json.Float t.write_timeout) ];
       let silent = c.cstate = St_closing in
       drop t c;
       if silent then []
@@ -296,7 +296,7 @@ let accept_conn t lfd =
            mid-accept. The client sees an unexplained close and must
            reconnect. *)
         Obs.Metrics.incr m_accept_fails;
-        Obs.Log.warn "accept-fail" [ ("fault", Obs.Jtext.Str "net:accept_fail") ];
+        Obs.Log.warn "accept-fail" [ ("fault", Cert.Json.Str "net:accept_fail") ];
         (try Unix.close fd with Unix.Unix_error _ -> ());
         []
       end
@@ -352,7 +352,7 @@ let client_readable t c =
     (* net:client_drop:N — the connection is severed from the server
        side, mid-stream, exactly as a crashed client looks to us. *)
     Obs.Metrics.incr m_client_drops;
-    Obs.Log.info "client-drop" [ ("cid", Obs.Jtext.Int c.ccid) ];
+    Obs.Log.info "client-drop" [ ("cid", Cert.Json.Int c.ccid) ];
     drop t c;
     [ Dead (c, "net:client_drop fault") ]
   end

@@ -1,10 +1,10 @@
 (* lib/obs: span nesting and ordering, sink well-formedness (parsed back
-   with the runner's strict JSON reader — Jtext's emit half and Proto's
-   parse half must agree), histogram percentiles against a brute-force
+   with the strict JSON reader — [Cert.Json]'s emitter and parser must
+   agree), histogram percentiles against a brute-force
    sort, and determinism of the work counters under seeded faults. *)
 
 open Resilience
-module Json = Runner.Proto.Json
+module Json = Cert.Json
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
 
@@ -138,7 +138,7 @@ let test_snapshot_roundtrip () =
   Metrics.incr c;
   Metrics.set g 2.5;
   Metrics.observe h 0.125;
-  let v = parse_exn "metrics snapshot" (Metrics.snapshot_string ()) in
+  let v = parse_exn "metrics snapshot" (Json.to_string (Metrics.to_json ())) in
   Alcotest.(check int) "counter value" 42 (int_field "test.obs.counter" v);
   check "gauge value" true (num_field "test.obs.gauge" v = 2.5);
   (match Json.member "test.obs.hist" v with
@@ -273,7 +273,7 @@ let test_manual_span () =
       in
       let ctx = Trace.handle_ctx h in
       check "handle has a span id" true (ctx.Trace.span_id <> "");
-      Trace.close_span ~args:[ ("outcome", Obs.Jtext.Str "exact") ] h;
+      Trace.close_span ~args:[ ("outcome", Json.Str "exact") ] h;
       Trace.close_span h;
       Trace.finish ();
       let spans = List.filter (fun v -> str_field "ev" v = "span") (jsonl_events path) in
@@ -306,7 +306,7 @@ let test_log_levels () =
       Obs.Log.set_level (Some Obs.Log.Warn);
       Obs.Log.debug "below" [];
       Obs.Log.info "below" [];
-      Obs.Log.warn "at" [ ("k", Obs.Jtext.Int 1) ];
+      Obs.Log.warn "at" [ ("k", Json.Int 1) ];
       Obs.Log.error "above" [];
       let lines = log_lines path in
       Alcotest.(check int) "threshold filters" 2 (List.length lines);
@@ -348,7 +348,7 @@ let test_flight_dump () =
       Obs.Flight.configure ~cap:4 path;
       check "armed" true (Obs.Flight.enabled ());
       for i = 1 to 6 do
-        Obs.Flight.note (Obs.Jtext.Obj [ ("n", Obs.Jtext.Int i) ])
+        Obs.Flight.note (Json.Obj [ ("n", Json.Int i) ])
       done;
       Obs.Flight.dump ~reason:"test:boom" ();
       let v = parse_exn "flight dump" (read_file path) in
@@ -377,7 +377,7 @@ let test_flight_sees_suppressed_logs () =
       Obs.Flight.configure ~cap:8 path;
       Obs.Log.set_level (Some Obs.Log.Error);
       Obs.Log.reset_repeats ();
-      Obs.Log.debug "quiet-event" [ ("marker", Obs.Jtext.Int 99) ];
+      Obs.Log.debug "quiet-event" [ ("marker", Json.Int 99) ];
       Obs.Flight.dump ~reason:"test" ();
       let v = parse_exn "flight dump" (read_file path) in
       match Json.member "events" v with

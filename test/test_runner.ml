@@ -222,7 +222,7 @@ let test_journal_roundtrip () =
       write_journal ~sync:Journal.Per_line path sample_entries;
       let rep = load_exn path in
       check "roundtrip" true (rep.Journal.entries = sample_entries);
-      check "v2" true (rep.Journal.version = Journal.V2);
+      check "v2 header" true (String.starts_with ~prefix:"rpq-journal-v2\n" (read_file path));
       check "record count" true (rep.Journal.records = 3);
       check "sequence counted" true (rep.Journal.last_seq = 3);
       check "no torn tail" true (rep.Journal.torn = None && rep.Journal.torn_bytes = 0);
@@ -338,54 +338,25 @@ let test_journal_sequence_regression () =
           | Error e -> check "error names the regression" true (contains e "sequence"))
       | _ -> Alcotest.fail "expected header + 3 records")
 
-let test_journal_v1_semantics () =
+(* Only development builds ever wrote header-less (v1) journals. A
+   non-empty file without the v2 header that is not a torn prefix of it
+   is refused with a [path:1:] position by every entry point, and left
+   untouched — never silently migrated or dropped. *)
+let test_journal_unheadered_refuses () =
   with_temp (fun path ->
-      let v1_lines entries =
-        String.concat "" (List.map (fun e -> Journal.entry_to_json e ^ "\n") entries)
-      in
-      write_file path (v1_lines sample_entries);
-      let rep = load_exn path in
-      check "v1 detected" true (rep.Journal.version = Journal.V1);
-      check "v1 entries load" true (rep.Journal.entries = sample_entries);
-      check "v1 has no sequence" true (rep.Journal.last_seq = 0);
-      (* Torn = the file does not end in a newline; the partial line is the
-         artifact of dying mid-write and is discarded. *)
-      write_file path (v1_lines sample_entries ^ "{\"event\":\"done\",\"id\":\"a\",\"re");
-      let rep = load_exn path in
-      check "v1 newline-less tail is torn" true
-        (rep.Journal.entries = sample_entries && rep.Journal.torn = Some Journal.Truncated);
-      (* Regression (PR 3 bug): a *complete* malformed final line is
-         corruption, not a torn write — a torn write cannot contain the
-         terminator. The old pos_in test conflated the two. *)
-      write_file path (v1_lines sample_entries ^ "garbage\n");
-      check "v1 complete malformed final line refuses" true
-        (Result.is_error (Journal.load path));
-      (* ...and so is one in the middle, with its line number. *)
-      let mid =
-        match sample_entries with
-        | e1 :: rest -> v1_lines [ e1 ] ^ "garbage\n" ^ v1_lines rest
-        | [] -> assert false
-      in
-      write_file path mid;
-      match Journal.load path with
-      | Ok _ -> Alcotest.fail "v1 mid-file garbage must refuse"
-      | Error e -> check "v1 error carries file:line" true (contains e (path ^ ":2:")))
-
-let test_journal_v1_migration () =
-  with_temp (fun path ->
-      write_file path
-        (String.concat "" (List.map (fun e -> Journal.entry_to_json e ^ "\n") sample_entries));
-      (* Opening for append migrates in place; the append lands in v2. *)
-      let j = open_exn path in
-      Journal.append j (Journal.Started { id = "c"; digest = "d3" });
-      Journal.close j;
-      let rep = load_exn path in
-      check "migrated to v2" true (rep.Journal.version = Journal.V2);
-      check "migration keeps every entry" true
-        (rep.Journal.entries = sample_entries @ [ Journal.Started { id = "c"; digest = "d3" } ]);
-      check "migration numbers the records" true (rep.Journal.last_seq = 4);
-      check "header present" true
-        (String.length (read_file path) >= 14 && String.sub (read_file path) 0 14 = "rpq-journal-v2"))
+      let v1 = String.concat "" (List.map (fun e -> Journal.entry_to_json e ^ "\n") sample_entries) in
+      List.iter
+        (fun content ->
+          write_file path content;
+          let refused what = function
+            | Ok _ -> Alcotest.failf "%s accepted header-less %S" what content
+            | Error e -> check (what ^ " error carries path:1:") true (contains e (path ^ ":1:"))
+          in
+          refused "load" (Journal.load path);
+          refused "open_append" (Result.map Journal.close (Journal.open_append path));
+          refused "compact" (Journal.compact path);
+          check "refused file left untouched" true (read_file path = content))
+        [ v1; "rpq-journal-v3\n"; "garbage" ])
 
 let test_journal_lock () =
   with_temp (fun path ->
@@ -904,7 +875,7 @@ let test_batch_crash_and_resume () =
       | _ -> Alcotest.fail "expected a supervisor crash"
       | exception Faults.Crash site -> check "crashed at dispatch" true (site = "pool.post_dispatch"));
       let rep = load_exn path in
-      check "journal survives the crash" true (rep.Journal.version = Journal.V2);
+      check "journal survives the crash" true (rep.Journal.torn_bytes = 0);
       check "nothing settled before the crash" true
         (Hashtbl.length (Journal.completed rep.Journal.entries) = 0);
       let replies, stats = run_batch ~journal:path jobs in
@@ -1354,12 +1325,67 @@ let test_serve_journal_seed_and_release () =
       | Ok jl -> Journal.close jl
       | Error e -> Alcotest.failf "journal lock not released after serve: %s" e);
       let rep = load_exn jpath in
-      match Hashtbl.find_opt (Journal.completed rep.Journal.entries) "t1" with
+      (match Hashtbl.find_opt (Journal.completed rep.Journal.entries) "t1" with
       | Some (d, r) ->
           check "journaled under the canonical digest" true (d = digest);
           check "journaled settlement verifies (last wins over the forgery)" true
             (Runner.verify_reply r)
-      | None -> Alcotest.fail "t1 not settled in the serve journal")
+      | None -> Alcotest.fail "t1 not settled in the serve journal");
+      (* Untampered: a fresh server seeds its cache from that honest
+         settlement, so the same content under a new id is a
+         certificate-checked cache hit and never reaches a worker. *)
+      let hits = Obs.Metrics.counter "cache.hits" and jobs = Obs.Metrics.counter "runner.jobs" in
+      let hits0 = Obs.Metrics.count hits and jobs0 = Obs.Metrics.count jobs in
+      match run_serve_clients ~scfg [ [ { j with Proto.id = "t2" } ] ] with
+      | [ [ r ] ] ->
+          check "served under the new id" true (r.Proto.id = "t2" && is_exact r);
+          check "journal-seeded answer served from the cache" true
+            (Obs.Metrics.count hits = hits0 + 1);
+          check "no job was dispatched" true (Obs.Metrics.count jobs = jobs0)
+      | _ -> Alcotest.fail "expected exactly one reply for one client")
+
+(* Shed rate by priority class at roughly 2x overload: one worker, a
+   queue capped at 8 and one client per class, each pushing 16 budgeted
+   hard jobs. Interactive arrivals evict queued batch work at the cap,
+   so the shed burden lands on the low classes. Both client orders run:
+   whichever client the server happens to read first fills the queue,
+   and the claim must hold because of eviction, not arrival order. *)
+let test_serve_priority_shed_rates () =
+  no_faults @@ fun () ->
+  let k5 =
+    let pre, _ = Gadgets.gadget_aa () in
+    Ser.to_string (Gadgets.encode pre (Graphs.Ugraph.complete 5))
+  in
+  let scfg =
+    {
+      Runner.default_serve_config with
+      Runner.base = { Runner.default_config with Runner.workers = 1; retries = 0; queue_cap = 8 };
+      cache_entries = 0;
+    }
+  in
+  let shed_rate rs =
+    let shed = List.length (List.filter (fun r -> failure_kind r = Some "overloaded") rs) in
+    (shed, float_of_int shed /. float_of_int (max 1 (List.length rs)))
+  in
+  List.iter
+    (fun classes ->
+      let per_client =
+        List.map
+          (fun cls ->
+            List.init 16 (fun i ->
+                job ~id:(Printf.sprintf "%s%d" cls i) ~db:k5 ~steps:200 ~priority:cls ()))
+          classes
+      in
+      let by_class =
+        List.combine classes (run_serve_clients ~encode:Proto.job_to_wire_json ~scfg per_client)
+      in
+      check "every job answered" true
+        (List.for_all (fun (_, rs) -> List.length rs = 16) by_class);
+      let batch_shed, batch_rate = shed_rate (List.assoc "batch" by_class) in
+      let _, interactive_rate = shed_rate (List.assoc "interactive" by_class) in
+      check "batch work is shed under overload" true (batch_shed > 0);
+      check "interactive sheds no more often than batch" true (interactive_rate <= batch_rate))
+    [ [ "batch"; "normal"; "interactive" ]; [ "interactive"; "normal"; "batch" ] ]
 
 (* ---- telemetry: cross-process traces ---- *)
 
@@ -1470,8 +1496,7 @@ let () =
           Alcotest.test_case "truncate at every byte" `Quick test_journal_truncate_every_byte;
           Alcotest.test_case "checksum flips" `Quick test_journal_checksum_flip;
           Alcotest.test_case "sequence regression" `Quick test_journal_sequence_regression;
-          Alcotest.test_case "v1 torn vs corrupt" `Quick test_journal_v1_semantics;
-          Alcotest.test_case "v1 migration" `Quick test_journal_v1_migration;
+          Alcotest.test_case "non-v2 file refuses" `Quick test_journal_unheadered_refuses;
           Alcotest.test_case "exclusive lock" `Quick test_journal_lock;
           Alcotest.test_case "compaction" `Quick test_journal_compact;
           Alcotest.test_case "auto-compaction" `Quick test_journal_auto_compact;
@@ -1520,6 +1545,7 @@ let () =
           Alcotest.test_case "backpressure gates input" `Quick test_transport_backpressure;
           Alcotest.test_case "two clients, namespaced ids" `Quick test_serve_two_clients;
           Alcotest.test_case "journal seed + lock release" `Quick test_serve_journal_seed_and_release;
+          Alcotest.test_case "shed rate by priority class" `Quick test_serve_priority_shed_rates;
         ] );
       ( "trace",
         [
