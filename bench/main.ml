@@ -24,6 +24,16 @@ let time_it f =
   let t1 = Obs.Clock.now () in
   (r, t1 -. t0)
 
+(* A value check prints its verdict; any failed check makes the run exit 1. *)
+let failed_checks = ref 0
+
+let verdict ok ~pass ~fail =
+  if ok then pass
+  else begin
+    incr failed_checks;
+    fail
+  end
+
 let section name title f =
   if selected name then begin
     Printf.printf "\n==== %s ====\n%!" title;
@@ -191,7 +201,7 @@ let thm33_check () =
       let ex = fst (Exact.branch_and_bound d (lang "ax*b")) in
       Printf.printf "  grid(3x3, seed %d): mincut=%s exact=%s %s\n" seed (Value.to_string mc)
         (Value.to_string ex)
-        (if Value.equal mc ex then "AGREE" else "DISAGREE!"))
+        (verdict (Value.equal mc ex) ~pass:"AGREE" ~fail:"DISAGREE!"))
     [ 1; 2; 3 ]
 
 let prop75_check () =
@@ -203,7 +213,7 @@ let prop75_check () =
       let ex = fst (Exact.branch_and_bound d (lang "ab|bc")) in
       Printf.printf "  layered(width 2, seed %d): bcl=%s exact=%s %s\n" seed (Value.to_string bc)
         (Value.to_string ex)
-        (if Value.equal bc ex then "AGREE" else "DISAGREE!"))
+        (verdict (Value.equal bc ex) ~pass:"AGREE" ~fail:"DISAGREE!"))
     [ 1; 2; 3 ]
 
 let prop77_check () =
@@ -220,7 +230,7 @@ let prop77_check () =
       let ex = fst (Exact.branch_and_bound d (lang "abc|be")) in
       Printf.printf "  random(seed %d): submodular=%s exact=%s %s\n" seed (Value.to_string sm)
         (Value.to_string ex)
-        (if Value.equal sm ex then "AGREE" else "DISAGREE!"))
+        (verdict (Value.equal sm ex) ~pass:"AGREE" ~fail:"DISAGREE!"))
     [ 1; 2; 3 ]
 
 let set_bag_check () =
@@ -292,9 +302,9 @@ let ablation_flow () =
               ~sink:net.Local_solver.sink)
       in
       Printf.printf "  %8d %10d %14.4f %20.4f %s\n" w (Db.fact_count d) t1 t2
-        (if Flow.Network.cap_compare c1.Flow.Network.value c2.Flow.Network.value = 0 then
-           "[agree]"
-         else "[MISMATCH]"))
+        (verdict
+           (Flow.Network.cap_compare c1.Flow.Network.value c2.Flow.Network.value = 0)
+           ~pass:"[agree]" ~fail:"[MISMATCH]"))
     [ 8; 16; 24 ]
 
 let ablation_solvers () =
@@ -320,7 +330,7 @@ let ablation_solvers () =
       let lp = match Ilp_solver.lp_relaxation d l with Ok x -> x | Error _ -> nan in
       Printf.printf "  %-22s %10d %8s %8s %8s %10.2f %s\n" name (Db.fact_count d)
         (Value.to_string bnb) (Value.to_string hs) (Value.to_string ilp) lp
-        (if Value.equal bnb hs && Value.equal hs ilp then "[agree]" else "[MISMATCH]"))
+        (verdict (Value.equal bnb hs && Value.equal hs ilp) ~pass:"[agree]" ~fail:"[MISMATCH]"))
     instances
 
 (* ------------------------------------------------------------------ *)
@@ -385,7 +395,7 @@ let ablation_chain_extraction () =
   in
   Printf.printf "  %d words over %d letters: Lemma F.2 %.4fs, determinization %.4fs (%s)\n" k
     (k + 1) t1 t2
-    (if ok then "same word list" else "MISMATCH");
+    (verdict ok ~pass:"same word list" ~fail:"MISMATCH");
   ignore (r1, r2)
 
 let scaling_submodular () =
@@ -477,3 +487,7 @@ let () =
   section "scaling_local" "SCALING: Theorem 3.3" scaling_local;
   section "scaling_bcl" "SCALING: Proposition 7.5" scaling_bcl;
   section "scaling_hard" "SCALING: hardness shape" scaling_hardness;
+  if !failed_checks > 0 then begin
+    Printf.printf "\n%d value check(s) failed\n" !failed_checks;
+    exit 1
+  end

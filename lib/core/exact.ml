@@ -35,10 +35,31 @@ type anytime =
 let bnb_nodes = Obs.Metrics.counter "bnb.nodes"
 let memo_hits = Obs.Metrics.counter "bnb.memo_hits"
 
+(* The dead-fact mask must mark exactly the removed set. *)
+let mask_matches dead removed =
+  let disagree = ref [] in
+  Array.iteri (fun fid m -> if m <> ISet.mem fid removed then disagree := fid :: !disagree) dead;
+  match !disagree with
+  | [] -> Ok ()
+  | fids ->
+      Error
+        [
+          Invariant.violation ~subsystem:"Exact" ~invariant:"dead-mask"
+            "dead-fact mask disagrees with the removed set on facts %s"
+            (String.concat "," (List.rev_map string_of_int fids));
+        ]
+
 let branch_and_bound_anytime ~budget:b d a =
   if Automata.Nfa.nullable a then Complete (Value.Infinite, [])
   else begin
-    let memo : (ISet.t, unit) Hashtbl.t = Hashtbl.create 256 in
+    (* One compiled product for the whole search: a node marks its removed
+       facts dead in the product's mask (set before descending, cleared
+       after) instead of building a restricted database. *)
+    let product = Eval.Product.compile d a in
+    let dead = Eval.Product.dead product in
+    (* Keyed by content: the same removed set reached in another order is a
+       different tree, which a polymorphic Hashtbl would miss. *)
+    let memo = ISet.Tbl.create 256 in
     let best = ref max_int and best_set = ref [] in
     (* DFS over removal sets; [cost] is the multiplicity already paid. The
        memo table is bounded by the budget's memory cap: once full we stop
@@ -47,11 +68,11 @@ let branch_and_bound_anytime ~budget:b d a =
       Budget.tick b;
       Obs.Metrics.incr bnb_nodes;
       if cost >= !best then ()
-      else if Hashtbl.mem memo removed then Obs.Metrics.incr memo_hits
+      else if ISet.Tbl.mem memo removed then Obs.Metrics.incr memo_hits
       else begin
-        if Budget.memo_admit b (Hashtbl.length memo) then Hashtbl.add memo removed ();
-        let d' = Db.restrict d ~removed:(fun id -> ISet.mem id removed) in
-        match Eval.shortest_witness d' a with
+        if Budget.memo_admit b (ISet.Tbl.length memo) then ISet.Tbl.add memo removed ();
+        Check.paranoid "Exact.branch_and_bound: dead mask" (fun () -> mask_matches dead removed);
+        match Eval.Product.shortest_witness product with
         | None ->
             best := cost;
             best_set := chosen
@@ -60,7 +81,11 @@ let branch_and_bound_anytime ~budget:b d a =
             List.iter
               (fun fid ->
                 let c = cost + Db.mult d fid in
-                if c < !best then go (ISet.add fid removed) c (fid :: chosen))
+                if c < !best then begin
+                  dead.(fid) <- true;
+                  go (ISet.add fid removed) c (fid :: chosen);
+                  dead.(fid) <- false
+                end)
               facts
       end
     in

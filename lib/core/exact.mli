@@ -18,9 +18,11 @@ val bruteforce : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Value.t
     @raise Budget.Exhausted when the budget runs out. *)
 
 val branch_and_bound : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Value.t * int list
-(** Witness-branching: while some L-walk exists, pick a shortest one and
-    branch on which of its facts enters the contingency set. Memoized on the
-    removed-fact set, with the memo table bounded by the budget's memory cap
+(** Witness-branching: while some L-walk exists, pick a shortest one
+    ({!Graphdb.Eval.shortest_witness}'s walk, on one product compiled per
+    call) and branch on which of its facts enters the contingency set.
+    Memoized on the content of the removed-fact set ({!Hypergraph.Iset.Tbl}),
+    with the memo table bounded by the budget's memory cap
     (so pathological instances cannot OOM even with no deadline set — once
     the cap is reached the search continues unmemoized). Exact for every
     regular language and database. Returns the value and a witness

@@ -119,10 +119,10 @@ let matches_up_to d a ~max_len =
   match
     with_letter_maps d a (fun a finals by_letter letters step ->
         let results = ref [] in
-        let seen = Hashtbl.create 64 in
+        let seen = ISet.Tbl.create 64 in
         let rec go v s len facts =
-          if finals.(s) && not (Hashtbl.mem seen facts) then begin
-            Hashtbl.add seen facts ();
+          if finals.(s) && not (ISet.Tbl.mem seen facts) then begin
+            ISet.Tbl.add seen facts ();
             results := facts :: !results
           end;
           if len < max_len then
@@ -149,11 +149,11 @@ let matches_up_to d a ~max_len =
 let resilience d a =
   if Automata.Nfa.nullable a then (Value.Infinite, [])
   else begin
-    let memo : (ISet.t, unit) Hashtbl.t = Hashtbl.create 256 in
+    let memo = ISet.Tbl.create 256 in
     let best = ref max_int and best_set = ref [] in
     let rec go removed cost chosen =
-      if cost < !best && not (Hashtbl.mem memo removed) then begin
-        Hashtbl.add memo removed ();
+      if cost < !best && not (ISet.Tbl.mem memo removed) then begin
+        ISet.Tbl.add memo removed ();
         let d' = Db.restrict d ~removed:(fun id -> ISet.mem id removed) in
         match shortest_witness d' a with
         | None ->

@@ -3,138 +3,180 @@ module ISet = Hypergraph.Iset
 let steps = Obs.Metrics.counter "eval.steps"
 
 (* Evaluation works on the ε-free version of the automaton: states of the
-   product are (node, state) pairs. *)
+   product are (node, state) pairs, packed as [node * nstates + state]. *)
 
-let satisfies d (a : Automata.Nfa.t) =
-  let a = Automata.Nfa.remove_eps a in
-  if Automata.Nfa.nullable a then true
-  else begin
+module Product = struct
+  type t = {
+    nullable : bool;
+    nstates : int;
+    nnodes : int;
+    initial : int array;  (* in the automaton's list order *)
+    finals : bool array;
+    nletters : int;
+    succ : int array array;
+        (* [succ.(s * nletters + l)]: the successors of state [s] on letter
+           index [l], in reverse [letter_transitions] order *)
+    row : int array;  (* node [v]'s live out-facts are [row.(v) .. row.(v + 1) - 1] *)
+    fact_id : int array;  (* ascending within each row *)
+    fact_letter : int array;  (* letter index, or -1 when the automaton never reads it *)
+    fact_dst : int array;
+    dead : bool array;
+    (* BFS scratch over packed pairs; a pair is visited iff its stamp is
+       the current epoch, so a new search resets nothing. *)
+    stamp : int array;
+    mutable epoch : int;
+    parent_fact : int array;
+    parent : int array;
+    queue : int array;
+  }
+
+  let compile d (a : Automata.Nfa.t) =
+    let a = Automata.Nfa.remove_eps a in
     let n = a.Automata.Nfa.nstates in
-    if n = 0 then false
-    else begin
-      let finals = Array.make n false in
-      List.iter (fun f -> finals.(f) <- true) a.Automata.Nfa.final;
-      let by_letter = Hashtbl.create 16 in
-      List.iter
-        (fun (s, c, s') ->
-          Hashtbl.replace by_letter (c, s)
-            (s' :: Option.value ~default:[] (Hashtbl.find_opt by_letter (c, s))))
-        (Automata.Nfa.letter_transitions a);
-      let seen = Hashtbl.create 64 in
-      let queue = Queue.create () in
-      let push v s =
-        if not (Hashtbl.mem seen (v, s)) then begin
-          Hashtbl.add seen (v, s) ();
-          Queue.add (v, s) queue
-        end
-      in
-      for v = 0 to Db.nnodes d - 1 do
-        List.iter (fun s -> push v s) a.Automata.Nfa.initial
-      done;
-      let found = ref false in
-      while (not !found) && not (Queue.is_empty queue) do
-        let v, s = Queue.pop queue in
-        if finals.(s) then found := true
-        else
-          List.iter
-            (fun (_, (f : Db.fact)) ->
-              match Hashtbl.find_opt by_letter (f.Db.label, s) with
-              | Some succs -> List.iter (fun s' -> push f.Db.dst s') succs
-              | None -> ())
-            (Db.out_edges d v)
-      done;
-      !found
-    end
-  end
-
-let shortest_witness d (a : Automata.Nfa.t) =
-  let a = Automata.Nfa.remove_eps a in
-  if Automata.Nfa.nullable a then Some []
-  else begin
-    let n = a.Automata.Nfa.nstates in
-    if n = 0 then None
-    else begin
-      let finals = Array.make n false in
-      List.iter (fun f -> finals.(f) <- true) a.Automata.Nfa.final;
-      let by_letter = Hashtbl.create 16 in
-      List.iter
-        (fun (s, c, s') ->
-          Hashtbl.replace by_letter (c, s)
-            (s' :: Option.value ~default:[] (Hashtbl.find_opt by_letter (c, s))))
-        (Automata.Nfa.letter_transitions a);
-      (* BFS with parent pointers: parent maps (v, s) to (fact id, previous (v, s)). *)
-      let parent : (int * int, (int * (int * int)) option) Hashtbl.t = Hashtbl.create 64 in
-      let queue = Queue.create () in
-      let push key p =
-        if not (Hashtbl.mem parent key) then begin
-          Hashtbl.add parent key p;
-          Queue.add key queue
-        end
-      in
-      for v = 0 to Db.nnodes d - 1 do
-        List.iter (fun s -> push (v, s) None) a.Automata.Nfa.initial
-      done;
-      let result = ref None in
-      (try
-         while not (Queue.is_empty queue) do
-           let ((v, s) as key) = Queue.pop queue in
-           if finals.(s) then begin
-             (* Reconstruct the fact sequence. *)
-             let rec build key acc =
-               match Hashtbl.find_opt parent key with
-               | None | Some None -> acc
-               | Some (Some (fid, prev)) -> build prev (fid :: acc)
-             in
-             result := Some (build key []);
-             raise Exit
-           end;
-           List.iter
-             (fun (fid, (f : Db.fact)) ->
-               match Hashtbl.find_opt by_letter (f.Db.label, s) with
-               | Some succs -> List.iter (fun s' -> push (f.Db.dst, s') (Some (fid, key))) succs
-               | None -> ())
-             (Db.out_edges d v)
-         done
-       with Exit -> ());
-      !result
-    end
-  end
-
-let matches_up_to ?(fuel = fun () -> ()) d (a : Automata.Nfa.t) ~max_len =
-  let a = Automata.Nfa.remove_eps a in
-  let results = ref [] in
-  if Automata.Nfa.nullable a then results := [ ISet.empty ]
-  else if a.Automata.Nfa.nstates > 0 then begin
-    let finals = Array.make a.Automata.Nfa.nstates false in
-    List.iter (fun f -> finals.(f) <- true) a.Automata.Nfa.final;
-    let by_letter = Hashtbl.create 16 in
+    let trans = Automata.Nfa.letter_transitions a in
+    let code = Array.make 256 (-1) and nletters = ref 0 in
+    List.iter
+      (fun (_, c, _) ->
+        if code.(Char.code c) < 0 then begin
+          code.(Char.code c) <- !nletters;
+          incr nletters
+        end)
+      trans;
+    let nletters = !nletters in
+    let by_letter = Array.make (n * nletters) [] in
     List.iter
       (fun (s, c, s') ->
-        Hashtbl.replace by_letter (c, s)
-          (s' :: Option.value ~default:[] (Hashtbl.find_opt by_letter (c, s))))
-      (Automata.Nfa.letter_transitions a);
-    let seen = Hashtbl.create 64 in
-    let rec go v s len fact_set =
-      fuel ();
-      Obs.Metrics.incr steps;
-      if finals.(s) && not (Hashtbl.mem seen fact_set) then begin
-        Hashtbl.add seen fact_set ();
-        results := fact_set :: !results
-      end;
-      if len < max_len then
-        List.iter
-          (fun (fid, (f : Db.fact)) ->
-            match Hashtbl.find_opt by_letter (f.Db.label, s) with
-            | Some succs ->
-                List.iter (fun s' -> go f.Db.dst s' (len + 1) (ISet.add fid fact_set)) succs
-            | None -> ())
-          (Db.out_edges d v)
+        let i = (s * nletters) + code.(Char.code c) in
+        by_letter.(i) <- s' :: by_letter.(i))
+      trans;
+    let finals = Array.make n false in
+    List.iter (fun f -> finals.(f) <- true) a.Automata.Nfa.final;
+    let nnodes = Db.nnodes d in
+    let row = Array.make (nnodes + 1) 0 in
+    for v = 0 to nnodes - 1 do
+      row.(v + 1) <- row.(v) + List.length (Db.out_edges d v)
+    done;
+    let m = row.(nnodes) in
+    let fact_id = Array.make m 0 and fact_letter = Array.make m 0 and fact_dst = Array.make m 0 in
+    for v = 0 to nnodes - 1 do
+      List.iteri
+        (fun i (fid, (f : Db.fact)) ->
+          let e = row.(v) + i in
+          fact_id.(e) <- fid;
+          fact_letter.(e) <- code.(Char.code f.Db.label);
+          fact_dst.(e) <- f.Db.dst)
+        (Db.out_edges d v)
+    done;
+    let size = nnodes * n in
+    {
+      nullable = Automata.Nfa.nullable a;
+      nstates = n;
+      nnodes;
+      initial = Array.of_list a.Automata.Nfa.initial;
+      finals;
+      nletters;
+      succ = Array.map Array.of_list by_letter;
+      row;
+      fact_id;
+      fact_letter;
+      fact_dst;
+      dead = Array.make (Db.fact_count d) false;
+      stamp = Array.make size 0;
+      epoch = 0;
+      parent_fact = Array.make size (-1);
+      parent = Array.make size (-1);
+      queue = Array.make size 0;
+    }
+
+  let dead p = p.dead
+
+  (* Breadth-first search from every (node, initial state) pair over the
+     facts not marked dead. Returns the first final pair dequeued, or -1.
+     The order is part of the contract (branch and bound branches on the
+     walk found): initial pairs by node, then in [initial] order; a node's
+     out-facts by ascending id; successors in [succ] order. *)
+  let search p =
+    p.epoch <- p.epoch + 1;
+    let epoch = p.epoch and n = p.nstates in
+    let tail = ref 0 in
+    let push k fid from =
+      if p.stamp.(k) <> epoch then begin
+        p.stamp.(k) <- epoch;
+        p.parent_fact.(k) <- fid;
+        p.parent.(k) <- from;
+        p.queue.(!tail) <- k;
+        incr tail
+      end
     in
-    for v = 0 to Db.nnodes d - 1 do
-      List.iter (fun s -> go v s 0 ISet.empty) a.Automata.Nfa.initial
-    done
-  end;
-  List.sort_uniq ISet.compare !results
+    for v = 0 to p.nnodes - 1 do
+      Array.iter (fun s -> push ((v * n) + s) (-1) (-1)) p.initial
+    done;
+    let rec loop head =
+      if head >= !tail then -1
+      else begin
+        let k = p.queue.(head) in
+        let s = k mod n in
+        if p.finals.(s) then k
+        else begin
+          let v = k / n in
+          for e = p.row.(v) to p.row.(v + 1) - 1 do
+            let l = p.fact_letter.(e) and fid = p.fact_id.(e) in
+            if l >= 0 && not p.dead.(fid) then begin
+              let succs = p.succ.((s * p.nletters) + l) and base = p.fact_dst.(e) * n in
+              for i = 0 to Array.length succs - 1 do
+                push (base + succs.(i)) fid k
+              done
+            end
+          done;
+          loop (head + 1)
+        end
+      end
+    in
+    loop 0
+
+  let satisfies p = p.nullable || search p >= 0
+
+  let shortest_witness p =
+    if p.nullable then Some []
+    else begin
+      let rec build k acc =
+        if p.parent_fact.(k) < 0 then acc else build p.parent.(k) (p.parent_fact.(k) :: acc)
+      in
+      match search p with -1 -> None | k -> Some (build k [])
+    end
+
+  let matches_up_to ?(fuel = fun () -> ()) p ~max_len =
+    if p.nullable then [ ISet.empty ]
+    else begin
+      let seen = ISet.Tbl.create 64 and results = ref [] in
+      let rec go v s len facts =
+        fuel ();
+        Obs.Metrics.incr steps;
+        if p.finals.(s) && not (ISet.Tbl.mem seen facts) then begin
+          ISet.Tbl.add seen facts ();
+          results := facts :: !results
+        end;
+        if len < max_len then
+          for e = p.row.(v) to p.row.(v + 1) - 1 do
+            let l = p.fact_letter.(e) and fid = p.fact_id.(e) in
+            if l >= 0 && not p.dead.(fid) then
+              Array.iter
+                (fun s' -> go p.fact_dst.(e) s' (len + 1) (ISet.add fid facts))
+                p.succ.((s * p.nletters) + l)
+          done
+      in
+      for v = 0 to p.nnodes - 1 do
+        Array.iter (fun s -> go v s 0 ISet.empty) p.initial
+      done;
+      List.sort ISet.compare !results
+    end
+end
+
+let satisfies d a = Product.satisfies (Product.compile d a)
+let shortest_witness d a = Product.shortest_witness (Product.compile d a)
+
+let matches_up_to ?fuel d a ~max_len =
+  Product.matches_up_to ?fuel (Product.compile d a) ~max_len
 
 let all_matches ?fuel d a =
   if Db.is_acyclic d then matches_up_to ?fuel d a ~max_len:(max 1 (Db.nnodes d))

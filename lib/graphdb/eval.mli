@@ -12,7 +12,12 @@ val satisfies : Db.t -> Automata.Nfa.t -> bool
 
 val shortest_witness : Db.t -> Automata.Nfa.t -> int list option
 (** A shortest L-walk, as the sequence of its fact ids (the same fact may
-    repeat). [Some []] when ε ∈ L(a). *)
+    repeat). [Some []] when ε ∈ L(a). Among shortest walks the choice is
+    deterministic: breadth-first search from the (node, initial state)
+    pairs by node, then in the order of the ε-free automaton's [initial]
+    list, expanding a node's out-facts by ascending id and a (state,
+    letter)'s successors in reverse {!Automata.Nfa.letter_transitions}
+    order; the first final pair dequeued ends the walk. *)
 
 val matches_up_to :
   ?fuel:(unit -> unit) -> Db.t -> Automata.Nfa.t -> max_len:int -> Hypergraph.Iset.t list
@@ -32,3 +37,34 @@ val all_matches : ?fuel:(unit -> unit) -> Db.t -> Automata.Nfa.t -> Hypergraph.I
 val match_hypergraph : ?fuel:(unit -> unit) -> Db.t -> Automata.Nfa.t -> Hypergraph.t
 (** The hypergraph of matches [H_{L,D}] (vertices = live fact ids), using
     {!all_matches}. *)
+
+(** {1 Compiled product}
+
+    The functions above compile a fresh product per call. A caller that
+    evaluates one query on many sub-databases of one database (branch and
+    bound) compiles once and masks facts out instead of calling
+    {!Db.restrict}. *)
+
+module Product : sig
+  type t
+  (** The product of a database with the ε-free version of an automaton:
+      an int-indexed successor table per (state, letter), the live
+      out-facts of every node as CSR (compressed sparse row) arrays in
+      fact-id order, the dead-fact mask, and breadth-first search scratch
+      reused across evaluations. Evaluation mutates the scratch, so a
+      value must not be shared between concurrent evaluations. *)
+
+  val compile : Db.t -> Automata.Nfa.t -> t
+
+  val dead : t -> bool array
+  (** The dead-fact mask, indexed by fact id and initially all [false].
+      The caller owns it: a fact whose entry is [true] is absent from every
+      evaluation until the entry is cleared, so with the mask of [removed]
+      each function below answers as its namesake above on
+      [Db.restrict d ~removed]. *)
+
+  val satisfies : t -> bool
+  val shortest_witness : t -> int list option
+
+  val matches_up_to : ?fuel:(unit -> unit) -> t -> max_len:int -> Hypergraph.Iset.t list
+end

@@ -8,6 +8,9 @@ module Iset : sig
   include Set.S with type elt = int
 
   val pp : Format.formatter -> t -> unit
+
+  module Tbl : Hashtbl.S with type key = t
+  (** Hash tables keyed by set content (see [iset.mli]). *)
 end
 (** Sets of integers (fact ids / vertex ids), shared across the libraries. *)
 

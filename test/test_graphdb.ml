@@ -165,6 +165,161 @@ let prop_matches_are_matches =
           Eval.satisfies d' l)
         ms)
 
+(* A Hashtbl-keyed evaluation over [Db.out_edges], the oracle for
+   [Eval.Product]: the same breadth-first order must produce the same walk,
+   since branch and bound branches on the walk it is given. *)
+module Oracle = struct
+  let prologue (a : Automata.Nfa.t) =
+    let finals = Array.make a.Automata.Nfa.nstates false in
+    List.iter (fun f -> finals.(f) <- true) a.Automata.Nfa.final;
+    let by_letter = Hashtbl.create 16 in
+    List.iter
+      (fun (s, c, s') ->
+        Hashtbl.replace by_letter (c, s)
+          (s' :: Option.value ~default:[] (Hashtbl.find_opt by_letter (c, s))))
+      (Automata.Nfa.letter_transitions a);
+    (finals, by_letter)
+
+  let satisfies d (a : Automata.Nfa.t) =
+    let a = Automata.Nfa.remove_eps a in
+    if Automata.Nfa.nullable a then true
+    else if a.Automata.Nfa.nstates = 0 then false
+    else begin
+      let finals, by_letter = prologue a in
+      let seen = Hashtbl.create 64 in
+      let queue = Queue.create () in
+      let push v s =
+        if not (Hashtbl.mem seen (v, s)) then begin
+          Hashtbl.add seen (v, s) ();
+          Queue.add (v, s) queue
+        end
+      in
+      for v = 0 to Db.nnodes d - 1 do
+        List.iter (fun s -> push v s) a.Automata.Nfa.initial
+      done;
+      let found = ref false in
+      while (not !found) && not (Queue.is_empty queue) do
+        let v, s = Queue.pop queue in
+        if finals.(s) then found := true
+        else
+          List.iter
+            (fun (_, (f : Db.fact)) ->
+              match Hashtbl.find_opt by_letter (f.Db.label, s) with
+              | Some succs -> List.iter (fun s' -> push f.Db.dst s') succs
+              | None -> ())
+            (Db.out_edges d v)
+      done;
+      !found
+    end
+
+  let shortest_witness d (a : Automata.Nfa.t) =
+    let a = Automata.Nfa.remove_eps a in
+    if Automata.Nfa.nullable a then Some []
+    else if a.Automata.Nfa.nstates = 0 then None
+    else begin
+      let finals, by_letter = prologue a in
+      let parent : (int * int, (int * (int * int)) option) Hashtbl.t = Hashtbl.create 64 in
+      let queue = Queue.create () in
+      let push key p =
+        if not (Hashtbl.mem parent key) then begin
+          Hashtbl.add parent key p;
+          Queue.add key queue
+        end
+      in
+      for v = 0 to Db.nnodes d - 1 do
+        List.iter (fun s -> push (v, s) None) a.Automata.Nfa.initial
+      done;
+      let result = ref None in
+      (try
+         while not (Queue.is_empty queue) do
+           let ((v, s) as key) = Queue.pop queue in
+           if finals.(s) then begin
+             let rec build key acc =
+               match Hashtbl.find_opt parent key with
+               | None | Some None -> acc
+               | Some (Some (fid, prev)) -> build prev (fid :: acc)
+             in
+             result := Some (build key []);
+             raise Exit
+           end;
+           List.iter
+             (fun (fid, (f : Db.fact)) ->
+               match Hashtbl.find_opt by_letter (f.Db.label, s) with
+               | Some succs -> List.iter (fun s' -> push (f.Db.dst, s') (Some (fid, key))) succs
+               | None -> ())
+             (Db.out_edges d v)
+         done
+       with Exit -> ());
+      !result
+    end
+
+  let matches_up_to d (a : Automata.Nfa.t) ~max_len =
+    let a = Automata.Nfa.remove_eps a in
+    let results = ref [] in
+    if Automata.Nfa.nullable a then results := [ Hypergraph.Iset.empty ]
+    else if a.Automata.Nfa.nstates > 0 then begin
+      let finals, by_letter = prologue a in
+      let rec go v s len fact_set =
+        if finals.(s) then results := fact_set :: !results;
+        if len < max_len then
+          List.iter
+            (fun (fid, (f : Db.fact)) ->
+              match Hashtbl.find_opt by_letter (f.Db.label, s) with
+              | Some succs ->
+                  List.iter
+                    (fun s' -> go f.Db.dst s' (len + 1) (Hypergraph.Iset.add fid fact_set))
+                    succs
+              | None -> ())
+            (Db.out_edges d v)
+      in
+      for v = 0 to Db.nnodes d - 1 do
+        List.iter (fun s -> go v s 0 Hypergraph.Iset.empty) a.Automata.Nfa.initial
+      done
+    end;
+    List.sort_uniq Hypergraph.Iset.compare !results
+end
+
+(* One compiled product evaluated under several dead masks in turn (so the
+   stamp-reset scratch is reused, as in branch and bound) against the
+   oracle on the restricted database. Fact [i] is dead iff bit [i] of the
+   mask is set; the first mask is empty. *)
+let prop_product_vs_oracle =
+  let langs =
+    [ "aa"; "ax*b"; "ab|bc"; "abc|be"; "axb|cxd"; "ab|bc|ca"; "b(aa)*d"; "abc"; "(abc)*ab";
+      "ab|axb"; "a*"; "!"; "ab|ac"; "axb|axc"; "a(bc|bd)" ]
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (d, s, masks) ->
+        Format.asprintf "%s on %a, masks %s" s Db.pp d
+          (String.concat "," (List.map string_of_int masks)))
+      QCheck.Gen.(
+        let* seed = int_bound 1000000 in
+        let* nnodes = int_range 2 6 in
+        let* nfacts = int_range 1 14 in
+        let* s = oneofl langs in
+        let* masks = list_size (int_range 1 4) (map2 ( land ) (int_bound 0xFFFF) (int_bound 0xFFFF)) in
+        (* Facts over the query's own letters, so that ties are common. *)
+        let alphabet = 'a' :: List.filter (fun c -> c >= 'b' && c <= 'z') (List.of_seq (String.to_seq s)) in
+        return (Generate.random ~nnodes ~nfacts ~alphabet ~seed (), s, 0 :: masks))
+  in
+  QCheck.Test.make ~name:"compiled product = Hashtbl oracle under dead masks" ~count:400 arb
+    (fun (d, s, masks) ->
+      let a = lang s in
+      let p = Eval.Product.compile d a in
+      let dead = Eval.Product.dead p in
+      List.for_all
+        (fun mask ->
+          Array.iteri (fun fid _ -> dead.(fid) <- mask land (1 lsl fid) <> 0) dead;
+          let d' = Db.restrict d ~removed:(fun fid -> dead.(fid)) in
+          Eval.Product.shortest_witness p = Oracle.shortest_witness d' a
+          && Eval.Product.satisfies p = Oracle.satisfies d' a
+          && List.equal Hypergraph.Iset.equal
+               (Eval.Product.matches_up_to p ~max_len:4)
+               (Oracle.matches_up_to d' a ~max_len:4)
+          && Eval.shortest_witness d' a = Oracle.shortest_witness d' a)
+        masks)
+
 let test_serialize_roundtrip () =
   let d = Db.make_bag ~nnodes:3 ~facts:[ (0, 'a', 1, 2); (1, 'b', 2, 1) ] in
   match Serialize.of_string (Serialize.to_string d) with
@@ -237,5 +392,10 @@ let () =
         ] );
       ( "properties",
         List.map qcheck
-          [ prop_satisfies_vs_naive; prop_matches_are_matches; prop_serialize_roundtrip ] );
+          [
+            prop_satisfies_vs_naive;
+            prop_matches_are_matches;
+            prop_product_vs_oracle;
+            prop_serialize_roundtrip;
+          ] );
     ]

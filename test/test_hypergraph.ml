@@ -113,6 +113,19 @@ let prop_bnb_equals_brute =
       let h = mk vs es in
       fst (H.min_hitting_set h) = H.min_hitting_set_bruteforce h)
 
+(* Set trees depend on insertion order: {1,2,3} built 1,2,3 is a right
+   spine, built 2,1,3 is balanced. The content-keyed table must not care. *)
+let test_iset_tbl () =
+  let s1 = H.Iset.add 3 (H.Iset.add 2 (H.Iset.singleton 1)) in
+  let s2 = H.Iset.add 3 (H.Iset.add 1 (H.Iset.singleton 2)) in
+  check "equal content" true (H.Iset.equal s1 s2);
+  check "different trees" true (Stdlib.compare s1 s2 <> 0);
+  let t = H.Iset.Tbl.create 8 in
+  H.Iset.Tbl.add t s1 "found";
+  check "found by content" true (H.Iset.Tbl.find_opt t s2 = Some "found");
+  H.Iset.Tbl.replace t s2 "replaced";
+  check_int "one binding" 1 (H.Iset.Tbl.length t)
+
 let test_greedy () =
   (* vertex 2 hits both edges: greedy must find the optimal singleton *)
   let cost, set = H.greedy_hitting_set (mk [ 1; 2; 3 ] [ [ 1; 2 ]; [ 2; 3 ] ]) in
@@ -164,6 +177,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_hitting_set;
           Alcotest.test_case "no edges" `Quick test_hitting_set_empty;
           Alcotest.test_case "greedy" `Quick test_greedy;
+          Alcotest.test_case "content-keyed set table" `Quick test_iset_tbl;
         ] );
       ( "properties",
         List.map qcheck

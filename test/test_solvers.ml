@@ -17,6 +17,21 @@ let test_aa_path () =
   let d = Db.make ~nnodes:5 ~facts:[ (0, 'a', 1); (1, 'a', 2); (2, 'a', 3); (3, 'a', 4) ] in
   vcheck "aa path" (Value.Finite 2) (fst (Exact.branch_and_bound d (lang "aa")))
 
+let test_bnb_memo_by_content () =
+  (* RES_set(aa, encode(P5)) = vc(P5) + 4·(5−1)/2 = 2 + 8 = 10 (Prop 4.11).
+     The search reaches the same removed set along different branch orders,
+     which build different set trees. A memo keyed by content cuts every
+     such revisit off (1375 nodes here); a polymorphic Hashtbl compares
+     trees, re-expanded the revisits it missed, and needed 2193. *)
+  let pre, l = Gadgets.gadget_aa () in
+  let d = Gadgets.encode pre (Graphs.Ugraph.path 5) in
+  Alcotest.(check int) "facts" 21 (Db.fact_count d);
+  let nodes = Obs.Metrics.counter "bnb.nodes" in
+  let before = Obs.Metrics.count nodes in
+  vcheck "value" (Value.Finite 10) (fst (Exact.branch_and_bound d l));
+  let expanded = Obs.Metrics.count nodes - before in
+  check (Printf.sprintf "%d nodes < 2193" expanded) true (expanded < 2193)
+
 let test_axb_flow () =
   (* introduction example: resilience of ax*b = min cut *)
   let b = Db.Builder.create () in
@@ -384,6 +399,7 @@ let () =
       ( "examples",
         [
           Alcotest.test_case "aa on a path" `Quick test_aa_path;
+          Alcotest.test_case "B&B memo keyed by content" `Quick test_bnb_memo_by_content;
           Alcotest.test_case "ax*b flow example" `Quick test_axb_flow;
           Alcotest.test_case "infinite resilience" `Quick test_infinite_resilience;
           Alcotest.test_case "trivially false" `Quick test_trivially_false;
