@@ -11,7 +11,9 @@
 
 let ( let* ) = Result.bind
 let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
-let require b fmt = Printf.ksprintf (fun m -> if b then Ok () else Error m) fmt
+(* A passing check consumes its arguments without formatting them. *)
+let require b fmt =
+  if b then Printf.ikfprintf (fun () -> Ok ()) () fmt else Printf.ksprintf (fun m -> Error m) fmt
 
 let rec iter_result f = function
   | [] -> Ok ()
@@ -23,6 +25,15 @@ let distinct xs =
   let sorted = List.sort compare xs in
   let rec dup = function a :: (b :: _ as tl) -> a = b || dup tl | _ -> false in
   not (dup sorted)
+
+(* An association list indexed once: [find_opt] answers as
+   [List.assoc_opt] does (first binding wins), in O(1). *)
+let index pairs =
+  let t = Hashtbl.create (max 16 (List.length pairs)) in
+  List.iter (fun (k, v) -> if not (Hashtbl.mem t k) then Hashtbl.add t k v) pairs;
+  t
+
+let member_set xs = index (List.map (fun x -> (x, ())) xs)
 
 (* The closed algorithm vocabulary ({!Resilience.Solver.algorithm_name})
    and degradation reasons ({!Resilience.Budget.exhaustion_name}),
@@ -111,11 +122,12 @@ let check_cut ~value ~witness (c : Certificate.cut) =
       (List.sort compare (List.map fst c.weights) = List.sort compare (List.map snd c.fact_edges))
       "cut: weights domain differs from the mapped facts"
   in
+  let weights = index c.weights in
   let* () =
     iter_result
       (fun (e, fid) ->
         let _, _, cap = edges.(e) in
-        match (cap, List.assoc_opt fid c.weights) with
+        match (cap, Hashtbl.find_opt weights fid) with
         | Certificate.Fin w, Some w' when w = w' -> Ok ()
         | Certificate.Fin w, Some w' ->
             fail "cut: fact %d edge capacity %d differs from its weight %d" fid w w'
@@ -129,12 +141,13 @@ let check_cut ~value ~witness (c : Certificate.cut) =
       (c.weights @ c.forced)
   in
   let* () = require (distinct (List.map fst c.forced)) "cut: duplicate forced fact" in
-  let mapped_facts = List.map snd c.fact_edges in
+  let mapped_facts = member_set (List.map snd c.fact_edges) in
   let* () =
     iter_result
       (fun (fid, _) ->
-        require (not (List.mem fid mapped_facts)) "cut: forced fact %d also appears in the network"
-          fid)
+        require
+          (not (Hashtbl.mem mapped_facts fid))
+          "cut: forced fact %d also appears in the network" fid)
       c.forced
   in
   let base = List.fold_left (fun acc (_, w) -> acc + w) 0 c.forced in
@@ -256,12 +269,15 @@ let check_cut ~value ~witness (c : Certificate.cut) =
         require (not seen.(c.sink)) "cut: removing the cut does not disconnect source from sink"
       in
       (* The witness is determined by the cut: forced facts plus the facts
-         of the cut edges. *)
+         of the cut edges. Both edge lists were range- and
+         duplicate-checked above, so an edge-indexed array maps them. *)
+      let fact_of_edge = Array.make nedges None in
+      List.iter (fun (e, fid) -> fact_of_edge.(e) <- Some fid) c.fact_edges;
       let* cut_facts =
         List.fold_left
           (fun acc e ->
             let* acc = acc in
-            match List.assoc_opt e c.fact_edges with
+            match fact_of_edge.(e) with
             | Some fid -> Ok (fid :: acc)
             | None -> fail "cut: cut edge %d is not a fact edge" e)
           (Ok []) c.cut_edges
@@ -276,12 +292,13 @@ let check_cut ~value ~witness (c : Certificate.cut) =
 
 (* ---- Bounds (coverage + LP weak duality) ---- *)
 
-let witness_cost (b : Certificate.bounds) w =
+(* [weights] is [index b.fact_weights]. *)
+let witness_cost weights w =
   let* () = require (distinct w) "bounds: duplicate fact in witness" in
   List.fold_left
     (fun acc fid ->
       let* acc = acc in
-      match List.assoc_opt fid b.fact_weights with
+      match Hashtbl.find_opt weights fid with
       | Some wt -> Ok (acc + wt)
       | None -> fail "bounds: witness fact %d is not in the instance" fid)
     (Ok 0) w
@@ -292,19 +309,19 @@ let check_weights (b : Certificate.bounds) =
     (fun (fid, wt) -> require (wt >= 1) "bounds: fact %d has non-positive weight %d" fid wt)
     b.fact_weights
 
-let check_covers (b : Certificate.bounds) w covers =
+let check_covers weights w covers =
+  let hit = member_set w in
   iter_result
     (fun cover ->
       let* () = require (cover <> []) "bounds: empty cover" in
       let* () =
         iter_result
           (fun fid ->
-            require (List.mem_assoc fid b.fact_weights)
-              "bounds: cover references unknown fact %d" fid)
+            require (Hashtbl.mem weights fid) "bounds: cover references unknown fact %d" fid)
           cover
       in
       require
-        (List.exists (fun fid -> List.mem fid w) cover)
+        (List.exists (Hashtbl.mem hit) cover)
         "bounds: the witness misses a cover — it is not a hitting set")
     covers
 
@@ -320,10 +337,21 @@ let dual_bound (b : Certificate.bounds) covers ys =
   let* () =
     iter_result (fun y -> require (y >= -1e-9) "bounds: negative dual multiplier") ys
   in
-  let paired = List.combine covers ys in
-  let load fid =
-    List.fold_left (fun acc (cover, y) -> if List.mem fid cover then acc +. y else acc) 0.0 paired
-  in
+  (* Each fact's load sums, in cover order, the multipliers of the covers
+     holding it; a fact listed twice in one cover counts once. *)
+  let loads = Hashtbl.create 64 in
+  List.iteri
+    (fun i (cover, y) ->
+      List.iter
+        (fun fid ->
+          match Hashtbl.find_opt loads fid with
+          | Some (_, last) when last = i -> ()
+          | prev ->
+              let acc = match prev with Some (acc, _) -> acc | None -> 0.0 in
+              Hashtbl.replace loads fid (acc +. y, i))
+        cover)
+    (List.combine covers ys);
+  let load fid = match Hashtbl.find_opt loads fid with Some (l, _) -> l | None -> 0.0 in
   let* () =
     iter_result
       (fun (fid, wt) ->
@@ -336,6 +364,7 @@ let dual_bound (b : Certificate.bounds) covers ys =
 
 let check_bounds_exact ~value ~witness (b : Certificate.bounds) =
   let* () = check_weights b in
+  let weights = index b.fact_weights in
   let* v =
     match value with
     | Value.Finite v -> Ok v
@@ -344,11 +373,11 @@ let check_bounds_exact ~value ~witness (b : Certificate.bounds) =
   let* w =
     match witness with Some w -> Ok w | None -> Error "bounds: reply carries no witness"
   in
-  let* cost = witness_cost b w in
+  let* cost = witness_cost weights w in
   let* () =
     require (cost = v) "bounds: witness costs %d but the claimed value is %d" cost v
   in
-  let* () = match b.covers with None -> Ok () | Some covers -> check_covers b w covers in
+  let* () = match b.covers with None -> Ok () | Some covers -> check_covers weights w covers in
   match b.dual with
   | None -> Ok ()
   | Some ys -> (
@@ -362,6 +391,7 @@ let check_bounds_exact ~value ~witness (b : Certificate.bounds) =
 
 let check_bounds_bounded ~lower ~upper ~witness (b : Certificate.bounds) =
   let* () = check_weights b in
+  let weights = index b.fact_weights in
   let* l, u =
     match (lower, upper) with
     | Value.Finite l, Value.Finite u -> Ok (l, u)
@@ -371,11 +401,11 @@ let check_bounds_bounded ~lower ~upper ~witness (b : Certificate.bounds) =
   let* w =
     match witness with Some w -> Ok w | None -> Error "bounds: reply carries no upper witness"
   in
-  let* cost = witness_cost b w in
+  let* cost = witness_cost weights w in
   let* () =
     require (cost = u) "bounds: upper witness costs %d but the claimed upper bound is %d" cost u
   in
-  let* () = match b.covers with None -> Ok () | Some covers -> check_covers b w covers in
+  let* () = match b.covers with None -> Ok () | Some covers -> check_covers weights w covers in
   match b.dual with
   | None ->
       (* Without a dual no lower bound is certified beyond the trivial

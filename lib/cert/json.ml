@@ -7,48 +7,85 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+let hex_digits = "0123456789abcdef"
+
+(* Runs of bytes that need no escape are copied as one substring. *)
 let buf_add_escaped b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !run then Buffer.add_substring b s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex_digits.[Char.code c lsr 4];
+          Buffer.add_char b hex_digits.[Char.code c land 15]);
+      run := i + 1
+    end
+  done;
+  if n > !run then Buffer.add_substring b s !run (n - !run);
   Buffer.add_char b '"'
+
+(* The bytes of [string_of_int i], written digit by digit. Digits come
+   from the non-positive value, whose range also holds [min_int]. *)
+let buf_add_int b i =
+  if i >= 0 && i < 10 then Buffer.add_char b (Char.unsafe_chr (48 + i))
+  else begin
+    if i < 0 then Buffer.add_char b '-';
+    let rec go n =
+      if n <= -10 then go (n / 10);
+      Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+    in
+    go (if i > 0 then -i else i)
+  end
 
 let rec emit b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int i -> Buffer.add_string b (string_of_int i)
+  | Int i -> buf_add_int b i
   | Float f ->
       if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.9g" f)
       else Buffer.add_string b "null"
   | Str s -> buf_add_escaped b s
-  | List vs ->
+  | List [] -> Buffer.add_string b "[]"
+  | List (v :: vs) ->
       Buffer.add_char b '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char b ',';
-          emit b v)
-        vs;
+      emit b v;
+      emit_items b vs;
       Buffer.add_char b ']'
-  | Obj fields ->
+  | Obj [] -> Buffer.add_string b "{}"
+  | Obj (f :: fs) ->
       Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          buf_add_escaped b k;
-          Buffer.add_char b ':';
-          emit b v)
-        fields;
+      emit_field b f;
+      emit_fields b fs;
       Buffer.add_char b '}'
+
+and emit_items b = function
+  | [] -> ()
+  | v :: vs ->
+      Buffer.add_char b ',';
+      emit b v;
+      emit_items b vs
+
+and emit_field b (k, v) =
+  buf_add_escaped b k;
+  Buffer.add_char b ':';
+  emit b v
+
+and emit_fields b = function
+  | [] -> ()
+  | f :: fs ->
+      Buffer.add_char b ',';
+      emit_field b f;
+      emit_fields b fs
 
 let to_string v =
   let b = Buffer.create 256 in
@@ -57,15 +94,20 @@ let to_string v =
 
 exception Bad of string
 
+let is_num_char c =
+  (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+
 (* Minimal recursive-descent parser, sufficient for re-reading what
    [to_string] emits (journal lines, job/reply frames). Input bytes above
    0x7f pass through untouched; [\uXXXX] escapes decode to a single byte
-   when < 0x100 and to '?' otherwise. *)
+   when < 0x100 and to '?' otherwise. Escape-free strings and plain
+   decimal ints take a direct path; everything else goes through the
+   general one, so values and error messages do not depend on which. *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let skip_ws () =
     while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n' || s.[!pos] = '\r')
     do
@@ -91,8 +133,14 @@ let parse s =
     | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
     | _ -> fail "bad hex digit in \\u escape"
   in
-  let parse_string () =
-    expect '"';
+  (* First index at or after [i] holding a quote or a backslash, or [n]. *)
+  let rec plain_end i =
+    if i >= n then n
+    else match String.unsafe_get s i with '"' | '\\' -> i | _ -> plain_end (i + 1)
+  in
+  (* The general path: a string holding an escape, or an unterminated
+     one, read from just after its opening quote. *)
+  let parse_escaped () =
     let b = Buffer.create 16 in
     let rec loop () =
       if !pos >= n then fail "unterminated string"
@@ -124,16 +172,28 @@ let parse s =
                    pos := !pos + 5
                | c -> fail (Printf.sprintf "bad escape \\%c" c));
             loop ()
-        | c -> Buffer.add_char b c; incr pos; loop ()
+        | _ ->
+            let stop = plain_end !pos in
+            Buffer.add_substring b s !pos (stop - !pos);
+            pos := stop;
+            loop ()
     in
     loop ();
     Buffer.contents b
   in
-  let parse_number () =
+  let parse_string () =
+    expect '"';
+    let stop = plain_end !pos in
+    if stop < n && String.unsafe_get s stop = '"' then begin
+      let str = String.sub s !pos (stop - !pos) in
+      pos := stop + 1;
+      str
+    end
+    else parse_escaped ()
+  in
+  (* The general path: any run of number characters. *)
+  let parse_token () =
     let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
     while !pos < n && is_num_char s.[!pos] do
       incr pos
     done;
@@ -146,25 +206,44 @@ let parse s =
         | None -> fail (Printf.sprintf "bad number %S" tok)
       end
   in
+  (* A plain decimal int of at most 18 digits cannot overflow and reads as
+     [int_of_string] would; any other token takes the general path. *)
+  let parse_number () =
+    let first = if at '-' then !pos + 1 else !pos in
+    let rec digits i acc =
+      if i < n && i - first < 18 then
+        match String.unsafe_get s i with
+        | '0' .. '9' as c -> digits (i + 1) ((acc * 10) + (Char.code c - 48))
+        | _ -> (i, acc)
+      else (i, acc)
+    in
+    let stop, acc = digits first 0 in
+    if stop > first && not (stop < n && is_num_char (String.unsafe_get s stop)) then begin
+      let negative = first > !pos in
+      pos := stop;
+      Int (if negative then -acc else acc)
+    end
+    else parse_token ()
+  in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '[' ->
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | '"' -> Str (parse_string ())
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '[' ->
         incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin
+        if at ']' then begin
           incr pos;
           List []
         end
         else begin
           let items = ref [ parse_value () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             incr pos;
             items := parse_value () :: !items;
             skip_ws ()
@@ -172,10 +251,10 @@ let parse s =
           expect ']';
           List (List.rev !items)
         end
-    | Some '{' ->
+    | '{' ->
         incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin
+        if at '}' then begin
           incr pos;
           Obj []
         end
@@ -190,7 +269,7 @@ let parse s =
           in
           let fields = ref [ field () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             incr pos;
             fields := field () :: !fields;
             skip_ws ()
@@ -198,7 +277,7 @@ let parse s =
           expect '}';
           Obj (List.rev !fields)
         end
-    | Some _ -> parse_number ()
+    | _ -> parse_number ()
   in
   match parse_value () with
   | v ->

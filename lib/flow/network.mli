@@ -26,8 +26,11 @@ val unsafe_add_edge : t -> src:int -> dst:int -> capacity -> int
     of {!validate} and trusted deserialization paths. *)
 
 val edge_count : t -> int
+
 val edge_info : t -> int -> int * int * capacity
-(** [(src, dst, capacity)] of an edge id. *)
+(** [(src, dst, capacity)] of an edge id, in O(1): edges are stored in
+    insertion order in fixed-size chunks behind a growable directory.
+    Raises [Invalid_argument] for an id outside [\[0, edge_count t)]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -15,19 +15,26 @@ let job_digest j = Digest.to_hex (Digest.string (job_to_json j))
    so resume stays strictly per-submission. *)
 let canonical_digest j = job_digest { j with id = "" }
 
+(* A [Done] payload is the object {"event":"done","id":..,"job":..,"reply":..}
+   spliced around the reply's own line: the same bytes as encoding the
+   whole object, since the reply is its last member. *)
+let done_payload ~id ~digest reply_json =
+  String.concat ""
+    [
+      {|{"event":"done","id":|};
+      Json.to_string (Json.Str id);
+      {|,"job":|};
+      Json.to_string (Json.Str digest);
+      {|,"reply":|};
+      reply_json;
+      "}";
+    ]
+
 let entry_to_json = function
   | Started { id; digest } ->
       Json.to_string
         (Json.Obj [ ("event", Json.Str "start"); ("id", Json.Str id); ("job", Json.Str digest) ])
-  | Done { id; digest; reply } ->
-      Json.to_string
-        (Json.Obj
-           [
-             ("event", Json.Str "done");
-             ("id", Json.Str id);
-             ("job", Json.Str digest);
-             ("reply", reply_to_obj reply);
-           ])
+  | Done { id; digest; reply } -> done_payload ~id ~digest (reply_to_json reply)
 
 let entry_of_json line =
   let ( let* ) = Result.bind in
@@ -70,11 +77,18 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+(* Folds bytes [off, off + len) of [s] into the running (pre-inversion)
+   state [c]: a checksum can span several strings without joining them. *)
+let crc_update c s off len =
   let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
-  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+  let c = ref c in
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c
+
+let crc_init = 0xFFFFFFFF
+let crc_final c = c lxor 0xFFFFFFFF land 0xFFFFFFFF
 
 (* ------------------------------------------------------------------ *)
 (* v2 on-disk format.                                                  *)
@@ -92,9 +106,16 @@ let crc32 s =
 let header = "rpq-journal-v2"
 let header_line = header ^ "\n"
 
-let frame ~seq payload =
-  let body = Printf.sprintf "%d:%s" seq payload in
-  Printf.sprintf "%d:%08x:%s\n" (String.length payload) (crc32 body) body
+(* Writes one framed record; the payload goes to the channel as is. *)
+let output_frame oc ~seq payload =
+  let seq_s = string_of_int seq ^ ":" in
+  let crc =
+    crc_update (crc_update crc_init seq_s 0 (String.length seq_s)) payload 0
+      (String.length payload)
+  in
+  output_string oc (Printf.sprintf "%d:%08x:%s" (String.length payload) (crc_final crc) seq_s);
+  output_string oc payload;
+  output_char oc '\n'
 
 type torn = Truncated | Bad_checksum
 
@@ -191,8 +212,7 @@ let scan_record s ~lineno ~prev_seq o =
             else if s.[p + len] <> '\n' then
               refuse "malformed record: payload is not %d bytes (frame length lies)" len
             else begin
-              let body = String.sub s (j + 9) (p + len - (j + 9)) in
-              if crc32 body <> crc then begin
+              if crc_final (crc_update crc_init s (j + 9) (p + len - (j + 9))) <> crc then begin
                 if p + len + 1 = n then Error Bad_checksum
                 else refuse "checksum mismatch (record seq %d)" seq
               end
@@ -298,7 +318,7 @@ let rewrite_atomic path entries =
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let oc = Unix.out_channel_of_descr fd in
   output_string oc header_line;
-  List.iteri (fun i e -> output_string oc (frame ~seq:(i + 1) (entry_to_json e))) entries;
+  List.iteri (fun i e -> output_frame oc ~seq:(i + 1) (entry_to_json e)) entries;
   flush oc;
   Unix.fsync fd;
   close_out oc;
@@ -436,15 +456,23 @@ let sync_point t ~settled =
     Obs.Metrics.observe fsync_s (Obs.Clock.now () -. t0)
   end
 
-let append t entry =
+let append_payload t ~settled payload =
   let t0 = Obs.Clock.now () in
   Resilience.Faults.crash_site "journal.pre_append";
   let seq = t.seq + 1 in
-  output_string t.oc (frame ~seq (entry_to_json entry));
+  output_frame t.oc ~seq (payload ());
   t.seq <- seq;
-  sync_point t ~settled:(match entry with Done _ -> true | Started _ -> false);
+  sync_point t ~settled;
   Resilience.Faults.crash_site "journal.post_append";
   Obs.Metrics.observe append_s (Obs.Clock.now () -. t0)
+
+let append t entry =
+  append_payload t
+    ~settled:(match entry with Done _ -> true | Started _ -> false)
+    (fun () -> entry_to_json entry)
+
+let append_done t ~id ~digest ~reply_json =
+  append_payload t ~settled:true (fun () -> done_payload ~id ~digest reply_json)
 
 let close t =
   flush t.oc;

@@ -121,6 +121,13 @@ val append : t -> entry -> unit
     [journal.pre_fsync] and [journal.post_append] fire here (see
     {!Resilience.Faults.crash_site}). *)
 
+val append_done : t -> id:string -> digest:string -> reply_json:string -> unit
+(** [append t (Done { id; digest; reply })] for a reply already encoded
+    as [reply_json = Proto.reply_to_json reply]: the record is built
+    around those bytes, so a reply sent to a client and journaled is
+    encoded once. Same framing, sync point and crash sites as
+    {!append}. *)
+
 val close : t -> unit
 (** Flushes, releases the lock, closes. *)
 

@@ -258,6 +258,11 @@ let degrade_budget ~degrade (b : budget_spec) : budget_spec =
     memo_cap = b.memo_cap;
   }
 
+(* Where degradation bottoms out: one step, and 0.01 s for a job that
+   has a deadline. *)
+let floor_budget (b : budget_spec) : budget_spec =
+  { b with deadline = Option.map (fun _ -> 0.01) b.deadline; steps = Some 1 }
+
 let death_kind = function
   (* A wedge IS a timeout to the client (same remedy: smaller budget);
      the structural distinction only feeds the poison policy below. *)
@@ -342,8 +347,10 @@ let update_gauges e =
   Obs.Metrics.set m_queue_depth (float_of_int (Queue.length e.pending + List.length e.delayed));
   Obs.Metrics.set m_inflight (float_of_int (Hashtbl.length e.inflight))
 
+(* Callers count [runner.jobs] where they accept a job: [run_batch] at
+   submission, the serve loop at admission — so a stats line sees the job
+   on the line above it even while that job waits for a worker. *)
 let submit ?deadline_abs e (job : job) =
-  Obs.Metrics.incr m_jobs;
   (* The supervisor's per-job span opens at submission and closes at
      settle, spanning queue wait, every dispatch and every retry. Its
      parent is the job's propagated context (a serve [request] span, or
@@ -541,7 +548,9 @@ let log_death ?(hedge = false) t death =
 (* Both attempts of the current round are down: quarantine, give up, or
    degrade-and-retry. Quarantine preempts the retry budget — a job that
    keeps taking workers down with it gets no more of them, however many
-   retries it has left. *)
+   retries it has left — but only once degradation is spent: the attempt
+   that could be the K-th death runs at the floor budget, so a job whose
+   crash a small enough budget preempts settles as Bounded instead. *)
 let retry_or_fail e t death =
   Obs.Metrics.incr (death_counter death);
   log_death t death;
@@ -581,7 +590,9 @@ let retry_or_fail e t death =
     (* Shrink the budget so whatever made the worker die (a fault tick, a
        runaway search) is preempted by exhaustion on a later attempt and
        the job settles as Bounded instead of failing outright. *)
-    t.cur_budget <- degrade_budget ~degrade:e.cfg.degrade t.cur_budget;
+    t.cur_budget <-
+      (if e.cfg.poison_k > 0 && t.deaths + 1 >= e.cfg.poison_k then floor_budget t.cur_budget
+       else degrade_budget ~degrade:e.cfg.degrade t.cur_budget);
     t.not_before <-
       now_s () +. (e.cfg.backoff *. float_of_int (1 lsl min 16 (t.attempts - 1)));
     e.delayed <- t :: e.delayed
@@ -938,7 +949,11 @@ let run_batch ?journal cfg (jobs : job list) : reply list * batch_stats =
       Fun.protect
         ~finally:(fun () -> Pool.shutdown e.pool)
         (fun () ->
-          List.iter (submit e) todo;
+          List.iter
+            (fun j ->
+              Obs.Metrics.incr m_jobs;
+              submit e j)
+            todo;
           drain e);
       let replies =
         List.map
@@ -1297,13 +1312,19 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
      knot with a forward reference. *)
   let tev_handler = ref (fun (_ : Transport.event) -> ()) in
   let handle_tevs evs = List.iter (fun ev -> !tev_handler ev) evs in
-  let deliver cid r =
+  let deliver_line cid line =
     match find_client cid with
     | None ->
         (* The client died while the job was inflight: the answer is
            settled, journaled and cached — only delivery is impossible. *)
         ()
-    | Some c -> handle_tevs (Transport.send tr c (reply_to_json r))
+    | Some c -> handle_tevs (Transport.send tr c line)
+  in
+  let deliver cid r = deliver_line cid (reply_to_json r) in
+  (* A settled reply is encoded once: the client's line and the journal's
+     [Done] record share those bytes. *)
+  let journal_settled ~id ~digest line =
+    Option.iter (fun jl -> Journal.append_done jl ~id ~digest ~reply_json:line) jnl
   in
   let emit r =
     match Hashtbl.find_opt owners r.id with
@@ -1314,12 +1335,11 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
         Admission.settled adm cid;
         close_request ~outcome:(verdict_name r.verdict) rspan;
         let r = { r with id = orig } in
+        let line = reply_to_json r in
         let digest = Journal.canonical_digest j in
-        Option.iter
-          (fun jl -> Journal.append jl (Journal.Done { id = orig; digest; reply = r }))
-          jnl;
+        journal_settled ~id:orig ~digest line;
         Cache.store cache ~digest r;
-        deliver cid r
+        deliver_line cid line
   in
   let on_dispatch (t : task) =
     match (jnl, Hashtbl.find_opt owners t.job.id) with
@@ -1544,12 +1564,11 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                 | Cache.Hit r ->
                     Trace.instant ~args:[ ("id", Json.Str job.id) ] "cache-hit";
                     close_request ~outcome:"cache-hit" rspan;
-                    Option.iter
-                      (fun jl ->
-                        Journal.append jl (Journal.Done { id = job.id; digest; reply = r }))
-                      jnl;
-                    send_reply r
+                    let line = reply_to_json r in
+                    journal_settled ~id:job.id ~digest line;
+                    handle_tevs (Transport.send tr c line)
                 | Cache.Miss | Cache.Cert_reject _ ->
+                    Obs.Metrics.incr m_jobs;
                     Hashtbl.replace owners iid (cid, job.id, job, rspan);
                     (* The end-to-end clock starts now: queue time below
                        is the client's budget being spent. *)

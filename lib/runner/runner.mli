@@ -92,7 +92,11 @@ type config = {
           error reply with kind ["poison"] instead of spending its
           remaining retries on more respawns. Counted in the
           [rpq_runner_poisoned_total] Prometheus family, with a
-          flight-recorder breadcrumb. 0 disables quarantine. *)
+          flight-recorder breadcrumb. The attempt that could be the K-th
+          death runs at the degradation floor (1 step; 0.01 s if the job
+          has a deadline) instead of one more [degrade] step, and
+          quarantine fires only if that attempt dies too. 0 disables
+          quarantine. *)
 }
 
 val default_config : config
@@ -274,4 +278,6 @@ val serve : config -> in_channel -> out_channel -> unit
     request, not a job: it is answered immediately — regardless of queue
     depth — with [{"id": …, "stats": {…}}] carrying the
     [Obs.Metrics] snapshot (job/retry/death counters, queue gauges,
-    latency histograms) at that instant. *)
+    latency histograms) at that instant. [runner.jobs] counts a job at
+    admission, so the snapshot includes jobs on earlier lines that are
+    still queued. *)

@@ -159,6 +159,34 @@ let test_programmatic_tampers () =
         }
   | _ -> Alcotest.fail "hitting-set solve did not settle with a witness"
 
+(* The checker's indexed lookups keep the list semantics they replaced:
+   a fact listed twice in one cover loads that cover's multiplier once
+   (one fact of weight 1, cover [1; 1], dual 1.0 is feasible). *)
+let test_cover_duplicates_count_once () =
+  let reply cover =
+    {
+      (Proto.failed ~id:"d" ~kind:"x" "unused") with
+      Proto.verdict =
+        Proto.V_exact { value = Cert.Value.Finite 1; algorithm = "hitting-set ILP"; witness = Some [ 1 ] };
+      cert =
+        Some
+          (Certificate.Bounds
+             { fact_weights = [ (1, 1) ]; covers = Some [ cover ]; dual = Some [ 1.0 ] });
+    }
+  in
+  Alcotest.(check string) "duplicate in a cover counts once" "ok"
+    (ok_or_msg (Checker.check_reply (reply [ 1; 1 ])));
+  check "an overloaded fact is still refused" true
+    (Result.is_error
+       (Checker.check_reply
+          {
+            (reply [ 1 ]) with
+            Proto.cert =
+              Some
+                (Certificate.Bounds
+                   { fact_weights = [ (1, 1) ]; covers = Some [ [ 1 ]; [ 1 ] ]; dual = Some [ 1.0; 1.0 ] });
+          }))
+
 (* Unknown schema versions must be refused outright, not half-parsed. *)
 let test_unknown_version_rejected () =
   let r = solve ~db:mix_db "ab" in
@@ -262,6 +290,403 @@ let test_byte_flip_fuzzer () =
     lines;
   check "at least 200 mutations exercised" true (!mutations >= 200)
 
+(* ---- JSON codec differential ---- *)
+
+(* The codec as it was before its emitter and parser took direct paths
+   (ints as digits, escape-free runs as substrings, escape-free strings as
+   one [String.sub], plain ints accumulated in place), copied verbatim as
+   the oracle: every tree must emit the same bytes, and every input must
+   parse to the same value or fail with the same message. Its accessors
+   ([member], [to_int_opt], ...) are unused here. *)
+module Oracle = struct
+  [@@@warning "-32"]
+
+type t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of t list
+  | Obj of (string * t) list
+
+let buf_add_escaped b s =
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let rec emit b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Float f ->
+      if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.9g" f)
+      else Buffer.add_string b "null"
+  | Str s -> buf_add_escaped b s
+  | List vs ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ',';
+          emit b v)
+        vs;
+      Buffer.add_char b ']'
+  | Obj fields ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          buf_add_escaped b k;
+          Buffer.add_char b ':';
+          emit b v)
+        fields;
+      Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  emit b v;
+  Buffer.contents b
+
+exception Bad of string
+
+(* Minimal recursive-descent parser, sufficient for re-reading what
+   [to_string] emits (journal lines, job/reply frames). Input bytes above
+   0x7f pass through untouched; [\uXXXX] escapes decode to a single byte
+   when < 0x100 and to '?' otherwise. *)
+let parse s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let skip_ws () =
+    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n' || s.[!pos] = '\r')
+    do
+      incr pos
+    done
+  in
+  let expect c =
+    if !pos < n && s.[!pos] = c then incr pos
+    else fail (Printf.sprintf "expected %C" c)
+  in
+  let literal word v =
+    let l = String.length word in
+    if !pos + l <= n && String.sub s !pos l = word then begin
+      pos := !pos + l;
+      v
+    end
+    else fail (Printf.sprintf "expected %s" word)
+  in
+  let hex c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> fail "bad hex digit in \\u escape"
+  in
+  let parse_string () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec loop () =
+      if !pos >= n then fail "unterminated string"
+      else
+        match s.[!pos] with
+        | '"' -> incr pos
+        | '\\' ->
+            incr pos;
+            (if !pos >= n then fail "unterminated escape"
+             else
+               match s.[!pos] with
+               | '"' -> Buffer.add_char b '"'; incr pos
+               | '\\' -> Buffer.add_char b '\\'; incr pos
+               | '/' -> Buffer.add_char b '/'; incr pos
+               | 'n' -> Buffer.add_char b '\n'; incr pos
+               | 'r' -> Buffer.add_char b '\r'; incr pos
+               | 't' -> Buffer.add_char b '\t'; incr pos
+               | 'b' -> Buffer.add_char b '\b'; incr pos
+               | 'f' -> Buffer.add_char b '\012'; incr pos
+               | 'u' ->
+                   if !pos + 4 >= n then fail "truncated \\u escape";
+                   let v =
+                     (hex s.[!pos + 1] lsl 12)
+                     lor (hex s.[!pos + 2] lsl 8)
+                     lor (hex s.[!pos + 3] lsl 4)
+                     lor hex s.[!pos + 4]
+                   in
+                   Buffer.add_char b (if v < 0x100 then Char.chr v else '?');
+                   pos := !pos + 5
+               | c -> fail (Printf.sprintf "bad escape \\%c" c));
+            loop ()
+        | c -> Buffer.add_char b c; incr pos; loop ()
+    in
+    loop ();
+    Buffer.contents b
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_num_char c =
+      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+    in
+    while !pos < n && is_num_char s.[!pos] do
+      incr pos
+    done;
+    let tok = String.sub s start (!pos - start) in
+    match int_of_string_opt tok with
+    | Some i -> Int i
+    | None -> begin
+        match float_of_string_opt tok with
+        | Some f -> Float f
+        | None -> fail (Printf.sprintf "bad number %S" tok)
+      end
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some '"' -> Str (parse_string ())
+    | Some 'n' -> literal "null" Null
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some '[' ->
+        incr pos;
+        skip_ws ();
+        if peek () = Some ']' then begin
+          incr pos;
+          List []
+        end
+        else begin
+          let items = ref [ parse_value () ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            incr pos;
+            items := parse_value () :: !items;
+            skip_ws ()
+          done;
+          expect ']';
+          List (List.rev !items)
+        end
+    | Some '{' ->
+        incr pos;
+        skip_ws ();
+        if peek () = Some '}' then begin
+          incr pos;
+          Obj []
+        end
+        else begin
+          let field () =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            (k, v)
+          in
+          let fields = ref [ field () ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            incr pos;
+            fields := field () :: !fields;
+            skip_ws ()
+          done;
+          expect '}';
+          Obj (List.rev !fields)
+        end
+    | Some _ -> parse_number ()
+  in
+  match parse_value () with
+  | v ->
+      skip_ws ();
+      if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
+      else Ok v
+  | exception Bad msg -> Error msg
+
+let member key = function
+  | Obj fields -> List.assoc_opt key fields
+  | Null | Bool _ | Int _ | Float _ | Str _ | List _ -> None
+
+let to_int_opt = function Int i -> Some i | _ -> None
+let to_str_opt = function Str s -> Some s | _ -> None
+
+let to_float_opt = function
+  | Float f -> Some f
+  | Int i -> Some (float_of_int i)
+  | _ -> None
+end
+
+let rec to_oracle : Cert.Json.t -> Oracle.t = function
+  | Cert.Json.Null -> Oracle.Null
+  | Cert.Json.Bool b -> Oracle.Bool b
+  | Cert.Json.Int i -> Oracle.Int i
+  | Cert.Json.Float f -> Oracle.Float f
+  | Cert.Json.Str s -> Oracle.Str s
+  | Cert.Json.List vs -> Oracle.List (List.map to_oracle vs)
+  | Cert.Json.Obj fs -> Oracle.Obj (List.map (fun (k, v) -> (k, to_oracle v)) fs)
+
+(* Floats compare by bit pattern, so a nan or a -0.0 must match exactly. *)
+let rec same_value (a : Cert.Json.t) (b : Oracle.t) =
+  match (a, b) with
+  | Cert.Json.Null, Oracle.Null -> true
+  | Cert.Json.Bool x, Oracle.Bool y -> x = y
+  | Cert.Json.Int x, Oracle.Int y -> x = y
+  | Cert.Json.Float x, Oracle.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Cert.Json.Str x, Oracle.Str y -> String.equal x y
+  | Cert.Json.List xs, Oracle.List ys ->
+      List.length xs = List.length ys && List.for_all2 same_value xs ys
+  | Cert.Json.Obj xs, Oracle.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (k', y) -> String.equal k k' && same_value x y) xs ys
+  | _ -> false
+
+let same_parse s =
+  match (Cert.Json.parse s, Oracle.parse s) with
+  | Ok a, Ok b -> same_value a b
+  | Error e, Error e' -> String.equal e e'
+  | _ -> false
+
+let gen_json =
+  let open QCheck.Gen in
+  let ints =
+    oneof
+      [
+        oneofl [ 0; 1; -1; 9; 10; -10; 99; 100; min_int; max_int; min_int + 1; max_int - 1 ];
+        small_signed_int;
+        int;
+      ]
+  in
+  let floats =
+    oneof [ oneofl [ nan; infinity; neg_infinity; -0.0; 0.0; 0.1; -1.5; 1e300; 5e-324 ]; float ]
+  in
+  (* [char] draws all 256 byte values: escapes, controls and bytes above 0x7f. *)
+  let bytes = string_size ~gen:char (int_bound 12) in
+  let leaf =
+    frequency
+      [
+        (1, return Cert.Json.Null);
+        (1, map (fun b -> Cert.Json.Bool b) bool);
+        (3, map (fun i -> Cert.Json.Int i) ints);
+        (2, map (fun f -> Cert.Json.Float f) floats);
+        (3, map (fun s -> Cert.Json.Str s) bytes);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun vs -> Cert.Json.List vs) (list_size (int_bound 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun fs -> Cert.Json.Obj fs)
+                   (list_size (int_bound 4) (pair bytes (self (n / 3)))) );
+             ])
+
+let arb_json = QCheck.make ~print:Cert.Json.to_string gen_json
+
+let prop_emit_matches_oracle =
+  QCheck.Test.make ~name:"to_string emits the oracle's bytes" ~count:2000 arb_json (fun v ->
+      String.equal (Cert.Json.to_string v) (Oracle.to_string (to_oracle v)))
+
+let prop_parse_bytes_matches_oracle =
+  (* Half raw bytes, half the JSON token alphabet, where the parser's
+     error paths (numbers, escapes, literals, nesting) actually run. *)
+  let alphabet = List.of_seq (String.to_seq "{}[]\",:0123456789-+.eE \\/ntrufalsbu\n") in
+  let gen =
+    QCheck.Gen.(
+      string_size ~gen:(frequency [ (1, char); (3, oneofl alphabet) ]) (int_bound 24))
+  in
+  QCheck.Test.make ~name:"parse agrees with the oracle on random bytes" ~count:3000
+    (QCheck.make ~print:String.escaped gen)
+    same_parse
+
+let prop_parse_edits_match_oracle =
+  (* One-byte edits of emitted JSON: replace, delete, insert, truncate. *)
+  let gen =
+    QCheck.Gen.(
+      let* v = gen_json in
+      let s = Cert.Json.to_string v in
+      let* i = int_bound (String.length s) in
+      let* c = char in
+      let+ kind = int_bound 3 in
+      let n = String.length s in
+      let j = min i (n - 1) in
+      match kind with
+      | 0 when n > 0 -> String.mapi (fun k x -> if k = j then c else x) s
+      | 1 when n > 0 -> String.sub s 0 j ^ String.sub s (j + 1) (n - j - 1)
+      | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | _ -> String.sub s 0 i)
+  in
+  QCheck.Test.make ~name:"parse agrees with the oracle on one-byte edits" ~count:3000
+    (QCheck.make ~print:String.escaped gen)
+    same_parse
+
+let test_codec_edge_cases () =
+  List.iter
+    (fun s -> check (Printf.sprintf "parse %S agrees with the oracle" s) true (same_parse s))
+    [
+      "";
+      "0";
+      "-0";
+      "007";
+      "-";
+      "--1";
+      "+5";
+      "1e5";
+      "1.5";
+      "-1.5e-3";
+      "123456789012345678";
+      "-123456789012345678";
+      "1234567890123456789";
+      "4611686018427387903";
+      "4611686018427387904";
+      "-4611686018427387904";
+      "-4611686018427387905";
+      "99999999999999999999";
+      "12x";
+      "[1,2";
+      "[1,]";
+      "{\"a\":1,\"a\":2}";
+      "{\"a\" 1}";
+      "\"abc";
+      "\"abc\\";
+      "\"a\\q\"";
+      "\"\\u00e9\\u0041\\u2603\"";
+      "\"\\u12\"";
+      "\"\\u12g4\"";
+      "\"tab\\tnl\\nq\\\"bs\\\\sl\\/b\\bf\\f\"";
+      " null ";
+      "nul";
+      "tru";
+      "falsey";
+      "[ ]";
+      "{ }";
+      "x";
+      "1 2";
+    ];
+  List.iter
+    (fun v ->
+      Alcotest.(check string)
+        "emits the oracle's bytes" (Oracle.to_string (to_oracle v)) (Cert.Json.to_string v))
+    [
+      Cert.Json.Int min_int;
+      Cert.Json.Int max_int;
+      Cert.Json.List [ Cert.Json.Float nan; Cert.Json.Float (-0.0); Cert.Json.Float infinity ];
+      Cert.Json.Obj [ (String.init 256 Char.chr, Cert.Json.Str (String.init 256 Char.chr)) ];
+      Cert.Json.Obj [];
+      Cert.Json.List [];
+    ]
+
 let () =
   Alcotest.run "certcheck"
     [
@@ -279,7 +704,17 @@ let () =
         [
           Alcotest.test_case "programmatic tampers" `Quick test_programmatic_tampers;
           Alcotest.test_case "unknown version" `Quick test_unknown_version_rejected;
+          Alcotest.test_case "duplicate cover entries count once" `Quick
+            test_cover_duplicates_count_once;
           Alcotest.test_case "cert json roundtrip" `Quick test_cert_roundtrip;
           Alcotest.test_case "byte-flip fuzzer" `Quick test_byte_flip_fuzzer;
         ] );
+      ( "json codec",
+        Alcotest.test_case "edge cases agree with the oracle" `Quick test_codec_edge_cases
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               prop_emit_matches_oracle;
+               prop_parse_bytes_matches_oracle;
+               prop_parse_edits_match_oracle;
+             ] );
     ]

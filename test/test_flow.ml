@@ -206,6 +206,53 @@ let prop_push_relabel_cut_valid =
           go 0;
           not seen.(n - 1))
 
+(* The edge store is a growable directory of 16-edge chunks: networks of
+   0, 1, 15, 16, 17, 64, 65 and 1000 edges cross its growth boundaries. Each keeps insertion order,
+   Dinic and push-relabel find the same minimal cut (the source side of
+   any maximum flow's residual graph is the same vertex set), both
+   certificates validate, and ids outside [0, edge_count) raise even
+   when the array has spare room behind the last edge. *)
+let test_edge_store_sizes () =
+  List.iter
+    (fun m ->
+      let rng = Invariant.Prng.make (m + 1) in
+      let n = 2 + (m / 8) in
+      let edges =
+        List.init m (fun _ ->
+            let s = Invariant.Prng.int rng n and d = Invariant.Prng.int rng n in
+            let c =
+              if Invariant.Prng.int rng 6 = 0 then Network.Inf
+              else Network.Finite (1 + Invariant.Prng.int rng 9)
+            in
+            (s, d, c))
+      in
+      let net, ids = mk n edges in
+      let label what = Printf.sprintf "%d edges: %s" m what in
+      check_int (label "edge_count") m (Network.edge_count net);
+      check (label "ids are dense") true (ids = List.init m Fun.id);
+      check (label "edge_info returns what was added") true
+        (List.for_all2 (fun id e -> Network.edge_info net id = e) ids edges);
+      List.iter
+        (fun id ->
+          match Network.edge_info net id with
+          | _ -> Alcotest.failf "%s" (label (Printf.sprintf "edge_info %d did not raise" id))
+          | exception Invalid_argument _ -> ())
+        [ -1; m ];
+      let source = 0 and sink = n - 1 in
+      let dc, dflow = Network.min_cut_certified net ~source ~sink in
+      let pc, pflow = Push_relabel.min_cut_certified net ~source ~sink in
+      check (label "same cut value") true (Network.cap_compare dc.Network.value pc.Network.value = 0);
+      check (label "same cut edges") true (dc.Network.edges = pc.Network.edges);
+      List.iter
+        (fun (alg, cut, flow) ->
+          match Network.validate_certificate net ~source ~sink cut ~flow with
+          | Ok () -> ()
+          | Error vs ->
+              Alcotest.failf "%s" (label (Printf.sprintf "%s certificate: %d violations" alg (List.length vs))))
+        [ ("Dinic", dc, dflow); ("push-relabel", pc, pflow) ];
+      check (label "network validates") true (Network.validate net = Ok ()))
+    [ 0; 1; 15; 16; 17; 64; 65; 1000 ]
+
 let () =
   Alcotest.run "flow"
     [
@@ -218,6 +265,7 @@ let () =
           Alcotest.test_case "infinite middle" `Quick test_inf_middle;
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges;
           Alcotest.test_case "cut disconnects" `Quick test_cut_is_valid;
+          Alcotest.test_case "edge store across growth" `Quick test_edge_store_sizes;
         ] );
       ( "properties",
         List.map qcheck

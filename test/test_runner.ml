@@ -641,6 +641,24 @@ let test_poison_disabled_spends_retries () =
       check "all attempts spent" true (r.Proto.attempts = 1 + cfg.Runner.retries)
   | _ -> Alcotest.fail "expected one reply"
 
+let test_kill3_settles_at_the_floor () =
+  (* kill:3 fires on the third tick of any attempt whose budget reaches
+     it. Under quick_cfg (3 retries, quarantine after K = 3 deaths) the
+     budget goes 400 -> 50, and the attempt that could be the third death
+     runs at the 1-step floor, where exhaustion preempts the kill: every
+     job settles as Bounded on its third attempt and none is poisoned. *)
+  let jobs =
+    List.init 4 (fun i ->
+        job ~id:(Printf.sprintf "k%d" i) ~db:hard_db ~steps:400 ~faults:(Some "kill:3") ())
+  in
+  let replies, stats = run_batch jobs in
+  check "no failures" true (stats.Runner.failures = 0);
+  List.iter
+    (fun (r : Proto.reply) ->
+      check (r.Proto.id ^ " settles bounded") true (is_bounded r);
+      check (r.Proto.id ^ " on the floor attempt") true (r.Proto.attempts = 3))
+    replies
+
 let counter_count name = Obs.Metrics.count (Obs.Metrics.counter name)
 
 let test_hedge_race_single_settlement () =
@@ -1243,8 +1261,7 @@ let test_cache_cert_reject () =
 (* Drive [serve_sockets] end-to-end over pre-connected socketpairs: each
    client pre-writes its job lines, half-closes, and reads replies back
    after the server returns. *)
-let run_serve_clients ?(encode = fun j -> Proto.job_to_json j) ~scfg
-    jobs_per_client =
+let run_serve_lines ?(encode = fun j -> Proto.job_to_json j) ~scfg jobs_per_client =
   let ends = List.map (fun _ -> Transport.pair ()) jobs_per_client in
   let chans = List.map (fun (_, fd) -> Transport.channels_of_fd fd) ends in
   List.iter2
@@ -1255,20 +1272,19 @@ let run_serve_clients ?(encode = fun j -> Proto.job_to_json j) ~scfg
   Runner.serve_sockets ~preconnected:(List.map fst ends) scfg;
   List.map
     (fun (ic, oc) ->
-      let rec rd acc =
-        match input_line ic with
-        | line -> begin
-            match Proto.reply_of_json line with
-            | Ok r -> rd (r :: acc)
-            | Error e -> Alcotest.failf "unparseable serve reply %S: %s" line e
-          end
-        | exception End_of_file -> List.rev acc
-      in
-      let rs = rd [] in
+      let lines = In_channel.input_lines ic in
       close_in ic;
       close_out_noerr oc;
-      rs)
+      lines)
     chans
+
+let run_serve_clients ?encode ~scfg jobs_per_client =
+  List.map
+    (List.map (fun line ->
+         match Proto.reply_of_json line with
+         | Ok r -> r
+         | Error e -> Alcotest.failf "unparseable serve reply %S: %s" line e))
+    (run_serve_lines ?encode ~scfg jobs_per_client)
 
 let test_serve_two_clients () =
   no_faults @@ fun () ->
@@ -1343,6 +1359,99 @@ let test_serve_journal_seed_and_release () =
             (Obs.Metrics.count hits = hits0 + 1);
           check "no job was dispatched" true (Obs.Metrics.count jobs = jobs0)
       | _ -> Alcotest.fail "expected exactly one reply for one client")
+
+(* The raw [Done] records of a journal file, as (id, reply bytes): the
+   slice of the payload after its ,"reply": key, up to the closing brace
+   (the reply is the record's last member). *)
+let journal_done_replies path =
+  let key = {|,"reply":|} in
+  let index_of s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
+    go 0
+  in
+  match String.split_on_char '\n' (read_file path) with
+  | [] -> []
+  | _header :: records ->
+      List.filter_map
+        (fun line ->
+          if line = "" then None
+          else
+            let colon i = String.index_from line i ':' in
+            let p = colon (colon (colon 0 + 1) + 1) + 1 in
+            let payload = String.sub line p (String.length line - p) in
+            match (Journal.entry_of_json payload, index_of payload key) with
+            | Ok (Journal.Done { id; _ }), Some k ->
+                let from = k + String.length key in
+                Some (id, String.sub payload from (String.length payload - from - 1))
+            | _ -> None)
+        records
+
+(* One encoding per settled reply: on a journaled serve, the reply inside
+   each [Done] record is byte-for-byte the line its client read, for a
+   computed answer and for a journal-seeded cache hit alike. *)
+let test_serve_journal_shares_reply_bytes () =
+  no_faults @@ fun () ->
+  with_temp (fun jpath ->
+      Sys.remove jpath;
+      let scfg =
+        { Runner.default_serve_config with Runner.base = quick_cfg; serve_journal = Some jpath }
+      in
+      let a = job ~id:"a" () and b = job ~id:"b" ~query:"a" () in
+      let first =
+        match run_serve_lines ~scfg [ [ a; b ] ] with
+        | [ lines ] -> lines
+        | _ -> Alcotest.fail "expected one client"
+      in
+      let hits0 = counter_count "cache.hits" in
+      let second =
+        match run_serve_lines ~scfg [ [ { a with Proto.id = "a2" } ] ] with
+        | [ lines ] -> lines
+        | _ -> Alcotest.fail "expected one client"
+      in
+      check "the resubmission was a cache hit" true (counter_count "cache.hits" = hits0 + 1);
+      let journaled = journal_done_replies jpath in
+      let client_lines = first @ second in
+      check "three replies, three Done records" true
+        (List.length client_lines = 3 && List.length journaled = 3);
+      List.iter
+        (fun line ->
+          let id =
+            match Proto.reply_of_json line with
+            | Ok r -> r.Proto.id
+            | Error e -> Alcotest.failf "unparseable serve reply %S: %s" line e
+          in
+          match List.assoc_opt id journaled with
+          | Some bytes -> Alcotest.(check string) (id ^ ": journal reply = client line") line bytes
+          | None -> Alcotest.failf "%s has no Done record" id)
+        client_lines;
+      check "the journal loads" true ((load_exn jpath).Journal.records >= 3))
+
+(* A stats line right behind a job line sees that job: [runner.jobs]
+   counts at admission, before the job waits for a worker. *)
+let test_serve_stats_sees_prior_job () =
+  no_faults @@ fun () ->
+  let in_path = Filename.temp_file "rpq_stats_in" ".jsonl" in
+  let out_path = Filename.temp_file "rpq_stats_out" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ in_path; out_path ])
+    (fun () ->
+      write_file in_path (Proto.job_to_json (job ~id:"a" ()) ^ "\n" ^ {|{"id":"s","stats":true}|} ^ "\n");
+      let jobs0 = counter_count "runner.jobs" in
+      In_channel.with_open_text in_path (fun ic ->
+          Out_channel.with_open_text out_path (fun oc -> Runner.serve quick_cfg ic oc));
+      let stats =
+        List.find_map
+          (fun line ->
+            match Cert.Json.parse line with
+            | Ok v -> Cert.Json.member "stats" v
+            | Error _ -> None)
+          (In_channel.with_open_text out_path In_channel.input_lines)
+      in
+      match Option.bind stats (Cert.Json.member "runner.jobs") with
+      | Some (Cert.Json.Int n) ->
+          check "the stats snapshot counts the job on the line above" true (n >= jobs0 + 1)
+      | _ -> Alcotest.fail "no runner.jobs in the stats reply")
 
 (* Shed rate by priority class at roughly 2x overload: one worker, a
    queue capped at 8 and one client per class, each pushing 16 budgeted
@@ -1518,6 +1627,7 @@ let () =
           Alcotest.test_case "kill sweep degrades to bounds" `Quick test_kill_sweep;
           Alcotest.test_case "kill:1 fails structurally" `Quick test_kill_every_tick_fails_structured;
           Alcotest.test_case "poison off spends retries" `Quick test_poison_disabled_spends_retries;
+          Alcotest.test_case "kill:3 settles at the floor" `Quick test_kill3_settles_at_the_floor;
           Alcotest.test_case "wedge takes the sigkill path" `Quick test_wedge_timeout_path;
           Alcotest.test_case "reply order and duplicate ids" `Quick test_batch_order_and_dup;
           Alcotest.test_case "hedge settles exactly once" `Quick test_hedge_race_single_settlement;
@@ -1546,6 +1656,9 @@ let () =
           Alcotest.test_case "two clients, namespaced ids" `Quick test_serve_two_clients;
           Alcotest.test_case "journal seed + lock release" `Quick test_serve_journal_seed_and_release;
           Alcotest.test_case "shed rate by priority class" `Quick test_serve_priority_shed_rates;
+          Alcotest.test_case "journal shares the client's reply bytes" `Quick
+            test_serve_journal_shares_reply_bytes;
+          Alcotest.test_case "stats sees the line above" `Quick test_serve_stats_sees_prior_job;
         ] );
       ( "trace",
         [
