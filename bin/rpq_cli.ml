@@ -172,8 +172,8 @@ let solve_cmd =
       & opt (some float) None
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:
-            "CPU-time budget. On exhaustion the solver reports certified lower/upper bounds \
-             instead of an exact value and exits with status 3.")
+            "Wall-clock budget in seconds. On exhaustion the solver reports certified \
+             lower/upper bounds instead of an exact value and exits with status 3.")
   in
   let steps =
     Arg.(
@@ -1800,25 +1800,38 @@ let chaos_cmd =
             in
             Printf.printf "chaos: seed %d, %d planned crashes, %d jobs\n" seed crashes
               (List.length jobs);
+            (* Each crash's hit count is drawn below the number of times its
+               site is sure to fire in the next run, so every crash fires and
+               the schedule is a function of the seed alone, never of how
+               the workers' completions happened to interleave. [unsettled]
+               is a lower bound on the jobs left: a run with U unsettled jobs
+               appends a Started and a Done record for each (every append
+               reaches [pre_fsync] under [per_line]) and dispatches each at
+               least once, so it visits a journal site at least 2U times and
+               [pool.post_dispatch] at least U times. A crash at the h-th
+               visit settles at most the jobs whose Done record was written
+               by then (two appends each), or whose dispatch came before the
+               h-th. *)
+            let per_job site = if site = "pool.post_dispatch" then 1 else 2 in
+            let settled_at_most site hits =
+              match site with
+              | "pool.post_dispatch" -> hits - 1
+              | "journal.pre_append" -> (hits - 1) / 2
+              | _ -> hits / 2
+            in
+            let unsettled = ref (List.length jobs) in
             let settled_floor = ref 0 in
             let flight_dumps = ref 0 in
             let fired = ref 0 in
             for i = 1 to crashes do
-              let remaining = List.length jobs - !settled_floor in
-              if remaining = 0 then
-                (* Everything is settled: no append or dispatch can happen,
-                   so no crash site can fire — injecting would be vacuous. *)
-                Printf.printf "crash %d: skipped (journal already complete)\n" i
+              if !unsettled <= 0 then
+                (* Every job may be settled: a crash could find no append or
+                   dispatch left to interrupt. *)
+                Printf.printf "crash %d: skipped (journal may be complete)\n" i
               else begin
                 let site = sites.(draw (Array.length sites)) in
-                (* Hit counts bounded by the work actually left — ~2 journal
-                   appends (Started/Done) per unsettled job, at least one
-                   dispatch each — so every drawn site count is reachable
-                   and the child really dies mid-write. *)
-                let bound =
-                  if site = "pool.post_dispatch" then remaining else 2 * remaining
-                in
-                let hits = 1 + draw bound in
+                let hits = 1 + draw (per_job site * !unsettled) in
+                unsettled := !unsettled - settled_at_most site hits;
                 let spec = Printf.sprintf "crash:%s:%d" site hits in
                 Printf.printf "crash %d: %s\n" i spec;
                 (match
@@ -1839,6 +1852,9 @@ let chaos_cmd =
                 if settled < !settled_floor then
                   die "settled answers went backwards (%d after %d): journal lost data" settled
                     !settled_floor;
+                if List.length jobs - settled < !unsettled then
+                  die "crash %d settled %d jobs, more than its hit count allows" i
+                    (settled - !settled_floor);
                 settled_floor := settled
               end
             done;

@@ -10,7 +10,7 @@ exception Exhausted of exhaustion
 
 type t = {
   parent : t option;
-  deadline : float option;  (** absolute, [Obs.Clock.cpu]-based *)
+  deadline : float option;  (** absolute, [Obs.Clock.now]-based *)
   max_steps : int option;
   memo_cap : int;
   fault_at : int option;
@@ -34,7 +34,7 @@ let unlimited () =
     memo_cap = default_memo_cap;
     fault_at = None;
     probe = None;
-    started = Obs.Clock.cpu ();
+    started = Obs.Clock.now ();
     limited = false;
     steps = 0;
     state = None;
@@ -49,7 +49,7 @@ let create ?deadline ?steps ?(memo_cap = default_memo_cap) ?probe () =
   (match steps with
   | Some s when s < 0 -> invalid_arg "Budget.create: negative step budget"
   | _ -> ());
-  let now = Obs.Clock.cpu () in
+  let now = Obs.Clock.now () in
   {
     parent = None;
     deadline = Option.map (fun d -> now +. d) deadline;
@@ -87,7 +87,7 @@ let rec tick_chain b =
       | Some m when b.steps > m -> exhaust b Steps
       | _ -> ());
       (match b.deadline with
-      | Some dl when b.steps land deadline_mask = 0 && Obs.Clock.cpu () >= dl -> exhaust b Deadline
+      | Some dl when b.steps land deadline_mask = 0 && Obs.Clock.now () >= dl -> exhaust b Deadline
       | _ -> ());
       (* The probe runs last: when a budget limit and a worker fault (see
          [Faults.worker_mode]) would fire on the same tick, exhaustion wins,
@@ -109,7 +109,7 @@ let frac_ok f = Float.is_finite f && f > 0.0 && f <= 1.0
 let slice b ~deadline_frac ~steps_frac =
   if not (frac_ok deadline_frac && frac_ok steps_frac) then
     invalid_arg "Budget.slice: fractions must lie in (0, 1]";
-  let now = Obs.Clock.cpu () in
+  let now = Obs.Clock.now () in
   {
     parent = Some b;
     deadline =
@@ -135,7 +135,7 @@ let charge_memory b n = if n > b.memo_cap then exhaust b Memory
 
 type spent = { steps : int; elapsed : float }
 
-let spent (b : t) = { steps = b.steps; elapsed = Obs.Clock.cpu () -. b.started }
+let spent (b : t) = { steps = b.steps; elapsed = Obs.Clock.now () -. b.started }
 let exhaustion b = b.state
 let exhausted b = b.state <> None
 let is_unlimited b = not b.limited

@@ -38,9 +38,12 @@ val unlimited : unit -> t
 
 val create : ?deadline:float -> ?steps:int -> ?memo_cap:int -> ?probe:(int -> unit) -> unit -> t
 (** [create ~deadline ~steps ~memo_cap ()] starts a budget of [deadline]
-    seconds of processor time from now, [steps] ticks, and a memo cap of
+    wall-clock seconds from now, [steps] ticks, and a memo cap of
     [memo_cap] entries (default {!default_memo_cap}). Omitted dimensions are
     unlimited. The current {!Faults} plan is consulted for a fault tick.
+    The deadline is wall time, not processor time, so a worker whose
+    deadline is a client's remaining wall budget runs out when the client
+    expects, however many other processes share its CPU.
 
     [probe], when given, is called on every tick with the step count after
     all exhaustion checks (so a budget limit firing on the same tick
@@ -85,7 +88,7 @@ val charge_memory : t -> int -> unit
 
 type spent = {
   steps : int;  (** ticks consumed, including those of slices *)
-  elapsed : float;  (** processor seconds since creation *)
+  elapsed : float;  (** wall-clock seconds since creation *)
 }
 
 val spent : t -> spent

@@ -35,19 +35,29 @@ type anytime =
 let bnb_nodes = Obs.Metrics.counter "bnb.nodes"
 let memo_hits = Obs.Metrics.counter "bnb.memo_hits"
 
-(* The dead-fact mask must mark exactly the removed set. *)
-let mask_matches dead removed =
+(* The dead-fact mask must mark exactly the removed set, and the hash
+   carried down the search must be the removed set's. *)
+let mask_matches dead removed hash =
+  let module C = Invariant.Collector in
+  let c = C.create "Exact" in
   let disagree = ref [] in
   Array.iteri (fun fid m -> if m <> ISet.mem fid removed then disagree := fid :: !disagree) dead;
-  match !disagree with
-  | [] -> Ok ()
-  | fids ->
-      Error
-        [
-          Invariant.violation ~subsystem:"Exact" ~invariant:"dead-mask"
-            "dead-fact mask disagrees with the removed set on facts %s"
-            (String.concat "," (List.rev_map string_of_int fids));
-        ]
+  C.check c (List.is_empty !disagree) ~invariant:"dead-mask"
+    "dead-fact mask disagrees with the removed set on facts %s"
+    (String.concat "," (List.rev_map string_of_int !disagree));
+  C.check c (hash = ISet.hash removed) ~invariant:"memo-hash"
+    "carried memo hash %d is not the removed set's %d" hash (ISet.hash removed);
+  C.result c
+
+(* Memo keys pair a removed set with its [ISet.hash], which the search
+   carries down and updates in O(1) per branch; the contents are compared
+   only when the hashes agree. *)
+module Memo = Hashtbl.Make (struct
+  type t = int * ISet.t
+
+  let hash (h, _) = h
+  let equal (h, s) (h', s') = h = h' && ISet.equal s s'
+end)
 
 let branch_and_bound_anytime ~budget:b d a =
   if Automata.Nfa.nullable a then Complete (Value.Infinite, [])
@@ -59,37 +69,40 @@ let branch_and_bound_anytime ~budget:b d a =
     let dead = Eval.Product.dead product in
     (* Keyed by content: the same removed set reached in another order is a
        different tree, which a polymorphic Hashtbl would miss. *)
-    let memo = ISet.Tbl.create 256 in
+    let memo = Memo.create 256 in
     let best = ref max_int and best_set = ref [] in
-    (* DFS over removal sets; [cost] is the multiplicity already paid. The
-       memo table is bounded by the budget's memory cap: once full we stop
-       memoizing (correct, possibly re-exploring) rather than growing. *)
-    let rec go removed cost chosen =
+    (* DFS over removal sets; [hash] is [ISet.hash removed] and [cost] the
+       multiplicity already paid. The memo table is bounded by the budget's
+       memory cap: once full we stop memoizing (correct, possibly
+       re-exploring) rather than growing. *)
+    let rec go removed hash cost chosen =
       Budget.tick b;
       Obs.Metrics.incr bnb_nodes;
       if cost >= !best then ()
-      else if ISet.Tbl.mem memo removed then Obs.Metrics.incr memo_hits
+      else if Memo.mem memo (hash, removed) then Obs.Metrics.incr memo_hits
       else begin
-        if Budget.memo_admit b (ISet.Tbl.length memo) then ISet.Tbl.add memo removed ();
-        Check.paranoid "Exact.branch_and_bound: dead mask" (fun () -> mask_matches dead removed);
+        if Budget.memo_admit b (Memo.length memo) then Memo.add memo (hash, removed) ();
+        Check.paranoid "Exact.branch_and_bound: dead mask" (fun () ->
+            mask_matches dead removed hash);
         match Eval.Product.shortest_witness product with
         | None ->
             best := cost;
             best_set := chosen
         | Some walk ->
-            let facts = List.sort_uniq compare walk in
+            (* Walk facts are live, so none is in [removed] yet. *)
+            let facts = List.sort_uniq Int.compare walk in
             List.iter
               (fun fid ->
                 let c = cost + Db.mult d fid in
                 if c < !best then begin
                   dead.(fid) <- true;
-                  go (ISet.add fid removed) c (fid :: chosen);
+                  go (ISet.add fid removed) (hash lxor ISet.mix fid) c (fid :: chosen);
                   dead.(fid) <- false
                 end)
               facts
       end
     in
-    match go ISet.empty 0 [] with
+    match go ISet.empty 0 0 [] with
     | () ->
         (* The loop always terminates with a finite best: removing all facts
            falsifies the query since ε ∉ L. *)

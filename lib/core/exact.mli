@@ -21,8 +21,10 @@ val branch_and_bound : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Val
 (** Witness-branching: while some L-walk exists, pick a shortest one
     ({!Graphdb.Eval.shortest_witness}'s walk, on one product compiled per
     call) and branch on which of its facts enters the contingency set.
-    Memoized on the content of the removed-fact set ({!Hypergraph.Iset.Tbl}),
-    with the memo table bounded by the budget's memory cap
+    Memoized on the content of the removed-fact set: a key carries the
+    set's {!Hypergraph.Iset.hash}, updated in O(1) per branch, and two keys
+    are equal only if their hashes and their contents are, since distinct
+    sets can share a hash. The memo table is bounded by the budget's memory cap
     (so pathological instances cannot OOM even with no deadline set — once
     the cap is reached the search continues unmemoized). Exact for every
     regular language and database. Returns the value and a witness

@@ -94,56 +94,64 @@ module Product = struct
      facts not marked dead. Returns the first final pair dequeued, or -1.
      The order is part of the contract (branch and bound branches on the
      walk found): initial pairs by node, then in [initial] order; a node's
-     out-facts by ascending id; successors in [succ] order. *)
+     out-facts by ascending id; successors in [succ] order. One loop over
+     the product's arrays, bound to locals: no closure, no allocation. *)
   let search p =
     p.epoch <- p.epoch + 1;
-    let epoch = p.epoch and n = p.nstates in
+    let epoch = p.epoch and n = p.nstates and nletters = p.nletters in
+    let stamp = p.stamp and parent = p.parent and parent_fact = p.parent_fact in
+    let queue = p.queue and finals = p.finals and succ = p.succ and dead = p.dead in
+    let row = p.row and fact_id = p.fact_id and fact_letter = p.fact_letter in
+    let fact_dst = p.fact_dst and initial = p.initial in
     let tail = ref 0 in
-    let push k fid from =
-      if p.stamp.(k) <> epoch then begin
-        p.stamp.(k) <- epoch;
-        p.parent_fact.(k) <- fid;
-        p.parent.(k) <- from;
-        p.queue.(!tail) <- k;
-        incr tail
-      end
-    in
     for v = 0 to p.nnodes - 1 do
-      Array.iter (fun s -> push ((v * n) + s) (-1) (-1)) p.initial
-    done;
-    let rec loop head =
-      if head >= !tail then -1
-      else begin
-        let k = p.queue.(head) in
-        let s = k mod n in
-        if p.finals.(s) then k
-        else begin
-          let v = k / n in
-          for e = p.row.(v) to p.row.(v + 1) - 1 do
-            let l = p.fact_letter.(e) and fid = p.fact_id.(e) in
-            if l >= 0 && not p.dead.(fid) then begin
-              let succs = p.succ.((s * p.nletters) + l) and base = p.fact_dst.(e) * n in
-              for i = 0 to Array.length succs - 1 do
-                push (base + succs.(i)) fid k
-              done
-            end
-          done;
-          loop (head + 1)
+      for i = 0 to Array.length initial - 1 do
+        let k = (v * n) + initial.(i) in
+        if stamp.(k) <> epoch then begin
+          stamp.(k) <- epoch;
+          parent_fact.(k) <- -1;
+          parent.(k) <- -1;
+          queue.(!tail) <- k;
+          incr tail
         end
-      end
-    in
-    loop 0
+      done
+    done;
+    let head = ref 0 and found = ref (-1) in
+    while !found < 0 && !head < !tail do
+      let k = queue.(!head) in
+      incr head;
+      let v = k / n in
+      let s = k - (v * n) in
+      if finals.(s) then found := k
+      else
+        for e = row.(v) to row.(v + 1) - 1 do
+          let l = fact_letter.(e) and fid = fact_id.(e) in
+          if l >= 0 && not dead.(fid) then begin
+            let succs = succ.((s * nletters) + l) and base = fact_dst.(e) * n in
+            for i = 0 to Array.length succs - 1 do
+              let k' = base + succs.(i) in
+              if stamp.(k') <> epoch then begin
+                stamp.(k') <- epoch;
+                parent_fact.(k') <- fid;
+                parent.(k') <- k;
+                queue.(!tail) <- k';
+                incr tail
+              end
+            done
+          end
+        done
+    done;
+    !found
 
   let satisfies p = p.nullable || search p >= 0
 
+  (* The facts on the BFS tree path from an initial pair to [k]. *)
+  let rec walk_to p k acc =
+    if p.parent_fact.(k) < 0 then acc else walk_to p p.parent.(k) (p.parent_fact.(k) :: acc)
+
   let shortest_witness p =
     if p.nullable then Some []
-    else begin
-      let rec build k acc =
-        if p.parent_fact.(k) < 0 then acc else build p.parent.(k) (p.parent_fact.(k) :: acc)
-      in
-      match search p with -1 -> None | k -> Some (build k [])
-    end
+    else match search p with -1 -> None | k -> Some (walk_to p k [])
 
   let matches_up_to ?(fuel = fun () -> ()) p ~max_len =
     if p.nullable then [ ISet.empty ]

@@ -4,15 +4,9 @@
     database and one hyperedge per match (fact set of an L-walk);
     [RES_set(Q_L, D)] equals its minimum hitting set (Definition 4.7). *)
 
-module Iset : sig
-  include Set.S with type elt = int
-
-  val pp : Format.formatter -> t -> unit
-
-  module Tbl : Hashtbl.S with type key = t
-  (** Hash tables keyed by set content (see [iset.mli]). *)
-end
-(** Sets of integers (fact ids / vertex ids), shared across the libraries. *)
+module Iset = Iset
+(** Sets of integers (fact ids / vertex ids), shared across the libraries,
+    with an order-free hash and content-keyed tables (see [iset.mli]). *)
 
 type t
 (** An immutable hypergraph over integer vertices. *)

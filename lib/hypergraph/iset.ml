@@ -4,20 +4,24 @@ include Set.Make (Int)
 let pp ppf s =
   Format.fprintf ppf "{%s}" (String.concat "," (List.map string_of_int (elements s)))
 
-(* [fold] visits the elements in increasing order whatever the tree's
-   shape, so equal sets hash equally. The table picks a bucket from the low
-   bits, so each step multiplies by a large odd constant and folds the high
-   bits back down; a small multiplier leaves the low bits poorly mixed (with
-   65599, the low six are an alternating sum of the elements). *)
+(* A set hashes to the xor of a fixed mix of its elements, so equal sets
+   hash equally whatever the tree's shape, and adding or removing one
+   element updates the hash in O(1). The offset keeps element 0 from
+   mixing to 0 (which would hash {0} like the empty set). The table picks
+   a bucket from the low bits, so the mix multiplies by large odd
+   constants and folds the high bits back down; without the folds an
+   element's low bits would depend only on its own low bits. *)
+let mix x =
+  let h = x + 0x1E3779B97F4A7C15 in
+  let h = (h lxor (h lsr 31)) * 0x2545F4914F6CDD1D in
+  let h = (h lxor (h lsr 29)) * 0x1CE4E5B9BF58476D in
+  h lxor (h lsr 32)
+
+let hash s = fold (fun x h -> h lxor mix x) s 0
+
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-
-  let hash s =
-    fold
-      (fun x h ->
-        let h = (h lxor x) * 0x2545F4914F6CDD1D in
-        h lxor (h lsr 29))
-      s 0
+  let hash = hash
 end)

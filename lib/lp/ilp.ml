@@ -8,20 +8,22 @@ type solution = { value : int; assignment : bool array; lp_bound : float }
 
 let nodes = Obs.Metrics.counter "ilp.nodes"
 
-let lp_of instance ~fixed0 ~fixed1 =
-  let base =
-    Simplex.lp_relaxation_of_cover ~nvars:instance.nvars
-      ~weights:(Array.map float_of_int instance.weights)
-      ~sets:instance.covers
-  in
-  (* Fixings are encoded by bounds: x_i = 0 via upper bound 0; x_i = 1 via
-     an extra covering row {i}. *)
+(* The relaxation without fixings; its covering rows are built once per
+   call and shared by every node's LP ([Simplex.solve] only reads them). *)
+let relaxation instance =
+  Simplex.lp_relaxation_of_cover ~nvars:instance.nvars
+    ~weights:(Array.map float_of_int instance.weights)
+    ~sets:instance.covers
+
+(* Fixings are encoded by bounds: x_i = 0 via upper bound 0; x_i = 1 via an
+   extra covering row {i}. *)
+let lp_of (base : Simplex.problem) ~fixed0 ~fixed1 =
   let upper = Array.copy base.Simplex.upper in
   List.iter (fun i -> upper.(i) <- Some 0.0) fixed0;
   let extra =
     List.map
       (fun i ->
-        let a = Array.make instance.nvars 0.0 in
+        let a = Array.make base.Simplex.ncols 0.0 in
         a.(i) <- 1.0;
         (a, 1.0))
       fixed1
@@ -29,7 +31,7 @@ let lp_of instance ~fixed0 ~fixed1 =
   { base with Simplex.upper; rows = base.Simplex.rows @ extra }
 
 let lp_bound ?fuel instance =
-  match Simplex.solve ?fuel (lp_of instance ~fixed0:[] ~fixed1:[]) with
+  match Simplex.solve ?fuel (relaxation instance) with
   | Simplex.Optimal { value; _ } -> Ok value
   | Simplex.Infeasible -> Error "infeasible LP relaxation"
   | Simplex.Unbounded -> Error "unbounded LP relaxation (bug: covering LPs are bounded)"
@@ -42,12 +44,13 @@ let solve ?(fuel = fun () -> ()) instance =
     let best = ref max_int in
     let best_assignment = ref (Array.make instance.nvars true) in
     let root_bound = ref nan in
+    let base = relaxation instance in
     let rec branch fixed0 fixed1 depth =
       fuel ();
       Obs.Metrics.incr nodes;
       if depth > 2 * instance.nvars then
         Invariant.internal_error "Ilp.solve: branching depth %d exceeded 2*nvars" depth;
-      match Simplex.solve ~fuel (lp_of instance ~fixed0 ~fixed1) with
+      match Simplex.solve ~fuel (lp_of base ~fixed0 ~fixed1) with
       | Simplex.Infeasible -> ()
       | Simplex.Unbounded ->
           Invariant.internal_error "Ilp.solve: unbounded covering LP (bounded by construction)"

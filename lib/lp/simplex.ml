@@ -18,10 +18,21 @@ let eps = 1e-9
    a·x ≥ b with b possibly negative is normalized to b ≥ 0 by sign flip into
    ≤ form... We instead build the classic two-phase tableau for
      min c·x  s.t.  A x - s = b,  x, s ≥ 0
-   after flipping rows so that b ≥ 0. *)
+   after flipping rows so that b ≥ 0.
+
+   The tableau stays dense but a pivot touches only the columns where the
+   pivot row is nonzero, plus the right-hand side. Every entry those
+   columns hold gets the float operations of a dense update; a skipped
+   entry would have computed [x -. f *. 0.0], which leaves [x] unchanged
+   except that it turns a -0.0 into +0.0. A zero's sign never reaches a
+   decision (every test compares magnitudes or ratios with a nonzero
+   denominator) and it spreads only within its own column, so only the
+   right-hand side, which becomes the solution, must keep dense signs:
+   outcomes, pivot counts and solution bits are those of the dense
+   update. *)
 let solve ?(fuel = fun () -> ()) (p : problem) =
   let base_rows =
-    List.map (fun (a, b) -> (Array.copy a, b)) p.rows
+    p.rows
     @ List.concat
         (List.init p.ncols (fun i ->
              match p.upper.(i) with
@@ -35,6 +46,7 @@ let solve ?(fuel = fun () -> ()) (p : problem) =
   let n = p.ncols in
   (* Columns: n structural + m surplus/slack + m artificial + 1 rhs. *)
   let ncols_t = n + m + m + 1 in
+  let rhs = ncols_t - 1 in
   let t = Array.make_matrix (m + 1) ncols_t 0.0 in
   let basis = Array.make m 0 in
   List.iteri
@@ -46,48 +58,60 @@ let solve ?(fuel = fun () -> ()) (p : problem) =
       (* a·x ≥ b  ⇒  a·x - s = b (s ≥ 0); flipped rows become ≤ with slack. *)
       t.(r).(n + r) <- sign *. -1.0;
       t.(r).(n + m + r) <- 1.0;
-      t.(r).(ncols_t - 1) <- sign *. b;
+      t.(r).(rhs) <- sign *. b;
       basis.(r) <- n + m + r)
     base_rows;
+  (* [nz.(0 .. nnz - 1)]: the pivot row's nonzero columns, rhs excluded. *)
+  let nz = Array.make ncols_t 0 in
   let pivot row col =
-    let piv = t.(row).(col) in
-    for j = 0 to ncols_t - 1 do
-      t.(row).(j) <- t.(row).(j) /. piv
+    let prow = t.(row) in
+    let piv = prow.(col) in
+    let nnz = ref 0 in
+    for j = 0 to rhs - 1 do
+      let x = prow.(j) in
+      if x <> 0.0 then begin
+        prow.(j) <- x /. piv;
+        nz.(!nnz) <- j;
+        incr nnz
+      end
     done;
+    prow.(rhs) <- prow.(rhs) /. piv;
+    let nnz = !nnz in
     for r = 0 to m do
-      if r <> row && abs_float t.(r).(col) > 0.0 then begin
-        let f = t.(r).(col) in
-        for j = 0 to ncols_t - 1 do
-          t.(r).(j) <- t.(r).(j) -. (f *. t.(row).(j))
-        done
+      let tr = t.(r) in
+      if r <> row && abs_float tr.(col) > 0.0 then begin
+        let f = tr.(col) in
+        for i = 0 to nnz - 1 do
+          let j = nz.(i) in
+          tr.(j) <- tr.(j) -. (f *. prow.(j))
+        done;
+        tr.(rhs) <- tr.(rhs) -. (f *. prow.(rhs))
       end
     done;
     if row < m then basis.(row) <- col
   in
-  (* Run simplex on the objective stored in row m, over allowed columns;
-     Bland's rule for anti-cycling. Returns false on unboundedness. *)
-  let run allowed =
+  (* Run simplex on the objective stored in row m, over the columns below
+     [limit]; Bland's rule for anti-cycling. Returns false on
+     unboundedness. *)
+  let run limit =
     let continue = ref true and ok = ref true in
+    let obj = t.(m) in
     while !continue do
       fuel ();
       Obs.Metrics.incr pivots;
       (* entering column: smallest index with negative reduced cost *)
-      let enter = ref (-1) in
-      (try
-         for j = 0 to ncols_t - 2 do
-           if allowed j && t.(m).(j) < -.eps then begin
-             enter := j;
-             raise Exit
-           end
-         done
-       with Exit -> ());
+      let enter = ref (-1) and j = ref 0 in
+      while !enter < 0 && !j < limit do
+        if obj.(!j) < -.eps then enter := !j;
+        incr j
+      done;
       if !enter < 0 then continue := false
       else begin
         (* leaving row: min ratio, Bland tie-break on basis index *)
         let leave = ref (-1) and best = ref infinity in
         for r = 0 to m - 1 do
           if t.(r).(!enter) > eps then begin
-            let ratio = t.(r).(ncols_t - 1) /. t.(r).(!enter) in
+            let ratio = t.(r).(rhs) /. t.(r).(!enter) in
             if
               ratio < !best -. eps
               || (abs_float (ratio -. !best) <= eps && !leave >= 0 && basis.(r) < basis.(!leave))
@@ -106,13 +130,15 @@ let solve ?(fuel = fun () -> ()) (p : problem) =
     done;
     !ok
   in
-  (* Phase 1: minimize the sum of artificials. *)
-  for j = 0 to ncols_t - 1 do
-    t.(m).(j) <- 0.0
-  done;
+  (* Phase 1: minimize the sum of artificials. Row m starts at +0.0 and
+     only nonzero entries are subtracted: subtracting a zero would leave
+     every entry as it is, signs included. *)
+  let obj = t.(m) in
   for r = 0 to m - 1 do
+    let tr = t.(r) in
     for j = 0 to ncols_t - 1 do
-      t.(m).(j) <- t.(m).(j) -. t.(r).(j)
+      let x = tr.(j) in
+      if x <> 0.0 then obj.(j) <- obj.(j) -. x
     done
   done;
   (* artificial columns have coefficient 1 in the phase-1 objective; after
@@ -120,10 +146,10 @@ let solve ?(fuel = fun () -> ()) (p : problem) =
      get the negated row sums — which is what the loop above computed, except
      we must zero the artificial columns' costs properly: *)
   for r = 0 to m - 1 do
-    t.(m).(n + m + r) <- 0.0
+    obj.(n + m + r) <- 0.0
   done;
-  if not (run (fun j -> j < ncols_t - 1)) then Infeasible
-  else if t.(m).(ncols_t - 1) < -.eps *. float_of_int (m + 1) *. 10.0 then Infeasible
+  if not (run rhs) then Infeasible
+  else if obj.(rhs) < -.eps *. float_of_int (m + 1) *. 10.0 then Infeasible
   else begin
     (* Drive remaining artificial variables out of the basis if possible. *)
     for r = 0 to m - 1 do
@@ -137,26 +163,26 @@ let solve ?(fuel = fun () -> ()) (p : problem) =
     done;
     (* Phase 2: the real objective, expressed over the current basis. *)
     for j = 0 to ncols_t - 1 do
-      t.(m).(j) <- 0.0
+      obj.(j) <- 0.0
     done;
     for j = 0 to n - 1 do
-      t.(m).(j) <- p.objective.(j)
+      obj.(j) <- p.objective.(j)
     done;
     for r = 0 to m - 1 do
       if basis.(r) < n then begin
         let c = p.objective.(basis.(r)) in
         if abs_float c > 0.0 then
           for j = 0 to ncols_t - 1 do
-            t.(m).(j) <- t.(m).(j) -. (c *. t.(r).(j))
+            obj.(j) <- obj.(j) -. (c *. t.(r).(j))
           done
       end
     done;
     (* artificial columns are forbidden in phase 2 *)
-    if not (run (fun j -> j < n + m)) then Unbounded
+    if not (run (n + m)) then Unbounded
     else begin
       let x = Array.make n 0.0 in
       for r = 0 to m - 1 do
-        if basis.(r) < n then x.(basis.(r)) <- t.(r).(ncols_t - 1)
+        if basis.(r) < n then x.(basis.(r)) <- t.(r).(rhs)
       done;
       let value = Array.fold_left ( +. ) 0.0 (Array.mapi (fun i c -> c *. x.(i)) p.objective) in
       Optimal { value; solution = x }

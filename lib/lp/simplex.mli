@@ -1,13 +1,15 @@
-(** A small dense two-phase simplex solver for covering-style linear
-    programs:
+(** A small two-phase simplex solver for covering-style linear programs:
 
     minimize c·x subject to A x ≥ b, 0 ≤ x (≤ optional upper bounds).
 
     This is the substrate for the ILP baseline solver (the approach of
     Makhija & Gatterbauer, cited as [23] by the paper, solves resilience
     with ILP and studies its LP relaxation). Dense tableau with Bland's
-    rule; adequate for the small/medium instances of the test and bench
-    suites, not a production LP code. *)
+    rule; a pivot updates only the columns where the pivot row is nonzero,
+    plus the right-hand side, which takes exactly the pivots and yields
+    bit for bit the values and solutions of a dense update. Adequate for
+    the small/medium instances of the test and bench suites, not a
+    production LP code. *)
 
 type problem = {
   ncols : int;  (** number of variables *)

@@ -1,4 +1,4 @@
-(** The two clocks of the telemetry layer.
+(** The clock of the telemetry layer and of solver budgets.
 
     Everything in the repository that reads a clock goes through this
     module (or through [lib/runner], which owns its own wall-clock calls
@@ -10,8 +10,3 @@ val now : unit -> float
 (** Monotonically non-decreasing wall-clock seconds: the system clock
     behind a max guard, so differences are never negative even across a
     backwards clock step. Use for spans, latencies, and benchmarks. *)
-
-val cpu : unit -> float
-(** Processor seconds consumed by this process ([Sys.time]). Use for
-    CPU-time budgets ({!Resilience.Budget}), never for wall-clock
-    measurements. *)

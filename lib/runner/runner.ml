@@ -418,9 +418,9 @@ let settle e t reply =
   e.emit { reply with id = t.job.id; attempts = t.attempts; wall_s = now_s () -. t.first_dispatch }
 
 (* Seconds left on the task's end-to-end deadline, clamped into the
-   worker budget: the solver's processor-time deadline can never exceed
-   the client's remaining wall budget (processor time ≤ wall time), so
-   queue time already spent is not spent again on the worker. *)
+   worker budget: the solver's wall-clock deadline never exceeds the
+   client's remaining wall budget, so queue time already spent is not
+   spent again on the worker. *)
 let remaining_wall t ~t_now =
   if t.deadline_abs = infinity then None
   else Some (Float.max 0.01 (t.deadline_abs -. t_now))

@@ -29,8 +29,62 @@ let test_bnb_memo_by_content () =
   let nodes = Obs.Metrics.counter "bnb.nodes" in
   let before = Obs.Metrics.count nodes in
   vcheck "value" (Value.Finite 10) (fst (Exact.branch_and_bound d l));
-  let expanded = Obs.Metrics.count nodes - before in
-  check (Printf.sprintf "%d nodes < 2193" expanded) true (expanded < 2193)
+  Alcotest.(check int) "nodes" 1375 (Obs.Metrics.count nodes - before)
+
+(* Fact ids among 1..64 whose [Iset.mix]es xor to 0, by elimination over
+   GF(2): 64 vectors of 63 bits are dependent. The first id that reduces to
+   0 against the earlier ones, with the ids its reduction used, is the only
+   such subset among the ids up to it, so no shorter run of it xors to 0. *)
+let zero_xor_ids () =
+  let module I = Hypergraph.Iset in
+  (* (pivot bit, vector, the ids it combines), oldest first: each vector
+     is 0 at the pivot bits of those before it. *)
+  let basis = ref [] in
+  let rec reduce v ids = function
+    | [] -> (v, ids)
+    | (bit, b, bids) :: rest ->
+        if v land bit <> 0 then reduce (v lxor b) (I.union (I.diff ids bids) (I.diff bids ids)) rest
+        else reduce v ids rest
+  in
+  let rec go id =
+    let v, ids = reduce (I.mix id) (I.singleton id) !basis in
+    if v = 0 then I.elements ids
+    else begin
+      let bit = v land -v in
+      basis := !basis @ [ (bit, v, ids) ];
+      go (id + 1)
+    end
+  in
+  go 1
+
+let test_bnb_memo_hash_collision () =
+  (* Query [a]: fact [id] leaves node [id] for one shared sink (facts are
+     numbered in source order). It reads [a] for each id in {0} ∪ Z (Z from
+     [zero_xor_ids]) and [z] for every other id up to max Z. Each walk is
+     one a-fact and the search removes them by ascending source, so it
+     visits {0} and, last, {0} ∪ Z: different sets with the same
+     [Iset.hash]. A memo that trusted the hash would take the leaf for a
+     revisit of {0} and never record a contingency set. *)
+  let module I = Hypergraph.Iset in
+  let z = zero_xor_ids () in
+  let top = List.fold_left max 0 z in
+  let is_a id = id = 0 || List.mem id z in
+  let facts =
+    List.init (top + 1) (fun id -> (id, (if is_a id then 'a' else 'z'), top + 1))
+  in
+  let d = Db.make ~nnodes:(top + 2) ~facts in
+  List.iter
+    (fun id -> check (Printf.sprintf "fact %d is an a-fact" id) true ((Db.fact d id).Db.label = 'a'))
+    (0 :: z);
+  let a_facts = I.of_list (0 :: z) in
+  check "the two removed sets differ" false (I.equal (I.singleton 0) a_facts);
+  Alcotest.(check int) "and share a hash" (I.hash (I.singleton 0)) (I.hash a_facts);
+  let hits = Obs.Metrics.counter "bnb.memo_hits" in
+  let before = Obs.Metrics.count hits in
+  let value, witness = Exact.branch_and_bound d (lang "a") in
+  vcheck "value" (Value.Finite (I.cardinal a_facts)) value;
+  check "witness is every a-fact" true (I.equal (I.of_list witness) a_facts);
+  Alcotest.(check int) "no memo hits" 0 (Obs.Metrics.count hits - before)
 
 let test_axb_flow () =
   (* introduction example: resilience of ax*b = min cut *)
@@ -400,6 +454,7 @@ let () =
         [
           Alcotest.test_case "aa on a path" `Quick test_aa_path;
           Alcotest.test_case "B&B memo keyed by content" `Quick test_bnb_memo_by_content;
+          Alcotest.test_case "B&B memo hash collision" `Quick test_bnb_memo_hash_collision;
           Alcotest.test_case "ax*b flow example" `Quick test_axb_flow;
           Alcotest.test_case "infinite resilience" `Quick test_infinite_resilience;
           Alcotest.test_case "trivially false" `Quick test_trivially_false;
