@@ -108,11 +108,13 @@ let parse s =
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
   let at c = !pos < n && String.unsafe_get s !pos = c in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n' || s.[!pos] = '\r')
-    do
-      incr pos
-    done
+  let rec skip_ws () =
+    if !pos < n then
+      match String.unsafe_get s !pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+          incr pos;
+          skip_ws ()
+      | _ -> ()
   in
   let expect c =
     if !pos < n && s.[!pos] = c then incr pos
@@ -210,18 +212,17 @@ let parse s =
      [int_of_string] would; any other token takes the general path. *)
   let parse_number () =
     let first = if at '-' then !pos + 1 else !pos in
-    let rec digits i acc =
-      if i < n && i - first < 18 then
-        match String.unsafe_get s i with
-        | '0' .. '9' as c -> digits (i + 1) ((acc * 10) + (Char.code c - 48))
-        | _ -> (i, acc)
-      else (i, acc)
-    in
-    let stop, acc = digits first 0 in
+    let limit = min n (first + 18) in
+    let stop = ref first and acc = ref 0 in
+    while !stop < limit && String.unsafe_get s !stop >= '0' && String.unsafe_get s !stop <= '9' do
+      acc := (!acc * 10) + (Char.code (String.unsafe_get s !stop) - 48);
+      incr stop
+    done;
+    let stop = !stop in
     if stop > first && not (stop < n && is_num_char (String.unsafe_get s stop)) then begin
       let negative = first > !pos in
       pos := stop;
-      Int (if negative then -acc else acc)
+      Int (if negative then - !acc else !acc)
     end
     else parse_token ()
   in
@@ -240,17 +241,9 @@ let parse s =
           incr pos;
           List []
         end
-        else begin
-          let items = ref [ parse_value () ] in
-          skip_ws ();
-          while at ',' do
-            incr pos;
-            items := parse_value () :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          List (List.rev !items)
-        end
+        else
+          let v = parse_value () in
+          List (v :: items_after ())
     | '{' ->
         incr pos;
         skip_ws ();
@@ -258,26 +251,40 @@ let parse s =
           incr pos;
           Obj []
         end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let fields = ref [ field () ] in
-          skip_ws ();
-          while at ',' do
-            incr pos;
-            fields := field () :: !fields;
-            skip_ws ()
-          done;
-          expect '}';
-          Obj (List.rev !fields)
-        end
+        else
+          let f = parse_field () in
+          Obj (f :: fields_after ())
     | _ -> parse_number ()
+  (* Lists and objects are built in order, one cons per element. *)
+  and[@tail_mod_cons] items_after () =
+    skip_ws ();
+    if at ',' then begin
+      incr pos;
+      let v = parse_value () in
+      v :: items_after ()
+    end
+    else begin
+      expect ']';
+      []
+    end
+  and parse_field () =
+    skip_ws ();
+    let k = parse_string () in
+    skip_ws ();
+    expect ':';
+    let v = parse_value () in
+    (k, v)
+  and[@tail_mod_cons] fields_after () =
+    skip_ws ();
+    if at ',' then begin
+      incr pos;
+      let f = parse_field () in
+      f :: fields_after ()
+    end
+    else begin
+      expect '}';
+      []
+    end
   in
   match parse_value () with
   | v ->

@@ -127,15 +127,21 @@ let stages_fields = function
 
 let cert_fields = function None -> [] | Some c -> [ ("cert", Certificate.to_obj c) ]
 
+(* The head of every reply: the members a supervisor restamps when it
+   settles a worker's reply, first and in this order, so that
+   [reply_head] below is a prefix of [reply_to_json]. *)
+let head_fields (r : reply) =
+  [
+    ("v", Json.Int schema_version);
+    ("id", Json.Str r.id);
+    ("attempts", Json.Int r.attempts);
+    ("steps", Json.Int r.steps);
+    ("wall_s", Json.Float r.wall_s);
+  ]
+
 let reply_to_obj (r : reply) =
   let common =
-    [
-      ("v", Json.Int schema_version);
-      ("id", Json.Str r.id);
-      ("attempts", Json.Int r.attempts);
-      ("steps", Json.Int r.steps);
-      ("wall_s", Json.Float r.wall_s);
-    ]
+    head_fields r
     @ stages_fields r.stages
     @ opt "trace" (fun s -> Json.Str s) r.trace
   in
@@ -167,6 +173,27 @@ let reply_to_obj (r : reply) =
   Json.Obj (common @ rest @ cert_fields r.cert)
 
 let reply_to_json r = Json.to_string (reply_to_obj r)
+
+(* [reply_to_json r] up to the end of its [wall_s] value. *)
+let reply_head r =
+  let s = Json.to_string (Json.Obj (head_fields r)) in
+  String.sub s 0 (String.length s - 1)
+
+(* The head's last value is a number, so the byte after it must end it:
+   a line spelling [wall_s] as 0.50 has the canonical 0.5 as a prefix. *)
+let restamp line (r : reply) ~id ~attempts ~wall_s =
+  let settled = { r with id; attempts; wall_s } in
+  let old = reply_head r in
+  let ol = String.length old in
+  if String.starts_with ~prefix:old line && String.length line > ol && line.[ol] = ',' then begin
+    let head = reply_head settled in
+    let hl = String.length head and rest = String.length line - ol in
+    let b = Bytes.create (hl + rest) in
+    Bytes.blit_string head 0 b 0 hl;
+    Bytes.blit_string line ol b hl rest;
+    Bytes.unsafe_to_string b
+  end
+  else reply_to_json settled
 
 let classification_to_obj (c : classification) =
   Json.Obj

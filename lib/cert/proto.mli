@@ -131,8 +131,31 @@ val job_to_wire_json : job -> string
     both forms. *)
 
 val job_of_json : string -> (job, string) result
+
+val job_of_obj : Json.t -> (job, string) result
+(** The [Json.t]-level half of {!job_of_json}, for a line already parsed
+    (the serve loop tells job lines from stats requests on one parse). *)
+
 val reply_to_json : reply -> string
+(** The reply's line. Its members come in a fixed order, which is part
+    of the contract: first the head ([v], [id], [attempts], [steps],
+    [wall_s]; see {!restamp}), then [stages] and [trace] when present,
+    [outcome] and the verdict's members, and [cert] last. *)
+
 val reply_of_json : string -> (reply, string) result
+
+val restamp : string -> reply -> id:string -> attempts:int -> wall_s:float -> string
+(** [restamp line r ~id ~attempts ~wall_s], where [r] is [line]'s
+    decoded reply, is the line of [{ r with id; attempts; wall_s }] made
+    from [line]'s own bytes: when [line] begins with the canonical
+    encoding of [r]'s head ([{"v":1,"id":…,"attempts":…,"steps":…,
+    "wall_s":…]) followed by a comma, that head is encoded again for the
+    new values and every byte after it is kept; otherwise the reply is
+    encoded anew with {!reply_to_json}. For a line {!reply_to_json}
+    wrote, both give the same bytes; so this is how a supervisor settles
+    a worker's reply, or serves a cached one, without encoding the
+    certificate again. The decode that produced [r] is the validation:
+    bytes after the head are forwarded as the worker wrote them. *)
 
 val reply_to_obj : reply -> Json.t
 val reply_of_obj : Json.t -> (reply, string) result

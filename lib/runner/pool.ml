@@ -50,6 +50,7 @@ type t = {
   handler : string -> string;
   pool : worker array;
   mutable alive : bool;
+  chunk : Bytes.t;  (** every read from a worker's pipe lands here first *)
 }
 
 type event =
@@ -155,6 +156,7 @@ let create cfg ~handler =
             term_sent = None;
             wedged = false });
       alive = true;
+      chunk = Bytes.create 65536;
     }
   in
   Array.iteri (fun i _ -> t.pool.(i) <- spawn t) t.pool;
@@ -248,21 +250,31 @@ let abort t ~id =
         ignore (reap t w);
         true
 
-let take_lines w =
-  let s = Buffer.contents w.buf in
+(* The complete lines in the [n] bytes just read, the first one joined
+   to the worker's partial line; the new partial line stays in [w.buf].
+   Each line is copied once, straight out of [chunk] when it began in
+   this read. *)
+let take_lines w chunk n =
+  let rec newline i = if i >= n || Bytes.unsafe_get chunk i = '\n' then i else newline (i + 1) in
   let rec split acc start =
-    match String.index_from_opt s start '\n' with
-    | Some i -> split (String.sub s start (i - start) :: acc) (i + 1)
-    | None ->
-        Buffer.clear w.buf;
-        Buffer.add_string w.buf (String.sub s start (String.length s - start));
-        List.rev acc
+    let i = newline start in
+    if i >= n then begin
+      Buffer.add_subbytes w.buf chunk start (n - start);
+      List.rev acc
+    end
+    else if Buffer.length w.buf = 0 then split (Bytes.sub_string chunk start (i - start) :: acc) (i + 1)
+    else begin
+      Buffer.add_subbytes w.buf chunk start (i - start);
+      let line = Buffer.contents w.buf in
+      Buffer.clear w.buf;
+      split (line :: acc) (i + 1)
+    end
   in
   split [] 0
 
 let handle_readable t w events =
-  let chunk = Bytes.create 65536 in
-  match restart_eintr (fun () -> Unix.read w.of_worker chunk 0 65536) with
+  let chunk = t.chunk in
+  match restart_eintr (fun () -> Unix.read w.of_worker chunk 0 (Bytes.length chunk)) with
   | 0 -> begin
       (* EOF: the worker is gone (crash, or self-kill under [kill:N]). *)
       match reap t w with Some e -> e :: events | None -> events
@@ -271,7 +283,6 @@ let handle_readable t w events =
       match reap t w with Some e -> e :: events | None -> events
     end
   | n ->
-      Buffer.add_subbytes w.buf chunk 0 n;
       let prefix = Obs.Trace.pipe_prefix in
       let plen = String.length prefix in
       List.fold_left
@@ -295,7 +306,7 @@ let handle_readable t w events =
                 w.term_sent <- None;
                 Completed { id; reply = line } :: events
               end)
-        events (take_lines w)
+        events (take_lines w chunk n)
 
 let enforce_deadlines t events =
   let t_now = now () in

@@ -337,7 +337,9 @@ type engine = {
   mutable delayed : task list;
   inflight : (string, task) Hashtbl.t;
   wopen : (string, wspan list) Hashtbl.t;  (** job id -> worker spans still open *)
-  emit : reply -> unit;
+  emit : reply -> (string * reply) option -> unit;
+      (** a settled reply, and the worker's line with its decode when the
+          reply is that decode restamped (see {!settle}) *)
   on_dispatch : task -> unit;  (** first dispatch only (journal Started) *)
 }
 
@@ -395,7 +397,10 @@ let submit ?deadline_abs e (job : job) =
     }
     e.pending
 
-let settle e t reply =
+(* [worker] is the worker's line and its decode [reply]; absent for
+   replies the supervisor made (deadline, poison, retry exhaustion) and
+   for a hedge's fallback, whose line is not kept. *)
+let settle ?worker e t reply =
   Hashtbl.remove e.inflight t.job.id;
   Hashtbl.remove e.wopen t.job.id;
   Hashtbl.remove e.wopen (hedge_tag t.job.id);
@@ -415,7 +420,9 @@ let settle e t reply =
           ]
         h)
     t.span;
-  e.emit { reply with id = t.job.id; attempts = t.attempts; wall_s = now_s () -. t.first_dispatch }
+  e.emit
+    { reply with id = t.job.id; attempts = t.attempts; wall_s = now_s () -. t.first_dispatch }
+    worker
 
 (* Seconds left on the task's end-to-end deadline, clamped into the
    worker budget: the solver's wall-clock deadline never exceeds the
@@ -741,7 +748,7 @@ let handle_event e = function
                 if verify_reply r then begin
                   kill_loser e t ~loser_is_hedge:(not is_hedge);
                   if is_hedge then Obs.Metrics.incr m_hedge_wins;
-                  settle e t r
+                  settle ~worker:(line, r) e t r
                 end
                 else begin
                   Log.warn "hedge-cert-reject"
@@ -757,9 +764,10 @@ let handle_event e = function
                    would. If the primary already replied and was stashed
                    (certificate rejection), prefer its reply — that is
                    the one an unhedged run would have settled. *)
-                let r = match t.fallback with Some f when is_hedge -> f | _ -> r in
                 if is_hedge then Obs.Metrics.incr m_hedge_wins;
-                settle e t r
+                match t.fallback with
+                | Some f when is_hedge -> settle e t f
+                | _ -> settle ~worker:(line, r) e t r
               end
           | Error msg ->
               Log.error "malformed-reply"
@@ -848,7 +856,7 @@ let engine_timeout e =
           else Float.min acc (Float.max 0.005 (t.last_dispatch +. after -. t_now)))
         e.inflight acc
 
-let create_engine cfg ~emit ~on_dispatch =
+let create_engine ?(handler = worker_handler) cfg ~emit ~on_dispatch =
   if cfg.retries < 0 then invalid_arg "Runner: negative retries";
   if cfg.queue_cap < 1 then invalid_arg "Runner: queue cap must be at least 1";
   (match cfg.max_heap_mb with
@@ -859,7 +867,7 @@ let create_engine cfg ~emit ~on_dispatch =
   let pool =
     Pool.create
       { Pool.workers = cfg.workers; job_timeout = cfg.job_timeout; grace = cfg.grace }
-      ~handler:worker_handler
+      ~handler
   in
   {
     cfg;
@@ -887,13 +895,20 @@ type batch_stats = { ran : int; resumed : int; failures : int }
 
 let run_batch ?journal cfg (jobs : job list) : reply list * batch_stats =
   flight_on_crash @@ fun () ->
-  let seen = Hashtbl.create 64 in
+  (* Each job's journal digest, by id: computed at most once, and only
+     when a journal asks for it. *)
+  let digests = Hashtbl.create 64 in
   List.iter
     (fun (j : job) ->
-      if Hashtbl.mem seen j.id then
+      if Hashtbl.mem digests j.id then
         invalid_arg (Printf.sprintf "Runner.run_batch: duplicate job id %S" j.id);
-      Hashtbl.add seen j.id ())
+      Hashtbl.add digests j.id (lazy (Journal.job_digest j)))
     jobs;
+  let digest id =
+    match Hashtbl.find_opt digests id with
+    | Some d -> Lazy.force d
+    | None -> Invariant.internal_error "Runner.run_batch: no job %s" id
+  in
   let recorded =
     match journal with
     | None -> Hashtbl.create 0
@@ -921,28 +936,23 @@ let run_batch ?journal cfg (jobs : job list) : reply list * batch_stats =
         List.filter
           (fun (j : job) ->
             match Hashtbl.find_opt recorded j.id with
-            | Some (digest, reply)
-              when digest = Journal.job_digest j
-                   && (Check.level () = Check.Off || verify_reply reply) ->
+            | Some (d, reply)
+              when d = digest j.id && (Check.level () = Check.Off || verify_reply reply) ->
                 Hashtbl.replace results j.id reply;
                 incr resumed;
                 false
             | _ -> true)
           jobs
       in
-      let emit r =
+      let emit r _worker =
         Hashtbl.replace results r.id r;
         Option.iter
-          (fun jnl ->
-            let j = List.find (fun (j : job) -> j.id = r.id) jobs in
-            Journal.append jnl (Journal.Done { id = r.id; digest = Journal.job_digest j; reply = r }))
+          (fun jnl -> Journal.append jnl (Journal.Done { id = r.id; digest = digest r.id; reply = r }))
           jnl
       in
       let on_dispatch t =
         Option.iter
-          (fun jnl ->
-            Journal.append jnl
-              (Journal.Started { id = t.job.id; digest = Journal.job_digest t.job }))
+          (fun jnl -> Journal.append jnl (Journal.Started { id = t.job.id; digest = digest t.job.id }))
           jnl
       in
       let e = create_engine cfg ~emit ~on_dispatch in
@@ -1170,7 +1180,7 @@ let m_brownout_degraded = Obs.Metrics.counter "serve.brownout_degraded_total"
    any client hit the cache. *)
 let internal_id cid id = Printf.sprintf "c%d:%s" cid id
 
-let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
+let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) ?handler scfg =
   flight_on_crash @@ fun () ->
   let cfg = scfg.base in
   if scfg.cache_entries < 0 then
@@ -1262,11 +1272,13 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
             [ ("queued", Json.Int (Admission.queued adm)) ]
         end
   in
-  (* internal id -> (client, original id, parsed job, request span).
-     The request span opens at admission and closes when the reply is
+  (* internal id -> (client, original id, canonical digest, request
+     span). The digest is the one admission computed for the cache
+     lookup; the journal's [Started] and [Done] records reuse it. The
+     request span opens at admission and closes when the reply is
      delivered (or the job is cancelled/shed) — the serve-side hop of
      the stitched trace, parenting the engine's [job] span. *)
-  let owners : (string, int * string * job * Trace.handle option) Hashtbl.t =
+  let owners : (string, int * string * string * Trace.handle option) Hashtbl.t =
     Hashtbl.create 64
   in
   let close_request ?(outcome = "") h =
@@ -1321,34 +1333,38 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
     | Some c -> handle_tevs (Transport.send tr c line)
   in
   let deliver cid r = deliver_line cid (reply_to_json r) in
-  (* A settled reply is encoded once: the client's line and the journal's
-     [Done] record share those bytes. *)
+  (* A settled reply has one line: the client's, the journal's [Done]
+     record and the cache entry share those bytes. *)
   let journal_settled ~id ~digest line =
     Option.iter (fun jl -> Journal.append_done jl ~id ~digest ~reply_json:line) jnl
   in
-  let emit r =
+  (* A worker's reply settles from the worker's bytes, with only the
+     head restamped; the decode that validated them is dropped here. *)
+  let emit r worker =
     match Hashtbl.find_opt owners r.id with
     | None -> ()
-    | Some (cid, orig, j, rspan) ->
+    | Some (cid, orig, digest, rspan) ->
         Hashtbl.remove owners r.id;
         Hashtbl.remove deadlines r.id;
         Admission.settled adm cid;
         close_request ~outcome:(verdict_name r.verdict) rspan;
         let r = { r with id = orig } in
-        let line = reply_to_json r in
-        let digest = Journal.canonical_digest j in
+        let line =
+          match worker with
+          | Some (wline, w) -> restamp wline w ~id:orig ~attempts:r.attempts ~wall_s:r.wall_s
+          | None -> reply_to_json r
+        in
         journal_settled ~id:orig ~digest line;
-        Cache.store cache ~digest r;
+        Cache.store cache ~digest ~line r;
         deliver_line cid line
   in
   let on_dispatch (t : task) =
     match (jnl, Hashtbl.find_opt owners t.job.id) with
-    | Some jl, Some (_, orig, j, _) ->
-        Journal.append jl
-          (Journal.Started { id = orig; digest = Journal.canonical_digest j })
+    | Some jl, Some (_, orig, digest, _) ->
+        Journal.append jl (Journal.Started { id = orig; digest })
     | _ -> ()
   in
-  let e = create_engine cfg ~emit ~on_dispatch in
+  let e = create_engine ?handler cfg ~emit ~on_dispatch in
   let total_load () = Admission.queued adm + engine_load e in
   (* Move admitted jobs into the engine only while a worker is idle and
      nothing is already waiting there: keeping the backlog in the
@@ -1500,8 +1516,8 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
           in
           update_serve_gauges ();
           handle_tevs (Transport.send tr c (stats_line id))
-      | _ -> begin
-          match job_of_json line with
+      | parsed -> begin
+          match Result.bind parsed job_of_obj with
           | Error msg ->
               send_reply (failed ~id:"" ~kind:"bad-job" "unparseable job line: %s" msg);
               (* A malformed line poisons only this client: socket framing
@@ -1561,15 +1577,14 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                 in
                 let digest = Journal.canonical_digest job in
                 match Cache.find cache ~digest ~id:job.id with
-                | Cache.Hit r ->
+                | Cache.Hit { line; _ } ->
                     Trace.instant ~args:[ ("id", Json.Str job.id) ] "cache-hit";
                     close_request ~outcome:"cache-hit" rspan;
-                    let line = reply_to_json r in
                     journal_settled ~id:job.id ~digest line;
                     handle_tevs (Transport.send tr c line)
                 | Cache.Miss | Cache.Cert_reject _ ->
                     Obs.Metrics.incr m_jobs;
-                    Hashtbl.replace owners iid (cid, job.id, job, rspan);
+                    Hashtbl.replace owners iid (cid, job.id, digest, rspan);
                     (* The end-to-end clock starts now: queue time below
                        is the client's budget being spent. *)
                     Option.iter

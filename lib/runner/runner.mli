@@ -222,6 +222,7 @@ val serve_sockets :
   ?stdio:in_channel * out_channel ->
   ?preconnected:Unix.file_descr list ->
   ?preconnected_abrupt:Unix.file_descr list ->
+  ?handler:(string -> string) ->
   serve_config ->
   unit
 (** The multi-client server. Listens per [listen]/[tcp] (either, both,
@@ -232,7 +233,9 @@ val serve_sockets :
     while [?preconnected_abrupt] fds get the socket-client semantics
     (EOF is a disconnect: queued jobs dropped, inflight and hedged
     attempts aborted — exposed this way so the disconnect path is
-    testable without a real socket);
+    testable without a real socket); [?handler] replaces
+    {!worker_handler} in the workers, so a test can make a worker write
+    a reply line the supervisor must refuse;
     runs until there is no listener, no client and no work left, or
     until SIGTERM/SIGINT triggers a graceful drain (stop accepting,
     shed queued jobs with retriable [overloaded] replies, wait up to
@@ -255,7 +258,12 @@ val serve_sockets :
     (shed with a retriable [overloaded] reply) before shedding the
     arrival itself.
 
-    Results: every settled non-error reply is cached under the job's
+    Results: a worker's reply line settles only if it decodes
+    ({!Proto.reply_of_json}; a line that does not is a [Malformed]
+    worker death, retried like a crash), and then settles from the
+    worker's own bytes with the head restamped ({!Proto.restamp}): the
+    client's line, the journal's [Done] record and the cache entry are
+    those bytes. Every settled non-error reply is cached under the job's
     canonical digest ({!Journal.canonical_digest}); an identical
     resubmission — same client or not — is answered from the cache
     {e only after} its certificate re-checks ({!Cert.Checker}); a hit

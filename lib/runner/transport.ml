@@ -38,7 +38,8 @@ type client = {
       (** EOF means "drain then finish" (the stdio client), not "the
           peer is gone" (socket clients) *)
   inbuf : Buffer.t;  (** partial input line *)
-  out : Buffer.t;  (** buffered output, consumed from [out_off] *)
+  mutable out : Bytes.t;  (** buffered output; the bytes from [out_off] to [out_len] are unsent *)
+  mutable out_len : int;
   mutable out_off : int;
   mutable cstate : client_state;
   mutable last_progress : float;
@@ -52,6 +53,7 @@ type t = {
   max_line : int;
   out_cap : int;  (** buffered-output bytes beyond which reads pause *)
   write_timeout : float;
+  chunk : Bytes.t;  (** every read from a client lands here first *)
 }
 
 type event =
@@ -66,11 +68,19 @@ let eof_drains c = c.ceof_drains
 let at_eof c = c.cstate = St_eof
 let is_live c = c.cstate <> St_dead
 let closing c = c.cstate = St_closing
-let pending_out c = Buffer.length c.out - c.out_off
+let pending_out c = c.out_len - c.out_off
 
 let create ?(max_line = 1 lsl 20) ?(out_cap = 1 lsl 20) ?(write_timeout = 30.0) () =
   if write_timeout <= 0.0 then invalid_arg "Transport.create: write timeout must be positive";
-  { listeners = []; conns = []; next_cid = 0; max_line; out_cap; write_timeout }
+  {
+    listeners = [];
+    conns = [];
+    next_cid = 0;
+    max_line;
+    out_cap;
+    write_timeout;
+    chunk = Bytes.create 65536;
+  }
 
 let clients t = t.conns
 let listening t = t.listeners <> []
@@ -144,7 +154,8 @@ let add_client t ?(eof_drains = false) ?(owns_fds = true) ~in_fd ~out_fd () =
       owns_fds;
       ceof_drains = eof_drains;
       inbuf = Buffer.create 1024;
-      out = Buffer.create 1024;
+      out = Bytes.create 1024;
+      out_len = 0;
       out_off = 0;
       cstate = St_open;
       last_progress = now ();
@@ -196,14 +207,14 @@ let write_fds t =
 (* ------------------------------------------------------------------ *)
 
 let compact_out c =
-  if c.out_off >= Buffer.length c.out then begin
-    Buffer.clear c.out;
+  if c.out_off >= c.out_len then begin
+    c.out_len <- 0;
     c.out_off <- 0
   end
   else if c.out_off > 1 lsl 16 then begin
-    let rest = Buffer.sub c.out c.out_off (pending_out c) in
-    Buffer.clear c.out;
-    Buffer.add_string c.out rest;
+    let rest = pending_out c in
+    Bytes.blit c.out c.out_off c.out 0 rest;
+    c.out_len <- rest;
     c.out_off <- 0
   end
 
@@ -222,8 +233,7 @@ let flush_client t c =
       end
       else want
     in
-    let s = Buffer.sub c.out c.out_off want in
-    match Unix.write_substring c.out_fd s 0 want with
+    match Unix.write c.out_fd c.out c.out_off want with
     | n ->
         if n > 0 then begin
           c.out_off <- c.out_off + n;
@@ -244,8 +254,19 @@ let send t c line =
   if c.cstate = St_dead then []
   else begin
     if pending_out c = 0 then c.last_progress <- now ();
-    Buffer.add_string c.out line;
-    Buffer.add_char c.out '\n';
+    let len = String.length line in
+    if c.out_len + len + 1 > Bytes.length c.out then begin
+      (* Grow, keeping only the unsent bytes. *)
+      let rest = pending_out c in
+      let grown = Bytes.create (max (rest + len + 1) (2 * Bytes.length c.out)) in
+      Bytes.blit c.out c.out_off grown 0 rest;
+      c.out <- grown;
+      c.out_len <- rest;
+      c.out_off <- 0
+    end;
+    Bytes.blit_string line 0 c.out c.out_len len;
+    Bytes.set c.out (c.out_len + len) '\n';
+    c.out_len <- c.out_len + len + 1;
     flush_client t c
   end
 
@@ -311,32 +332,42 @@ let accept_conn t lfd =
          nothing to do but keep serving the clients we have. *)
       []
 
-(* Split complete lines out of the input buffer. A line longer than
-   [max_line] means the framing is gone for this client — one [Overlong]
-   event, input stops ([St_closing]), and the serve loop decides what to
-   say before the flush-and-close. *)
-let split_lines t c =
-  let s = Buffer.contents c.inbuf in
-  let n = String.length s in
+(* Split the complete lines out of the [n] bytes just read into
+   [t.chunk], the first one joined to the client's partial line, which
+   [c.inbuf] holds between reads. A line longer than [max_line] means the
+   framing is gone for this client — one [Overlong] event, input stops
+   ([St_closing]), and the serve loop decides what to say before the
+   flush-and-close. *)
+let split_lines t c n =
+  let chunk = t.chunk in
+  let rec newline i = if i >= n || Bytes.unsafe_get chunk i = '\n' then i else newline (i + 1) in
   let events = ref [] in
   let overlong = ref false in
   let start = ref 0 in
   let continue = ref true in
   while !continue do
-    match String.index_from_opt s !start '\n' with
-    | Some i ->
-        if i - !start > t.max_line then begin
-          overlong := true;
-          continue := false
-        end
+    let i = newline !start in
+    if i >= n then begin
+      Buffer.add_subbytes c.inbuf chunk !start (n - !start);
+      continue := false
+    end
+    else if Buffer.length c.inbuf + (i - !start) > t.max_line then begin
+      overlong := true;
+      continue := false
+    end
+    else begin
+      let line =
+        if Buffer.length c.inbuf = 0 then Bytes.sub_string chunk !start (i - !start)
         else begin
-          events := Line (c, String.sub s !start (i - !start)) :: !events;
-          start := i + 1
+          Buffer.add_subbytes c.inbuf chunk !start (i - !start);
+          let line = Buffer.contents c.inbuf in
+          Buffer.clear c.inbuf;
+          line
         end
-    | None ->
-        Buffer.clear c.inbuf;
-        Buffer.add_substring c.inbuf s !start (n - !start);
-        continue := false
+      in
+      events := Line (c, line) :: !events;
+      start := i + 1
+    end
   done;
   if (not !overlong) && Buffer.length c.inbuf > t.max_line then overlong := true;
   if !overlong then begin
@@ -357,8 +388,7 @@ let client_readable t c =
     [ Dead (c, "net:client_drop fault") ]
   end
   else begin
-    let chunk = Bytes.create 65536 in
-    match Unix.read c.in_fd chunk 0 65536 with
+    match Unix.read c.in_fd t.chunk 0 (Bytes.length t.chunk) with
     | 0 ->
         (* Zero read: orderly EOF. A torn trailing line is input, not
            silence — surface it before the Eof so nothing is dropped. *)
@@ -372,9 +402,7 @@ let client_readable t c =
           else []
         in
         tail @ [ Eof c ]
-    | n ->
-        Buffer.add_subbytes c.inbuf chunk 0 n;
-        split_lines t c
+    | n -> split_lines t c n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> []
     | exception Unix.Unix_error (err, _, _) ->
         drop t c;

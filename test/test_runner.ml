@@ -161,6 +161,211 @@ let prop_proto_job_roundtrip =
       in
       Proto.job_of_json (Proto.job_to_json j) = Ok j)
 
+(* ---- Proto.restamp: settling a reply from the worker's bytes ---- *)
+
+let decode_exn line =
+  match Proto.reply_of_json line with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "reply %S does not decode: %s" line e
+
+(* What the supervisor sent before it settled from the worker's bytes:
+   the decoded reply, restamped and encoded again. *)
+let reencoded line ~id ~attempts ~wall_s =
+  Proto.reply_to_json { (decode_exn line) with Proto.id; attempts; wall_s }
+
+let restamped line ~id ~attempts ~wall_s =
+  Proto.restamp line (decode_exn line) ~id ~attempts ~wall_s
+
+(* Worker lines of every shape the served benchmark workloads draw
+   from, for seeds 901–903, each through the real worker handler: [ax*b]
+   on flow grids and [ab|bc] on layered databases of widths 8–16, and
+   the hard languages under a 2000-step budget. *)
+let test_restamp_real_replies () =
+  let module G = Graphdb.Generate in
+  let line_of ?steps query db =
+    Runner.worker_handler
+      (Proto.job_to_wire_json
+         (job ~id:"c0:w" ~db:(Ser.to_string db) ~query ?steps ~faults:(Some "off") ()))
+  in
+  let aa g =
+    let pre, _ = Gadgets.gadget_aa () in
+    line_of ~steps:2000 "aa" (Gadgets.encode pre g)
+  in
+  let lines =
+    List.concat_map
+      (fun seed ->
+        List.concat_map
+          (fun w ->
+            [
+              line_of "ax*b" (G.flow_grid ~width:w ~depth:w ~max_mult:3 ~seed ());
+              line_of "ab|bc" (G.layered ~layers:[ 'a'; 'b'; 'c' ] ~width:w ~max_mult:3 ~seed ());
+            ])
+          [ 8; 9; 10; 11; 12; 13; 14; 15; 16 ]
+        @ List.map aa Graphs.Ugraph.[ complete 4; complete 5; complete 6; path 12 ]
+        @ [
+            line_of ~steps:2000 "axb|cxd"
+              (G.random ~nnodes:24 ~nfacts:160 ~alphabet:[ 'a'; 'b'; 'c'; 'd'; 'x' ] ~seed ());
+            line_of ~steps:2000 "ab|bc|ca"
+              (G.random ~nnodes:20 ~nfacts:120 ~alphabet:[ 'a'; 'b'; 'c' ] ~seed ());
+            line_of ~steps:2000 "abcd|be"
+              (G.random ~nnodes:24 ~nfacts:160 ~alphabet:[ 'a'; 'b'; 'c'; 'd'; 'e' ] ~seed ());
+          ])
+      [ 901; 902; 903 ]
+  in
+  List.iteri
+    (fun i line ->
+      let id = Printf.sprintf "r%d" i in
+      let parent = reencoded line ~id ~attempts:2 ~wall_s:0.0123 in
+      Alcotest.(check string)
+        (id ^ ": restamped = re-encoded") parent
+        (restamped line ~id ~attempts:2 ~wall_s:0.0123);
+      (* Only a restamp that kept the worker's bytes keeps a trailing
+         space: the equality above is not a full re-encode's. *)
+      Alcotest.(check string)
+        (id ^ ": bytes after the head kept") (parent ^ " ")
+        (restamped (line ^ " ") ~id ~attempts:2 ~wall_s:0.0123))
+    lines
+
+let gen_reply =
+  let open QCheck.Gen in
+  (* [char] draws all 256 byte values. *)
+  let bytes = string_size ~gen:char (int_bound 10) in
+  let int = oneof [ small_signed_int; oneofl [ min_int; max_int; 0 ] ] in
+  let ints = list_size (int_bound 5) int in
+  let pairs = list_size (int_bound 4) (pair int int) in
+  (* Finite, integral ones included; never -0.0, pinned on its own below. *)
+  let float =
+    map
+      (fun f -> if f = 0.0 then 0.0 else f)
+      (oneof
+         [
+           oneofl [ 0.0; 1.0; 3.0; -2.0; 100.0; 1e9; 1e20; 0.5; 1.5e-7; 123456.789 ];
+           float_range (-1e6) 1e6;
+         ])
+  in
+  let value = oneof [ map (fun n -> Value.Finite n) int; return Value.Infinite ] in
+  let cap = oneof [ map (fun n -> Cert.Certificate.Fin n) int; return Cert.Certificate.Inf ] in
+  let cert =
+    let open Cert.Certificate in
+    oneof
+      [
+        map (fun why -> Trivial { why }) bytes;
+        (let* vertices = int and* source = int and* sink = int in
+         let* edges = list_size (int_bound 5) (triple int int cap) in
+         let* flow = ints and* cut_edges = ints and* fact_edges = pairs in
+         let* forced = pairs and* weights = pairs and* inf_path = ints in
+         return
+           (Cut
+              {
+                vertices;
+                source;
+                sink;
+                edges;
+                flow;
+                cut_edges;
+                fact_edges;
+                forced;
+                weights;
+                inf_path;
+              }));
+        (let* fact_weights = pairs
+         and* covers = opt (list_size (int_bound 3) ints)
+         and* dual = opt (list_size (int_bound 4) float) in
+         return (Bounds { fact_weights; covers; dual }));
+        (let* language = bytes and* words = list_size (int_bound 3) bytes in
+         let* facts = list_size (int_bound 3) (quad int int bytes int) in
+         let* f_in = int and* f_out = int and* path_length = int in
+         let* matches = list_size (int_bound 3) ints and* condensed = list_size (int_bound 3) ints in
+         return
+           (Hardness { language; words; facts; f_in; f_out; matches; condensed; path_length }));
+        map (fun algorithm -> Opaque { algorithm }) bytes;
+      ]
+  in
+  let verdict =
+    oneof
+      [
+        (let* value = value and* algorithm = bytes and* witness = opt ints in
+         return (Proto.V_exact { value; algorithm; witness }));
+        (let* lower = value and* upper = value and* witness = opt ints and* reason = bytes in
+         return (Proto.V_bounded { lower; upper; witness; reason }));
+        (let* kind = bytes and* message = bytes and* retriable = bool in
+         return (Proto.V_failed { kind; message; retriable }));
+      ]
+  in
+  let* id = bytes and* attempts = int and* steps = int and* wall_s = float in
+  let* stages = list_size (int_bound 3) (pair bytes float) and* trace = opt bytes in
+  let* verdict = verdict and* cert = opt cert in
+  return { Proto.id; attempts; steps; wall_s; stages; trace; verdict; cert }
+
+let prop_restamp_matches_reencode =
+  QCheck.Test.make ~name:"proto: restamp gives the re-encoded bytes" ~count:1000
+    (QCheck.make
+       ~print:(fun (r, _, _, _) -> Proto.reply_to_json r)
+       QCheck.Gen.(
+         quad gen_reply
+           (string_size ~gen:char (int_bound 10))
+           small_signed_int
+           (oneofl [ 0.0; 2.0; 0.25; 1e-9; 31.5 ])))
+    (fun (r, id, attempts, wall_s) ->
+      let line = Proto.reply_to_json r in
+      let parent = reencoded line ~id ~attempts ~wall_s in
+      String.equal (restamped line ~id ~attempts ~wall_s) parent
+      && String.equal (restamped (line ^ " ") ~id ~attempts ~wall_s) (parent ^ " "))
+
+(* A line whose head is not the canonical encoding of its decoded head
+   settles with the re-encoded bytes. After the head, the worker's
+   bytes are kept as written: they decode to the same reply. The one
+   value whose encoding does not survive a decode is -0.0 ([-0] reads
+   back as the int 0), so a zero dual written [-0] stays [-0]. *)
+let test_restamp_noncanonical () =
+  let line =
+    Runner.worker_handler
+      (Proto.job_to_wire_json (job ~id:"c0:x" ~db:"s a m\nm b t\ns b u\nu a t\n" ~query:"ab" ()))
+  in
+  let head_end =
+    let key = {|,"stages":|} in
+    let rec go i = if String.sub line i (String.length key) = key then i else go (i + 1) in
+    go 0
+  in
+  let head = String.sub line 0 head_end and tail = String.sub line head_end (String.length line - head_end) in
+  let settle l = (restamped l ~id:"x" ~attempts:2 ~wall_s:0.5, reencoded l ~id:"x" ~attempts:2 ~wall_s:0.5) in
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec go i = if String.sub s i n = sub then String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n) else go (i + 1) in
+    go 0
+  in
+  let steps = match Proto.reply_of_json line with Ok r -> r.Proto.steps | Error e -> Alcotest.fail e in
+  List.iter
+    (fun (label, variant) ->
+      let got, parent = settle variant in
+      Alcotest.(check string) (label ^ ": the parent's bytes") parent got)
+    [
+      ("canonical", line);
+      ("space after the brace", "{ " ^ String.sub line 1 (String.length line - 1));
+      ("space inside the head", replace ~sub:{|,"attempts"|} ~by:{|, "attempts"|} line);
+      ( "reordered head",
+        Printf.sprintf {|{"id":"c0:x","v":1,"attempts":1,"steps":%d,"wall_s":0|} steps ^ tail );
+      ("no version", Printf.sprintf {|{"id":"c0:x","attempts":1,"steps":%d,"wall_s":0|} steps ^ tail);
+      ("wall_s spelled 0.00", head ^ ".00" ^ tail);
+      ("attempts spelled 01", replace ~sub:{|"attempts":1|} ~by:{|"attempts":01|} line);
+    ];
+  let got, parent = settle (head ^ replace ~sub:{|"outcome":|} ~by:{|"outcome": |} tail) in
+  check "a non-canonical tail is forwarded as written" true (got <> parent);
+  check "and decodes to the parent's reply" true (decode_exn got = decode_exn parent);
+  let r =
+    {
+      (decode_exn line) with
+      Proto.cert =
+        Some (Cert.Certificate.Bounds { fact_weights = [ (0, 1) ]; covers = None; dual = Some [ -0.0; 0.5 ] });
+    }
+  in
+  let zero = Proto.reply_to_json r in
+  let got, parent = settle zero in
+  check "-0.0 is written -0" true (String.ends_with ~suffix:{|"dual":[-0,0.5]}}|} zero);
+  check "the settled line keeps -0" true (String.ends_with ~suffix:{|"dual":[-0,0.5]}}|} got);
+  check "the re-encoded line writes 0" true (String.ends_with ~suffix:{|"dual":[0,0.5]}}|} parent);
+  check "both decode to the same reply" true (decode_exn got = decode_exn parent)
+
 (* ---- Journal ---- *)
 
 let with_temp f =
@@ -514,7 +719,7 @@ let test_digest_excludes_deadline_priority () =
   Cache.store cache ~digest:(Journal.canonical_digest cached) good;
   let resub = job ~id:"resub" ~deadline_ms:250 ~priority:"batch" () in
   match Cache.find cache ~digest:(Journal.canonical_digest resub) ~id:"resub" with
-  | Cache.Hit r ->
+  | Cache.Hit { reply = r; _ } ->
       check "cache hit across deadline/priority variants" true
         (r.Proto.verdict = good.Proto.verdict)
   | Cache.Miss | Cache.Cert_reject _ ->
@@ -1215,12 +1420,28 @@ let test_cache_hit_miss_lru () =
   check "empty cache misses" true (Cache.find cache ~digest ~id:"q" = Cache.Miss);
   Cache.store cache ~digest good;
   (match Cache.find cache ~digest ~id:"other" with
-  | Cache.Hit r ->
+  | Cache.Hit { reply = r; _ } ->
       check "hit rewrites the id to the requester's" true (r.Proto.id = "other");
       check "hit reports zero supervisor time" true (r.Proto.wall_s = 0.0);
       check "verdict and certificate preserved" true
         (r.Proto.verdict = good.Proto.verdict && r.Proto.cert = good.Proto.cert)
   | Cache.Miss | Cache.Cert_reject _ -> Alcotest.fail "expected a hit");
+  (* The entry holds the bytes the first requester got; a hit sends them
+     with the requester's id and wall_s 0, the bytes a re-encode of the
+     decoded reply gives — on the first hit, which decodes them, and on
+     later hits, which reuse the decode. *)
+  let sent = Proto.reply_to_json { good with Proto.id = "first"; wall_s = 0.75 } in
+  Cache.store cache ~digest ~line:sent good;
+  List.iter
+    (fun id ->
+      match Cache.find cache ~digest ~id with
+      | Cache.Hit { line; _ } ->
+          Alcotest.(check string)
+            ("hit line for " ^ id)
+            (Proto.reply_to_json { good with Proto.id; wall_s = 0.0 })
+            line
+      | Cache.Miss | Cache.Cert_reject _ -> Alcotest.fail "expected a hit")
+    [ "h1"; "h2" ];
   (* Error replies describe circumstance, not the answer: never cached. *)
   Cache.store cache ~digest:"dg-err" (Proto.failed ~id:"e" ~kind:"crash" "boom");
   check "failures are not cached" true (Cache.find cache ~digest:"dg-err" ~id:"e" = Cache.Miss);
@@ -1256,7 +1477,15 @@ let test_cache_cert_reject () =
     (Cache.find cache ~digest ~id:"victim" = Cache.Miss);
   Cache.store cache ~digest good;
   check "the honest reply serves" true
-    (match Cache.find cache ~digest ~id:"v2" with Cache.Hit _ -> true | _ -> false)
+    (match Cache.find cache ~digest ~id:"v2" with Cache.Hit _ -> true | _ -> false);
+  (* Bytes that do not decode are refused the same way. *)
+  let torn = Proto.reply_to_json good in
+  Cache.store cache ~digest ~line:(String.sub torn 0 (String.length torn / 2)) good;
+  (match Cache.find cache ~digest ~id:"v3" with
+  | Cache.Cert_reject _ -> ()
+  | Cache.Hit _ -> Alcotest.fail "undecodable bytes were served from the cache"
+  | Cache.Miss -> Alcotest.fail "expected Cert_reject for undecodable bytes, got Miss");
+  check "the undecodable entry was evicted" true (Cache.find cache ~digest ~id:"v3" = Cache.Miss)
 
 (* Drive [serve_sockets] end-to-end over pre-connected socketpairs: each
    client pre-writes its job lines, half-closes, and reads replies back
@@ -1427,6 +1656,107 @@ let test_serve_journal_shares_reply_bytes () =
         client_lines;
       check "the journal loads" true ((load_exn jpath).Journal.records >= 3))
 
+(* Drives [serve_sockets] from a forked client that sends each line only
+   once the reply to the one before it is in, so a later job finds what
+   an earlier one left in the cache. Returns the client's reply lines. *)
+let serve_sequential ?handler ~scfg lines =
+  let server_end, client_end = Transport.pair () in
+  let out = Filename.temp_file "rpq_seq" ".jsonl" in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close server_end;
+      let code =
+        try
+          let ic, oc = Transport.channels_of_fd client_end in
+          let replies =
+            List.map
+              (fun l ->
+                output_string oc (l ^ "\n");
+                flush oc;
+                input_line ic)
+              lines
+          in
+          write_file out (String.concat "" (List.map (fun r -> r ^ "\n") replies));
+          Transport.shutdown_send oc;
+          0
+        with _ -> 1
+      in
+      Unix._exit code
+  | pid ->
+      Unix.close client_end;
+      Fun.protect
+        ~finally:(fun () -> Sys.remove out)
+        (fun () ->
+          Runner.serve_sockets ?handler ~preconnected:[ server_end ] scfg;
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 0 -> In_channel.with_open_bin out In_channel.input_lines
+          | _ -> Alcotest.fail "the sequential client did not get its replies")
+
+(* A worker handler whose first attempt at a job writes [corrupt] of the
+   real reply line. The first attempt of a job without a step budget is
+   the only one that runs without one: a retry's budget is degraded. *)
+let first_attempt_writes corrupt line =
+  let reply = Runner.worker_handler line in
+  match Proto.job_of_json line with
+  | Ok j when j.Proto.budget.Proto.steps = None -> corrupt reply
+  | _ -> reply
+
+(* [{"edges":[[s,d,c],…} → [{"edges":[[s,d],…}: still JSON, but the
+   certificate no longer fits its schema. *)
+let drop_first_capacity line =
+  let key = {|"edges":[[|} in
+  let rec find i = if String.sub line i (String.length key) = key then i else find (i + 1) in
+  let p = find 0 + String.length key in
+  let q = String.index_from line p ']' in
+  let comma = String.rindex_from line q ',' in
+  String.sub line 0 comma ^ String.sub line q (String.length line - q)
+
+(* A worker line that does not decode is a [Malformed] death: counted,
+   retried, and never seen by the client, the journal or the cache —
+   the supervisor settles the retry's reply instead. *)
+let test_serve_malformed_worker_lines () =
+  no_faults @@ fun () ->
+  List.iter
+    (fun (label, corrupt) ->
+      with_temp (fun jpath ->
+          Sys.remove jpath;
+          let scfg =
+            {
+              Runner.default_serve_config with
+              Runner.base = quick_cfg;
+              serve_journal = Some jpath;
+            }
+          in
+          let j = job ~id:"m1" ~db:"s a m\nm b t\ns b u\nu a t\n" ~query:"ab" () in
+          check (label ^ ": the corruption still frames as one line") false
+            (String.contains (corrupt (Runner.worker_handler (Proto.job_to_wire_json j))) '\n');
+          let malformed0 = counter_count "runner.deaths.malformed"
+          and retries0 = counter_count "runner.retries"
+          and hits0 = counter_count "cache.hits" in
+          match
+            serve_sequential ~handler:(first_attempt_writes corrupt) ~scfg
+              [ Proto.job_to_json j; Proto.job_to_json { j with Proto.id = "m2" } ]
+          with
+          | [ l1; l2 ] ->
+              check (label ^ ": one malformed death") true
+                (counter_count "runner.deaths.malformed" = malformed0 + 1);
+              check (label ^ ": retried once") true (counter_count "runner.retries" = retries0 + 1);
+              let r1 = decode_exn l1 in
+              check (label ^ ": the client got the retry's answer") true
+                (r1.Proto.id = "m1" && r1.Proto.attempts = 2 && is_exact r1 && Runner.verify_reply r1);
+              check (label ^ ": the resubmission was a cache hit") true
+                (counter_count "cache.hits" = hits0 + 1);
+              Alcotest.(check string)
+                (label ^ ": the cache held the retry's bytes")
+                (Proto.reply_to_json { r1 with Proto.id = "m2"; wall_s = 0.0 })
+                l2;
+              Alcotest.(check (list (pair string string)))
+                (label ^ ": the journal holds exactly the client's lines")
+                [ ("m1", l1); ("m2", l2) ]
+                (journal_done_replies jpath)
+          | lines -> Alcotest.failf "%s: expected 2 replies, got %d" label (List.length lines)))
+    [ ("not JSON", fun _ -> "this is not a reply"); ("cert schema", drop_first_capacity) ]
+
 (* A stats line right behind a job line sees that job: [runner.jobs]
    counts at admission, before the job waits for a worker. *)
 let test_serve_stats_sees_prior_job () =
@@ -1596,7 +1926,10 @@ let () =
         [
           Alcotest.test_case "roundtrips" `Quick test_proto_roundtrip;
           Alcotest.test_case "rejects" `Quick test_proto_rejects;
+          Alcotest.test_case "restamp real worker replies" `Quick test_restamp_real_replies;
+          Alcotest.test_case "restamp non-canonical lines" `Quick test_restamp_noncanonical;
           QCheck_alcotest.to_alcotest prop_proto_job_roundtrip;
+          QCheck_alcotest.to_alcotest prop_restamp_matches_reencode;
         ] );
       ( "journal",
         [
@@ -1659,6 +1992,8 @@ let () =
           Alcotest.test_case "journal shares the client's reply bytes" `Quick
             test_serve_journal_shares_reply_bytes;
           Alcotest.test_case "stats sees the line above" `Quick test_serve_stats_sees_prior_job;
+          Alcotest.test_case "malformed worker lines never settle" `Quick
+            test_serve_malformed_worker_lines;
         ] );
       ( "trace",
         [
