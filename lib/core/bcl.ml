@@ -164,7 +164,15 @@ let is_bcl_nfa a =
   | Some ws -> is_bcl ws
 
 (* Proposition 7.5's MinCut construction. The certificate comes back as a
-   thunk so uncertified callers pay nothing for its serialization. *)
+   thunk so uncertified callers pay nothing for its serialization.
+
+   The network is built from an index of the live facts: by label, and
+   by (source node, label). Each structural edge is then one lookup, so
+   construction costs O(|D| + edges added). The edges come in a fixed
+   order (fact edges by fact id; then per word, per consecutive letter
+   pair, per a-fact by id, per b-fact by id; then the source/target
+   wiring), which fixes the vertex numbering, the flow, the cut and the
+   certificate. *)
 let solve_words_gen d ws =
   if List.mem "" ws then
     (Value.Infinite, [], fun () -> Certify.trivial "epsilon-in-language")
@@ -173,44 +181,56 @@ let solve_words_gen d ws =
     let single_letters =
       List.filter_map (fun w -> if String.length w = 1 then Some w.[0] else None) ws
     in
+    let nfacts = Db.fact_count d in
+    let is_forced = Array.make nfacts false in
     let forced =
       List.filter_map
         (fun (fid, (f : Db.fact)) ->
-          if List.mem f.Db.label single_letters then Some fid else None)
+          if List.mem f.Db.label single_letters then begin
+            is_forced.(fid) <- true;
+            Some fid
+          end
+          else None)
         (Db.facts d)
     in
     (* Weights captured before the restriction shadows [d]: the restricted
        database no longer answers for removed facts. *)
     let forced_w = List.map (fun fid -> (fid, Db.mult d fid)) forced in
     let base_cost = List.fold_left (fun acc fid -> acc + Db.mult d fid) 0 forced in
-    let d = Db.restrict d ~removed:(fun id -> List.mem id forced) in
+    let d = Db.restrict d ~removed:(fun id -> is_forced.(id)) in
     let ws = List.filter (fun w -> String.length w >= 2) ws in
     match endpoint_bipartition ws with
     | None -> invalid_arg "Bcl.solve: endpoint graph is not bipartite"
     | Some side_of ->
         let side c = List.assoc_opt c side_of in
+        let live = Db.facts d in
+        (* Live fact ids by label, and by (source node, label), in id order. *)
+        let by_label = Array.make 256 [] in
+        let out_by = Hashtbl.create 64 in
+        let key v c = (v * 256) + Char.code c in
+        List.iter
+          (fun (fid, (f : Db.fact)) ->
+            let l = Char.code f.Db.label in
+            by_label.(l) <- fid :: by_label.(l);
+            let k = key f.Db.src f.Db.label in
+            Hashtbl.replace out_by k
+              (fid :: Option.value ~default:[] (Hashtbl.find_opt out_by k)))
+          (List.rev live);
+        let with_label c = by_label.(Char.code c) in
+        let out_with v c = Option.value ~default:[] (Hashtbl.find_opt out_by (key v c)) in
         let net = Net.create () in
         let source = Net.add_vertex net and sink = Net.add_vertex net in
         (* start/end vertices and the capacity edge of each live fact. *)
-        let fact_ids = List.map fst (Db.facts d) in
-        let startv = Hashtbl.create 64 and endv = Hashtbl.create 64 in
+        let startv = Array.make nfacts 0 and endv = Array.make nfacts 0 in
         let fact_edge = ref [] in
         List.iter
-          (fun fid ->
+          (fun (fid, _) ->
             let s = Net.add_vertex net and e = Net.add_vertex net in
-            Hashtbl.add startv fid s;
-            Hashtbl.add endv fid e;
+            startv.(fid) <- s;
+            endv.(fid) <- e;
             let eid = Net.add_edge net ~src:s ~dst:e (Net.Finite (Db.mult d fid)) in
             fact_edge := (eid, fid) :: !fact_edge)
-          fact_ids;
-        let vertex_of tbl fid =
-          match Hashtbl.find_opt tbl fid with
-          | Some v -> v
-          | None -> Invariant.internal_error "Bcl.solve: fact %d has no product vertex" fid
-        in
-        let facts_with_label c =
-          List.filter (fun (_, (f : Db.fact)) -> f.Db.label = c) (Db.facts d)
-        in
+          live;
         (* Structural +∞ edges: consecutive letter pairs of each word,
            oriented according to the word's direction. *)
         let is_forward w = side w.[0] = Some 0 in
@@ -218,34 +238,25 @@ let solve_words_gen d ws =
           (fun w ->
             let fwd = is_forward w in
             for i = 0 to String.length w - 2 do
-              let a = w.[i] and b = w.[i + 1] in
+              let b = w.[i + 1] in
               List.iter
-                (fun (fid, (f : Db.fact)) ->
+                (fun fid ->
                   List.iter
-                    (fun (gid, (g : Db.fact)) ->
-                      if f.Db.dst = g.Db.src then
-                        if fwd then
-                          ignore
-                            (Net.add_edge net ~src:(vertex_of endv fid)
-                               ~dst:(vertex_of startv gid) Net.Inf)
-                        else
-                          ignore
-                            (Net.add_edge net ~src:(vertex_of endv gid)
-                               ~dst:(vertex_of startv fid) Net.Inf))
-                    (facts_with_label b))
-                (facts_with_label a)
+                    (fun gid ->
+                      let src, dst = if fwd then (fid, gid) else (gid, fid) in
+                      ignore (Net.add_edge net ~src:endv.(src) ~dst:startv.(dst) Net.Inf))
+                    (out_with (Db.fact d fid).Db.dst b))
+                (with_label w.[i])
             done)
           ws;
         (* Source/target wiring by partition side, for endpoint letters only. *)
         List.iter
           (fun (c, s) ->
             List.iter
-              (fun (fid, _) ->
-                if s = 0 then
-                  ignore (Net.add_edge net ~src:source ~dst:(vertex_of startv fid) Net.Inf)
-                else
-                  ignore (Net.add_edge net ~src:(vertex_of endv fid) ~dst:sink Net.Inf))
-              (facts_with_label c))
+              (fun fid ->
+                if s = 0 then ignore (Net.add_edge net ~src:source ~dst:startv.(fid) Net.Inf)
+                else ignore (Net.add_edge net ~src:endv.(fid) ~dst:sink Net.Inf))
+              (with_label c))
           side_of;
         let cut, flow = Net.min_cut_certified net ~source ~sink in
         (match cut.Net.value with
@@ -253,9 +264,7 @@ let solve_words_gen d ws =
             Invariant.internal_error
               "Bcl.solve: infinite cut although cutting every fact edge disconnects the network"
         | Net.Finite v ->
-            let facts =
-              List.filter_map (fun eid -> List.assoc_opt eid !fact_edge) cut.Net.edges
-            in
+            let facts = Local_solver.cut_facts net ~fact_edge:!fact_edge cut in
             let cert () =
               Certify.cut ~net ~source ~sink ~cut ~flow ~fact_edge:!fact_edge
                 ~forced:forced_w

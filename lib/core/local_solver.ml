@@ -59,6 +59,13 @@ let build_network d ~ro =
     ro.Automata.Nfa.final;
   { net; source; sink; fact_edge = List.rev !fact_edge }
 
+let cut_facts net ~fact_edge (cut : Net.cut) =
+  let fact_of_edge = Array.make (Net.edge_count net) (-1) in
+  List.iter (fun (eid, fid) -> fact_of_edge.(eid) <- fid) fact_edge;
+  List.filter_map
+    (fun eid -> if fact_of_edge.(eid) >= 0 then Some fact_of_edge.(eid) else None)
+    cut.Net.edges
+
 (* The common solve path, returning the certificate as a thunk: the hot
    callers (the submodular solver's oracle evaluates thousands of
    restricted instances through [solve_ro]) never force it, so they pay
@@ -94,10 +101,7 @@ let solve_ro_gen d ~ro =
     match cut.Net.value with
     | Net.Inf -> (Value.Infinite, [], cert)
     | Net.Finite v ->
-        let facts =
-          List.filter_map (fun eid -> List.assoc_opt eid fact_edge) cut.Net.edges
-        in
-        (Value.Finite v, List.sort_uniq compare facts, cert)
+        (Value.Finite v, List.sort_uniq compare (cut_facts net ~fact_edge cut), cert)
   end
 
 let solve_ro d ~ro =

@@ -18,6 +18,10 @@ val build_network : Graphdb.Db.t -> ro:Automata.Nfa.t -> network
 (** The product network N_{D,A} for a read-once εNFA [ro].
     @raise Invalid_argument if [ro] is not read-once. *)
 
+val cut_facts : Flow.Network.t -> fact_edge:(int * int) list -> Flow.Network.cut -> int list
+(** The fact ids of the fact edges among a cut's edges, in the cut's
+    order; [fact_edge] pairs (network edge id, fact id). *)
+
 val solve_ro : Graphdb.Db.t -> ro:Automata.Nfa.t -> Value.t * int list
 (** Resilience computed on the product network of a read-once εNFA, with a
     witness contingency set. Handles ε ∈ L (infinite resilience). *)

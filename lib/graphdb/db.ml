@@ -15,28 +15,59 @@ let compute_out nnodes all_facts alive =
     all_facts;
   Array.map List.rev out
 
+(* Facts are kept in (src, label, dst) order. One integer key per fact,
+   ((src * 256 + code label) * nnodes + dst), sorts in exactly that
+   order: dst < nnodes and a label code < 256 are the key's lower digits. *)
 let of_mult_list nnodes fact_mults =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (src, label, dst, m) ->
+  let keyed = Array.make (List.length fact_mults) (0, 0) in
+  List.iteri
+    (fun i (src, label, dst, m) ->
       if src < 0 || src >= nnodes || dst < 0 || dst >= nnodes then
         invalid_arg "Db.make: node out of range";
       if m < 1 then invalid_arg "Db.make: multiplicity must be >= 1";
-      let key = (src, label, dst) in
-      Hashtbl.replace tbl key (Option.value ~default:0 (Hashtbl.find_opt tbl key) + m))
+      keyed.(i) <- ((((src * 256) + Char.code label) * nnodes) + dst, m))
     fact_mults;
-  let entries = Hashtbl.fold (fun k m acc -> (k, m) :: acc) tbl [] in
-  let entries = List.sort compare entries in
-  let all_facts = Array.of_list (List.map (fun ((s, l, d), _) -> { src = s; label = l; dst = d }) entries) in
-  let mults = Array.of_list (List.map snd entries) in
-  let alive = Array.make (Array.length all_facts) true in
+  Array.stable_sort (fun (k, _) (k', _) -> Int.compare k k') keyed;
+  (* Merge each run of equal keys into one fact, adding multiplicities. *)
+  let n = Array.length keyed in
+  let keys = Array.make n 0 and mults = Array.make n 0 in
+  let nf = ref 0 in
+  Array.iteri
+    (fun i (k, m) ->
+      if i > 0 && k = keys.(!nf - 1) then mults.(!nf - 1) <- mults.(!nf - 1) + m
+      else begin
+        keys.(!nf) <- k;
+        mults.(!nf) <- m;
+        incr nf
+      end)
+    keyed;
+  let all_facts =
+    Array.init !nf (fun i ->
+        let k = keys.(i) in
+        let hi = k / nnodes in
+        { src = hi / 256; label = Char.chr (hi mod 256); dst = k mod nnodes })
+  in
+  let mults = Array.sub mults 0 !nf in
+  let alive = Array.make !nf true in
   { nnodes; all_facts; mults; alive; out = compute_out nnodes all_facts alive }
 
 let make ~nnodes ~facts = of_mult_list nnodes (List.map (fun (s, l, d) -> (s, l, d, 1)) facts)
 let make_bag ~nnodes ~facts = of_mult_list nnodes facts
 
+(* The order of polymorphic [compare] on the tuples, component by
+   component. *)
+let compare_entry (s, l, d, m) (s', l', d', m') =
+  let c = Int.compare s s' in
+  if c <> 0 then c
+  else
+    let c = Char.compare l l' in
+    if c <> 0 then c
+    else
+      let c = Int.compare d d' in
+      if c <> 0 then c else Int.compare m m'
+
 let unsafe_make_bag ~nnodes ~facts =
-  let entries = List.sort compare facts in
+  let entries = List.sort compare_entry facts in
   let all_facts =
     Array.of_list (List.map (fun (s, l, d, _) -> { src = s; label = l; dst = d }) entries)
   in

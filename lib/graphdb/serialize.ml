@@ -16,39 +16,99 @@ let to_string ?(names = default_name) d =
 
 type parsed = { db : Db.t; node_name : int -> string; node_id : string -> int option }
 
+module Names = Hashtbl.Make (String)
+
+(* [String.trim]'s whitespace. *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* One pass over the text, with the semantics of splitting it on '\n',
+   trimming each line and splitting that on ' ' (empty tokens dropped):
+   node ids in order of first appearance, a line's source before its
+   destination. *)
 let parse s =
-  let b = Db.Builder.create () in
-  let error = ref None in
+  let ids = Names.create 64 in
+  let names = ref [] and nnodes = ref 0 in
+  let node name =
+    match Names.find_opt ids name with
+    | Some id -> id
+    | None ->
+        let id = !nnodes in
+        incr nnodes;
+        Names.add ids name id;
+        names := name :: !names;
+        id
+  in
+  let facts = ref [] in
+  let len = String.length s in
+  (* Start and stop of the first four tokens of the current line. *)
+  let tok_lo = Array.make 4 0 and tok_hi = Array.make 4 0 in
+  let tok i = String.sub s tok_lo.(i) (tok_hi.(i) - tok_lo.(i)) in
   (* Error messages start with "<line>:" so a caller can prefix the file
      name and get a standard file:line diagnostic. *)
-  List.iteri
-    (fun lineno line ->
-      if !error = None then begin
-        let line = String.trim line in
-        if line <> "" && line.[0] <> '#' then
-          match String.split_on_char ' ' line |> List.filter (fun t -> t <> "") with
-          | [ src; label; dst ] when String.length label = 1 -> Db.Builder.add b src label.[0] dst
-          | [ src; label; dst; m ] when String.length label = 1 -> begin
-              match int_of_string_opt m with
-              | Some m when m >= 1 -> Db.Builder.add b ~mult:m src label.[0] dst
-              | _ ->
-                  error :=
-                    Some
-                      (Printf.sprintf "%d: bad multiplicity %S (expected an integer >= 1)"
-                         (lineno + 1) m)
-            end
-          | _ ->
-              error :=
-                Some
-                  (Printf.sprintf
-                     "%d: expected `src label dst [mult]` with a single-character label"
-                     (lineno + 1))
-      end)
-    (String.split_on_char '\n' s);
-  match !error with
-  | Some e -> Error e
-  | None ->
-      Ok { db = Db.Builder.build b; node_name = Db.Builder.node_name b; node_id = Db.Builder.find_node b }
+  let rec lines lineno pos =
+    let stop = match String.index_from_opt s pos '\n' with Some i -> i | None -> len in
+    let lo = ref pos and hi = ref stop in
+    while !lo < !hi && is_space s.[!lo] do
+      incr lo
+    done;
+    while !hi > !lo && is_space s.[!hi - 1] do
+      decr hi
+    done;
+    let result =
+      if !lo = !hi || s.[!lo] = '#' then Ok ()
+      else begin
+        let ntok = ref 0 and i = ref !lo in
+        while !i < !hi && !ntok <= 4 do
+          if s.[!i] = ' ' then incr i
+          else begin
+            let j = ref !i in
+            while !j < !hi && s.[!j] <> ' ' do
+              incr j
+            done;
+            if !ntok < 4 then begin
+              tok_lo.(!ntok) <- !i;
+              tok_hi.(!ntok) <- !j
+            end;
+            incr ntok;
+            i := !j
+          end
+        done;
+        let add m =
+          let src = node (tok 0) in
+          let dst = node (tok 2) in
+          facts := (src, s.[tok_lo.(1)], dst, m) :: !facts
+        in
+        if (!ntok = 3 || !ntok = 4) && tok_hi.(1) - tok_lo.(1) = 1 then
+          if !ntok = 3 then Ok (add 1)
+          else
+            let m = tok 3 in
+            match int_of_string_opt m with
+            | Some m when m >= 1 -> Ok (add m)
+            | _ ->
+                Error
+                  (Printf.sprintf "%d: bad multiplicity %S (expected an integer >= 1)" lineno m)
+        else
+          Error
+            (Printf.sprintf "%d: expected `src label dst [mult]` with a single-character label"
+               lineno)
+      end
+    in
+    match result with
+    | Ok () when stop < len -> lines (lineno + 1) (stop + 1)
+    | r -> r
+  in
+  match lines 1 0 with
+  | Error e -> Error e
+  | Ok () ->
+      let names = Array.of_list (List.rev !names) in
+      Ok
+        {
+          db = Db.make_bag ~nnodes:!nnodes ~facts:(List.rev !facts);
+          node_name =
+            (fun id ->
+              if id >= 0 && id < Array.length names then names.(id) else Printf.sprintf "#%d" id);
+          node_id = Names.find_opt ids;
+        }
 
 let of_string s =
   Result.map (fun p -> (p.db, p.node_name)) (parse s)

@@ -26,32 +26,71 @@ let is_vertex_cover g vs =
   let mem v = List.mem v s in
   List.for_all (fun (u, v) -> mem u || mem v) g.edges
 
-(* Branch and bound: pick any uncovered edge (u, v); a cover contains u or v. *)
+module IS = Set.Make (Int)
+module IM = Map.Make (Int)
+
+(* Exact minimum vertex cover over an adjacency map, by reductions that
+   each keep the optimum, applied to a vertex v of least degree:
+   - degree 0: v leaves the graph;
+   - degree 1: v's neighbour joins the cover;
+   - degree 2 with adjacent neighbours u, w (a triangle): u and w join
+     the cover;
+   - degree 2 otherwise (folding): v, u and w become one new vertex
+     adjacent to N(u) ∪ N(w) \ {v}, and the cover grows by one.
+   A subdivided edge is a chain of degree-2 vertices, which folding
+   collapses two at a time. When every degree is at least 3, branch on a
+   vertex of greatest degree: it joins the cover, or all its neighbours
+   do. *)
 let vertex_cover_number g =
-  let best = ref g.n in
-  let rec go count covered remaining =
-    match remaining with
-    | [] -> if count < !best then best := count
-    | (u, v) :: rest ->
-        if List.mem u covered || List.mem v covered then go count covered rest
-        else if count + 1 < !best then begin
-          (* Lower bound: greedy matching on the remaining edges. *)
-          let rec matching used acc = function
-            | [] -> acc
-            | (a, b) :: r ->
-                if List.mem a covered || List.mem b covered || List.mem a used || List.mem b used
-                then matching used acc r
-                else matching (a :: b :: used) (acc + 1) r
-          in
-          let lb = matching [] 0 remaining in
-          if count + lb < !best then begin
-            go (count + 1) (u :: covered) rest;
-            go (count + 1) (v :: covered) rest
-          end
-        end
+  let adj =
+    List.fold_left
+      (fun adj (u, v) ->
+        let add a b adj =
+          IM.add a (IS.add b (Option.value ~default:IS.empty (IM.find_opt a adj))) adj
+        in
+        add u v (add v u adj))
+      IM.empty g.edges
   in
-  go 0 [] g.edges;
-  !best
+  let neighbours v adj = Option.value ~default:IS.empty (IM.find_opt v adj) in
+  let remove v adj =
+    IS.fold (fun u adj -> IM.add u (IS.remove v (neighbours u adj)) adj) (neighbours v adj)
+      (IM.remove v adj)
+  in
+  (* The first vertex whose degree beats every earlier one under [better]. *)
+  let pick better adj =
+    IM.fold
+      (fun v nb acc ->
+        match acc with
+        | Some (_, d) when not (better (IS.cardinal nb) d) -> acc
+        | _ -> Some (v, IS.cardinal nb))
+      adj None
+  in
+  let rec solve fresh adj =
+    match pick ( < ) adj with
+    | None -> 0
+    | Some (v, _) -> (
+        match IS.elements (neighbours v adj) with
+        | [] -> solve fresh (IM.remove v adj)
+        | [ u ] -> 1 + solve fresh (remove u (remove v adj))
+        | [ u; w ] when IS.mem w (neighbours u adj) ->
+            2 + solve fresh (remove w (remove u (remove v adj)))
+        | [ u; w ] ->
+            let nb = IS.remove v (IS.union (neighbours u adj) (neighbours w adj)) in
+            let adj = remove w (remove u (remove v adj)) in
+            let adj =
+              IS.fold (fun y adj -> IM.add y (IS.add fresh (neighbours y adj)) adj) nb
+                (IM.add fresh nb adj)
+            in
+            1 + solve (fresh + 1) adj
+        | _ -> (
+            match pick ( > ) adj with
+            | None -> 0
+            | Some (v, d) ->
+                let nb = neighbours v adj in
+                let adj' = remove v adj in
+                min (1 + solve fresh adj') (d + solve fresh (IS.fold remove nb adj'))))
+  in
+  solve g.n adj
 
 let vertex_cover_bruteforce g =
   if g.n > 25 then invalid_arg "vertex_cover_bruteforce: too many vertices";

@@ -60,13 +60,39 @@ let pp ppf t =
     t.edge_sets;
   Format.fprintf ppf "@]"
 
-(* Keep only inclusion-minimal edges (edge-domination rule applied fully). *)
+(* Keep only inclusion-minimal edges (edge-domination rule applied fully),
+   both parts in sorted order. A proper subset e' of e has its least
+   vertex in e, so the candidates for e are found through an index of
+   the edges by least vertex; the empty edge, if any, dominates all the
+   others. *)
 let minimal_edges_trace edge_sets =
-  let edge_sets = normalize_edges edge_sets in
-  List.partition
-    (fun e ->
-      not (List.exists (fun e' -> (not (ISet.equal e e')) && ISet.subset e' e) edge_sets))
-    edge_sets
+  let edges = Array.of_list (normalize_edges edge_sets) in
+  let card = Array.map ISet.cardinal edges in
+  let has_empty = Array.length edges > 0 && card.(0) = 0 in
+  let by_min = Hashtbl.create 64 in
+  Array.iteri
+    (fun i e ->
+      if card.(i) > 0 then begin
+        let v = ISet.min_elt e in
+        Hashtbl.replace by_min v (i :: Option.value ~default:[] (Hashtbl.find_opt by_min v))
+      end)
+    edges;
+  let dominated i =
+    let e = edges.(i) in
+    card.(i) > 0
+    && (has_empty
+       || ISet.exists
+            (fun v ->
+              List.exists
+                (fun j -> card.(j) < card.(i) && ISet.subset edges.(j) e)
+                (Option.value ~default:[] (Hashtbl.find_opt by_min v)))
+            e)
+  in
+  let kept = ref [] and removed = ref [] in
+  for i = Array.length edges - 1 downto 0 do
+    if dominated i then removed := edges.(i) :: !removed else kept := edges.(i) :: !kept
+  done;
+  (!kept, !removed)
 
 let minimal_edges edge_sets = fst (minimal_edges_trace edge_sets)
 
@@ -240,40 +266,55 @@ let min_hitting_set ?(weights = fun _ -> 1) ?fuel t =
   with No_hitting_set -> invalid_arg "Hypergraph.min_hitting_set: empty edge"
 
 let greedy_hitting_set ?(weights = fun _ -> 1) t =
-  let edges = ref (minimal_edges t.edge_sets) in
-  if List.exists ISet.is_empty !edges then invalid_arg "Hypergraph.greedy_hitting_set: empty edge";
+  let edges = Array.of_list (minimal_edges t.edge_sets) in
+  if Array.exists ISet.is_empty edges then invalid_arg "Hypergraph.greedy_hitting_set: empty edge";
+  (* Vertex [lo + x] is slot [x]. [count.(x)]: live edges through it;
+     [incident.(x)]: every edge through it. An edge leaves the live set
+     when one of its vertices is picked, and takes its vertices' counts
+     down with it. *)
+  let lo = Array.fold_left (fun acc e -> min acc (ISet.min_elt e)) max_int edges in
+  let hi = Array.fold_left (fun acc e -> max acc (ISet.max_elt e)) min_int edges in
+  let nv = if Array.length edges = 0 then 0 else hi - lo + 1 in
+  let count = Array.make nv 0 and incident = Array.make nv [] in
+  Array.iteri
+    (fun i e ->
+      ISet.iter
+        (fun v ->
+          count.(v - lo) <- count.(v - lo) + 1;
+          incident.(v - lo) <- i :: incident.(v - lo))
+        e)
+    edges;
+  let live = Array.make (Array.length edges) true in
+  let nlive = ref (Array.length edges) in
   let chosen = ref [] and cost = ref 0 in
-  while !edges <> [] do
+  while !nlive > 0 do
     (* Pick the vertex maximizing covered-edges per unit weight (compared
        cross-multiplied to stay in integers); ties break toward the smaller
        vertex id for determinism. *)
-    let count = Hashtbl.create 16 in
+    let pick = ref (-1) in
+    for x = 0 to nv - 1 do
+      let k = count.(x) in
+      if k > 0 then
+        if !pick < 0 then pick := x
+        else begin
+          let x' = !pick in
+          let l = k * weights (lo + x') and r = count.(x') * weights (lo + x) in
+          if l > r || (l = r && x < x') then pick := x
+        end
+    done;
+    if !pick < 0 then
+      Invariant.internal_error "Hypergraph.greedy_hitting_set: no vertex in live edges";
+    let v = lo + !pick in
+    chosen := v :: !chosen;
+    cost := !cost + weights v;
     List.iter
-      (fun e ->
-        ISet.iter
-          (fun v ->
-            Hashtbl.replace count v (1 + Option.value ~default:0 (Hashtbl.find_opt count v)))
-          e)
-      !edges;
-    let pick =
-      Hashtbl.fold
-        (fun v k acc ->
-          match acc with
-          | None -> Some (v, k)
-          | Some (v', k') ->
-              let better =
-                let l = k * weights v' and r = k' * weights v in
-                l > r || (l = r && v < v')
-              in
-              if better then Some (v, k) else acc)
-        count None
-    in
-    match pick with
-    | None -> Invariant.internal_error "Hypergraph.greedy_hitting_set: no vertex in live edges"
-    | Some (v, _) ->
-        chosen := v :: !chosen;
-        cost := !cost + weights v;
-        edges := List.filter (fun e -> not (ISet.mem v e)) !edges
+      (fun i ->
+        if live.(i) then begin
+          live.(i) <- false;
+          decr nlive;
+          ISet.iter (fun u -> count.(u - lo) <- count.(u - lo) - 1) edges.(i)
+        end)
+      incident.(!pick)
   done;
   (!cost, List.rev !chosen)
 

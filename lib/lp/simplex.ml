@@ -49,16 +49,26 @@ let solve ?(fuel = fun () -> ()) (p : problem) =
   let rhs = ncols_t - 1 in
   let t = Array.make_matrix (m + 1) ncols_t 0.0 in
   let basis = Array.make m 0 in
+  (* Phase 1 minimizes the sum of artificials: row m starts at +0.0 and
+     gets every row's nonzero entries subtracted, row by row, as each row
+     is filled. Subtracting a zero would leave every entry as it is,
+     signs included. The artificial columns' costs stay 0: after the
+     basic rows are subtracted their reduced costs are 0. *)
+  let obj = t.(m) in
+  let set r j x =
+    t.(r).(j) <- x;
+    if x <> 0.0 then obj.(j) <- obj.(j) -. x
+  in
   List.iteri
     (fun r (a, b) ->
       let sign = if b < 0.0 then -1.0 else 1.0 in
       for j = 0 to n - 1 do
-        t.(r).(j) <- sign *. a.(j)
+        set r j (sign *. a.(j))
       done;
       (* a·x ≥ b  ⇒  a·x - s = b (s ≥ 0); flipped rows become ≤ with slack. *)
-      t.(r).(n + r) <- sign *. -1.0;
+      set r (n + r) (sign *. -1.0);
       t.(r).(n + m + r) <- 1.0;
-      t.(r).(rhs) <- sign *. b;
+      set r rhs (sign *. b);
       basis.(r) <- n + m + r)
     base_rows;
   (* [nz.(0 .. nnz - 1)]: the pivot row's nonzero columns, rhs excluded. *)
@@ -130,24 +140,6 @@ let solve ?(fuel = fun () -> ()) (p : problem) =
     done;
     !ok
   in
-  (* Phase 1: minimize the sum of artificials. Row m starts at +0.0 and
-     only nonzero entries are subtracted: subtracting a zero would leave
-     every entry as it is, signs included. *)
-  let obj = t.(m) in
-  for r = 0 to m - 1 do
-    let tr = t.(r) in
-    for j = 0 to ncols_t - 1 do
-      let x = tr.(j) in
-      if x <> 0.0 then obj.(j) <- obj.(j) -. x
-    done
-  done;
-  (* artificial columns have coefficient 1 in the phase-1 objective; after
-     subtracting basic rows their reduced costs are 0, structural columns
-     get the negated row sums — which is what the loop above computed, except
-     we must zero the artificial columns' costs properly: *)
-  for r = 0 to m - 1 do
-    obj.(n + m + r) <- 0.0
-  done;
   if not (run rhs) then Infeasible
   else if obj.(rhs) < -.eps *. float_of_int (m + 1) *. 10.0 then Infeasible
   else begin

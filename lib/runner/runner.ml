@@ -94,20 +94,50 @@ let heap_limit_words : int option ref = ref None
 let set_max_heap_mb mb =
   heap_limit_words := Option.map (fun mb -> mb * 1024 * 1024 / (Sys.word_size / 8)) mb
 
+(* A worker serves many jobs over few languages, so it keeps each query's
+   automaton and classification, keyed by the query string: a repeated
+   query skips the regex parse and Figure 1's decision procedure. The
+   table starts empty and is emptied when it reaches [query_cache_bound]
+   entries. Only a classification that returned is kept, so a query that
+   does not parse, or whose classification raises, gets the same reply
+   every time. *)
+let query_cache_bound = 64
+let query_cache : (string, Automata.Nfa.t * Classify.t) Hashtbl.t = Hashtbl.create 16
+let query_cache_size () = Hashtbl.length query_cache
+
+type query = Cached of Automata.Nfa.t * Classify.t | Parsed of Automata.Regex.t
+
+let lookup_query q =
+  match Hashtbl.find_opt query_cache q with
+  | Some (lang, cl) -> Some (Cached (lang, cl))
+  | None -> Option.map (fun r -> Parsed r) (Automata.Regex.parse_opt q)
+
+let classification q lang = function
+  | Cached (_, cl) -> cl
+  | Parsed _ ->
+      let cl = Trace.stage "classify" (fun () -> Classify.classify lang) in
+      if Hashtbl.length query_cache >= query_cache_bound then Hashtbl.reset query_cache;
+      Hashtbl.replace query_cache q (lang, cl);
+      cl
+
 let run_job_inner (job : job) : reply =
   match Trace.stage "parse" (fun () -> Ser.parse job.db) with
   | Error e -> failed ~id:job.id ~kind:"bad-job" "database: %s" e
   | Ok p -> begin
-      match Automata.Regex.parse_opt job.query with
+      match lookup_query job.query with
       | None -> failed ~id:job.id ~kind:"bad-job" "invalid regular expression %S" job.query
-      | Some _ -> begin
+      | Some query -> begin
           match
             match job.faults with None -> Ok (Faults.plan ()) | Some s -> Faults.parse s
           with
           | Error e -> failed ~id:job.id ~kind:"bad-job" "faults: %s" e
           | Ok plan ->
               Faults.with_plan plan @@ fun () ->
-              let lang = Trace.stage "parse" (fun () -> Automata.Lang.of_string job.query) in
+              let lang =
+                match query with
+                | Cached (lang, _) -> lang
+                | Parsed r -> Trace.stage "parse" (fun () -> Automata.Lang.of_regex r)
+              in
               let fault_probe = worker_probe () in
               let heap_flag = ref false in
               let alarm =
@@ -139,7 +169,11 @@ let run_job_inner (job : job) : reply =
                 Fun.protect
                   ~finally:(fun () -> Option.iter Gc.delete_alarm alarm)
                 @@ fun () ->
-                match Solver.solve_bounded ?budget p.Ser.db lang with
+                match
+                  Solver.solve_bounded
+                    ~classification:(classification job.query lang query)
+                    ?budget p.Ser.db lang
+                with
                 | Solver.Exact r ->
                     ( V_exact
                         {
@@ -1190,26 +1224,25 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) ?handl
   let tr = Transport.create ~write_timeout:scfg.write_timeout () in
   Option.iter (fun path -> Transport.add_listener tr (Transport.listen_unix path)) scfg.listen;
   Option.iter (fun port -> Transport.add_listener tr (Transport.listen_tcp port)) scfg.tcp;
-  Option.iter
-    (fun (ic, oc) ->
-      (* Anything already buffered on the channel must leave before raw
-         fd writes interleave with it. *)
-      flush oc;
-      ignore
-        (Transport.add_client tr ~eof_drains:true ~owns_fds:false
-           ~in_fd:(Unix.descr_of_in_channel ic)
-           ~out_fd:(Unix.descr_of_out_channel oc) ()))
-    stdio;
-  (* Pre-connected fds (a test's socketpair ends) get the tolerant EOF
-     semantics of the stdio client: the peer half-closes when done
-     sending and expects its queued jobs to drain, not be cancelled. *)
+  let stdio_cid =
+    Option.map
+      (fun (ic, oc) ->
+        (* Anything already buffered on the channel must leave before raw
+           fd writes interleave with it. *)
+        flush oc;
+        Transport.cid
+          (Transport.add_client tr ~owns_fds:false ~in_fd:(Unix.descr_of_in_channel ic)
+             ~out_fd:(Unix.descr_of_out_channel oc) ()))
+      stdio
+  in
+  (* Pre-connected fds (a test's socketpair ends) are socket clients
+     without a listener. *)
   List.iter
-    (fun fd ->
-      ignore (Transport.add_client tr ~eof_drains:true ~owns_fds:true ~in_fd:fd ~out_fd:fd ()))
+    (fun fd -> ignore (Transport.add_client tr ~owns_fds:true ~in_fd:fd ~out_fd:fd ()))
     preconnected;
-  (* [preconnected_abrupt] fds instead get real-socket semantics: EOF is
-     a disconnect, cancelling the client's work — what the hedged-
-     disconnect tests need to exercise without a listener. *)
+  (* [preconnected_abrupt] fds take EOF as a disconnect, cancelling the
+     client's work: the path a dead client takes, which the hedged-
+     disconnect tests exercise this way without a write to fail. *)
   List.iter
     (fun fd ->
       ignore (Transport.add_client tr ~eof_drains:false ~owns_fds:true ~in_fd:fd ~out_fd:fd ()))
@@ -1524,7 +1557,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) ?handl
                  after garbage is untrustworthy, so the connection closes
                  once the error reply flushes. The stdio client keeps the
                  historical tolerant behavior. *)
-              if not (Transport.eof_drains c) then begin
+              if stdio_cid <> Some (Transport.cid c) then begin
                 cancel_client c;
                 Transport.close_after_flush tr c
               end
@@ -1612,11 +1645,11 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) ?handl
            is still admitted.) *)
         if not (Transport.closing c) then admit c line
     | Transport.Eof c ->
-        (* A zero read from a socket client means the peer is done
-           sending — cancel its queued jobs. Inflight jobs still settle
-           (journal, cache) and delivery is still attempted: the write
-           half may outlive the read half. The stdio client instead
-           drains to completion, as `serve` always has. *)
+        (* A zero read means the peer is done sending, not gone: a client
+           that half-closes after its last job still reads every reply,
+           so its queued jobs drain as on stdio. A client that is really
+           gone surfaces as [Dead] (a failed or stalled write), which
+           cancels them. *)
         if not (Transport.eof_drains c) then cancel_client c
     | Transport.Overlong c ->
         Log.warn "overlong-line" [ ("cid", Json.Int (Transport.cid c)) ];

@@ -51,6 +51,13 @@ val run_job_locally : Proto.job -> Proto.reply
     fork back to the supervisor). [attempts] and [wall_s] in the reply
     are placeholders for the supervisor to overwrite. *)
 
+val query_cache_bound : int
+(** The most queries a process keeps compiled and classified for
+    {!run_job_locally}; reaching it empties the table. *)
+
+val query_cache_size : unit -> int
+(** How many queries the table holds now. For tests. *)
+
 val worker_handler : string -> string
 (** [run_job_locally] lifted to wire form: the pool workers' job-line to
     reply-line function. Total — an unparseable job line yields a
@@ -228,12 +235,10 @@ val serve_sockets :
 (** The multi-client server. Listens per [listen]/[tcp] (either, both,
     or neither) and optionally serves a pre-connected [?stdio] pair;
     [?preconnected] fds (e.g. {!Transport.pair} ends) are registered as
-    additional clients with the stdio EOF semantics — a half-close
-    drains queued jobs instead of cancelling them —
-    while [?preconnected_abrupt] fds get the socket-client semantics
-    (EOF is a disconnect: queued jobs dropped, inflight and hedged
-    attempts aborted — exposed this way so the disconnect path is
-    testable without a real socket); [?handler] replaces
+    additional socket clients, while [?preconnected_abrupt] fds take EOF
+    as a disconnect (queued jobs dropped, inflight and hedged attempts
+    aborted — exposed this way so the disconnect path is testable
+    without a write to fail); [?handler] replaces
     {!worker_handler} in the workers, so a test can make a worker write
     a reply line the supervisor must refuse;
     runs until there is no listener, no client and no work left, or
@@ -247,10 +252,11 @@ val serve_sockets :
     across clients within a class (see {!Admission}), with at most
     [client_inflight] outstanding per client; a malformed line draws a
     [bad-job] reply and closes that client (framing after garbage is
-    untrustworthy) without touching any other client; a disconnect
-    cancels that client's {e queued} jobs and aborts its inflight jobs
-    that are mid-hedge — an unhedged inflight job settles, is journaled
-    and cached. A job carrying [deadline_ms] that expires while queued
+    untrustworthy) without touching any other client; a half-close
+    (EOF) drains the client's jobs and delivers every reply, while a
+    disconnect (a failed or stalled write) cancels that client's
+    {e queued} jobs and aborts its inflight jobs that are mid-hedge — an
+    unhedged inflight job settles, is journaled and cached. A job carrying [deadline_ms] that expires while queued
     is shed with a retriable [deadline_exceeded] reply; one that
     dispatches has its wall deadline and solver budget clamped to the
     remaining client budget. Global [queue_cap] overflow first tries to

@@ -25,8 +25,7 @@ let now () = Unix.gettimeofday ()
         └──EPIPE / net:client_drop / write timeout──▶ St_dead (removed)
 
    St_eof keeps the write half alive on purpose: a client that shut its
-   sending side down still receives every reply that was already in
-   flight — the serve loop cancels only its *queued* jobs. *)
+   sending side down still receives every reply to the jobs it sent. *)
 type client_state = St_open | St_eof | St_closing | St_dead
 
 type client = {
@@ -35,8 +34,7 @@ type client = {
   out_fd : Unix.file_descr;
   owns_fds : bool;  (** close the fds on drop (false for stdio) *)
   ceof_drains : bool;
-      (** EOF means "drain then finish" (the stdio client), not "the
-          peer is gone" (socket clients) *)
+      (** EOF means "drain then finish", not "the peer is gone" *)
   inbuf : Buffer.t;  (** partial input line *)
   mutable out : Bytes.t;  (** buffered output; the bytes from [out_off] to [out_len] are unsent *)
   mutable out_len : int;
@@ -145,7 +143,7 @@ let shutdown_send oc =
 
 let add_listener t fd = t.listeners <- t.listeners @ [ fd ]
 
-let add_client t ?(eof_drains = false) ?(owns_fds = true) ~in_fd ~out_fd () =
+let add_client t ?(eof_drains = true) ?(owns_fds = true) ~in_fd ~out_fd () =
   let c =
     {
       ccid = t.next_cid;
@@ -324,7 +322,7 @@ let accept_conn t lfd =
       else begin
         Unix.set_nonblock fd;
         Obs.Metrics.incr m_accepts;
-        let c = add_client t ~eof_drains:false ~owns_fds:true ~in_fd:fd ~out_fd:fd () in
+        let c = add_client t ~owns_fds:true ~in_fd:fd ~out_fd:fd () in
         [ Accepted c ]
       end
   | exception Unix.Unix_error (_, _, _) ->

@@ -18,9 +18,8 @@
        [write_timeout] (no byte left the buffer), a failed write
        (EPIPE), or an injected [net:client_drop] declares the client
        {!Dead} and removes it; a zero read is an orderly {!Eof} — reads
-       stop, but buffered and future replies still flush, which is how
-       the serve loop honors "cancel queued jobs, never settled
-       results";}
+       stop, but buffered and future replies still flush, so a client
+       that half-closes after its last job reads every reply;}
     {- {b net-fault sites} ({!Resilience.Faults.net_site}):
        [accept_fail] loses a just-accepted connection, [client_drop]
        severs a live client, [partial_write] halves a flush (content is
@@ -111,9 +110,9 @@ val add_listener : t -> Unix.file_descr -> unit
 val add_client :
   t -> ?eof_drains:bool -> ?owns_fds:bool -> in_fd:Unix.file_descr -> out_fd:Unix.file_descr -> unit -> client
 (** Registers a pre-connected client (the stdio pair, or a test's
-    socketpair end). [eof_drains] (default false) marks EOF as "drain
-    then finish" rather than "peer is gone"; [owns_fds] (default true)
-    closes the fds on drop. *)
+    socketpair end). [eof_drains] (default true, as for accepted
+    connections) marks EOF as "drain then finish" rather than "peer is
+    gone"; [owns_fds] (default true) closes the fds on drop. *)
 
 val drop : t -> client -> unit
 (** Removes the client, closing its fds if owned. Idempotent. *)

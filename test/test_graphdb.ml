@@ -364,6 +364,163 @@ let prop_serialize_roundtrip =
       | Ok (d2, _) -> Db.fact_count d = Db.fact_count d2 && Db.total_mult d = Db.total_mult d2
       | Error _ -> false)
 
+(* The database parser and [Db.of_mult_list] as they were before the
+   one-pass scan and the integer-keyed sort: split/trim/split lists, a
+   polymorphic Hashtbl merge and a polymorphic sort. The facts come back
+   as (src, label, dst, mult) in fact-id order. *)
+module Parse_oracle = struct
+  let of_mult_list nnodes fact_mults =
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (src, label, dst, m) ->
+        if src < 0 || src >= nnodes || dst < 0 || dst >= nnodes then
+          invalid_arg "Db.make: node out of range";
+        if m < 1 then invalid_arg "Db.make: multiplicity must be >= 1";
+        let key = (src, label, dst) in
+        Hashtbl.replace tbl key (Option.value ~default:0 (Hashtbl.find_opt tbl key) + m))
+      fact_mults;
+    let entries = Hashtbl.fold (fun k m acc -> (k, m) :: acc) tbl [] in
+    List.map (fun ((s, l, d), m) -> (s, l, d, m)) (List.sort compare entries)
+
+  let parse s =
+    let names = Hashtbl.create 16 and rev_names = ref [] and next = ref 0 in
+    let node name =
+      match Hashtbl.find_opt names name with
+      | Some id -> id
+      | None ->
+          let id = !next in
+          incr next;
+          Hashtbl.add names name id;
+          rev_names := name :: !rev_names;
+          id
+    in
+    let facts = ref [] in
+    let add ?(mult = 1) u label v =
+      let us = node u in
+      let vs = node v in
+      facts := (us, label, vs, mult) :: !facts
+    in
+    let error = ref None in
+    List.iteri
+      (fun lineno line ->
+        if !error = None then begin
+          let line = String.trim line in
+          if line <> "" && line.[0] <> '#' then
+            match String.split_on_char ' ' line |> List.filter (fun t -> t <> "") with
+            | [ src; label; dst ] when String.length label = 1 -> add src label.[0] dst
+            | [ src; label; dst; m ] when String.length label = 1 -> begin
+                match int_of_string_opt m with
+                | Some m when m >= 1 -> add ~mult:m src label.[0] dst
+                | _ ->
+                    error :=
+                      Some
+                        (Printf.sprintf "%d: bad multiplicity %S (expected an integer >= 1)"
+                           (lineno + 1) m)
+              end
+            | _ ->
+                error :=
+                  Some
+                    (Printf.sprintf
+                       "%d: expected `src label dst [mult]` with a single-character label"
+                       (lineno + 1))
+        end)
+      (String.split_on_char '\n' s);
+    match !error with
+    | Some e -> Error e
+    | None ->
+        Ok (!next, of_mult_list !next (List.rev !facts), List.rev !rev_names, Hashtbl.find_opt names)
+end
+
+let db_entries d = List.map (fun (id, (f : Db.fact)) -> (f.Db.src, f.Db.label, f.Db.dst, Db.mult d id)) (Db.facts d)
+
+(* Database texts that stress the scanner: duplicate facts, multiplicities
+   (also in forms int_of_string accepts), comments, blank lines, CRLF,
+   tabs and spaces around and inside tokens, odd names, and malformed
+   lines (bad label, mult 0 or x, wrong token count). *)
+let gen_db_text =
+  QCheck.Gen.(
+    let name = oneofl [ "u"; "v"; "w"; "n0"; "x.1"; "#h"; "é"; "a\tb"; "0"; "-"; "{}" ] in
+    let sp = oneofl [ " "; "  "; "\t"; " \t "; "" ] in
+    let fact label mult =
+      let* l = sp and* a = name and* lab = label and* b = name and* m = mult and* r = sp in
+      return (l ^ a ^ " " ^ lab ^ " " ^ b ^ m ^ r)
+    in
+    let good =
+      fact
+        (oneofl [ "a"; "b"; "c"; "#"; "\t" ])
+        (oneofl [ ""; " 1"; " 2"; "  3"; " 0x2"; " 1_0"; " +4" ])
+    in
+    let bad =
+      oneof
+        [
+          fact (oneofl [ "ab"; "" ]) (return "");
+          fact (return "a") (oneofl [ " 0"; " x"; " -1"; " 2 2"; " 2\t" ]);
+          map (fun n -> n) name;
+        ]
+    in
+    let line =
+      frequency
+        [ (12, good); (1, return ""); (1, return "# comment a b c"); (1, return "   ") ]
+    in
+    let* lines = list_size (int_range 0 30) line in
+    let* lines =
+      frequency
+        [
+          (2, return lines);
+          ( 1,
+            let* at = int_bound (List.length lines) and* b = bad in
+            return (List.filteri (fun i _ -> i < at) lines @ (b :: List.filteri (fun i _ -> i >= at) lines))
+          );
+        ]
+    in
+    let* eol = oneofl [ "\n"; "\r\n" ] in
+    let* trailing = bool in
+    return (String.concat eol lines ^ if trailing then eol else ""))
+
+let prop_parse_vs_oracle =
+  QCheck.Test.make ~name:"Serialize.parse = the list-splitting parser (facts, names, errors)"
+    ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_db_text)
+    (fun text ->
+      match (Serialize.parse text, Parse_oracle.parse text) with
+      | Error e, Error e' -> e = e'
+      | Ok p, Ok (nnodes, entries, names, node_id) ->
+          Db.nnodes p.Serialize.db = nnodes
+          && Db.fact_count p.Serialize.db = List.length entries
+          && db_entries p.Serialize.db = entries
+          && List.for_all (fun id -> p.Serialize.node_name id = List.nth names id) (List.init nnodes Fun.id)
+          && p.Serialize.node_name nnodes = Printf.sprintf "#%d" nnodes
+          && p.Serialize.node_name (-1) = "#-1"
+          && List.for_all
+               (fun n -> p.Serialize.node_id n = node_id n)
+               ("zz" :: "" :: names)
+      | _ -> false)
+
+(* Fact lists with out-of-range nodes, bad multiplicities, duplicates and
+   every label byte: the same facts and ids, or the same error. *)
+let prop_make_bag_vs_oracle =
+  QCheck.Test.make ~name:"Db.make_bag = the Hashtbl-merge and polymorphic sort" ~count:1000
+    (QCheck.make
+       ~print:(fun (n, l) ->
+         Printf.sprintf "%d: %s" n
+           (String.concat "; " (List.map (fun (s, c, d, m) -> Printf.sprintf "%d %C %d %d" s c d m) l)))
+       QCheck.Gen.(
+         let* n = int_range 0 6 in
+         let* l =
+           list_size (int_range 0 25)
+             (quad (int_range (-1) 6) (map Char.chr (oneof [ int_range 97 99; int_bound 255 ]))
+                (int_range (-1) 6) (int_range 0 4))
+         in
+         return (n, l)))
+    (fun (nnodes, facts) ->
+      let got = match Db.make_bag ~nnodes ~facts with d -> Ok (db_entries d) | exception Invalid_argument e -> Error e in
+      let want = match Parse_oracle.of_mult_list nnodes facts with l -> Ok l | exception Invalid_argument e -> Error e in
+      got = want
+      &&
+      let in_range = List.filter (fun (s, _, d, _) -> s >= 0 && s < nnodes && d >= 0 && d < nnodes) facts in
+      let d = Db.unsafe_make_bag ~nnodes ~facts:in_range in
+      db_entries d = List.sort compare in_range)
+
 let () =
   Alcotest.run "graphdb"
     [
@@ -397,5 +554,7 @@ let () =
             prop_matches_are_matches;
             prop_product_vs_oracle;
             prop_serialize_roundtrip;
+            prop_parse_vs_oracle;
+            prop_make_bag_vs_oracle;
           ] );
     ]

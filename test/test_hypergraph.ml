@@ -159,6 +159,93 @@ let prop_weighted_bnb =
       let w v = 1 + ((v * wseed) mod 4) in
       fst (H.min_hitting_set ~weights:w h) = H.min_hitting_set_bruteforce ~weights:w h)
 
+(* Edge domination and the greedy hitting set as they were before the
+   least-vertex index and the count array: an O(E²) subset scan, and a
+   Hashtbl recount of every live edge per pick. *)
+module Greedy_oracle = struct
+  module ISet = H.Iset
+
+  let minimal_edges_trace edge_sets =
+    let edge_sets = List.sort_uniq ISet.compare edge_sets in
+    List.partition
+      (fun e ->
+        not (List.exists (fun e' -> (not (ISet.equal e e')) && ISet.subset e' e) edge_sets))
+      edge_sets
+
+  let greedy_hitting_set ~weights edge_sets =
+    let edges = ref (fst (minimal_edges_trace edge_sets)) in
+    if List.exists ISet.is_empty !edges then invalid_arg "empty edge";
+    let chosen = ref [] and cost = ref 0 in
+    while !edges <> [] do
+      let count = Hashtbl.create 16 in
+      List.iter
+        (fun e ->
+          ISet.iter
+            (fun v ->
+              Hashtbl.replace count v (1 + Option.value ~default:0 (Hashtbl.find_opt count v)))
+            e)
+        !edges;
+      let pick =
+        Hashtbl.fold
+          (fun v k acc ->
+            match acc with
+            | None -> Some (v, k)
+            | Some (v', k') ->
+                let better =
+                  let l = k * weights v' and r = k' * weights v in
+                  l > r || (l = r && v < v')
+                in
+                if better then Some (v, k) else acc)
+          count None
+      in
+      match pick with
+      | None -> invalid_arg "no vertex"
+      | Some (v, _) ->
+          chosen := v :: !chosen;
+          cost := !cost + weights v;
+          edges := List.filter (fun e -> not (ISet.mem v e)) !edges
+    done;
+    (!cost, List.rev !chosen)
+end
+
+(* Larger than [gen_hg], with vertex ids that need not start at 0, short
+   edges (matches are short) and, now and then, an empty edge. *)
+let gen_big_hg =
+  QCheck.Gen.(
+    let* n = int_range 1 30 in
+    let* base = int_range (-3) 5 in
+    let* m = int_range 0 60 in
+    let* edges = list_repeat m (list_size (int_range 1 5) (map (( + ) base) (int_bound (n - 1)))) in
+    let* empty = frequency [ (9, return []); (1, return [ [] ]) ] in
+    return (List.init n (( + ) base), empty @ edges))
+
+let prop_greedy_vs_oracle =
+  QCheck.Test.make ~name:"greedy hitting set = the recounting greedy (picks and their order)"
+    ~count:500
+    (QCheck.pair (QCheck.make ~print:(QCheck.Print.(pair (list int) (list (list int)))) gen_big_hg)
+       (QCheck.make QCheck.Gen.(int_range 1 7)))
+    (fun ((vs, es), wseed) ->
+      let h = mk vs es in
+      let weights v = 1 + (abs (v * wseed) mod 5) in
+      let run f = match f () with r -> Ok r | exception Invalid_argument _ -> Error () in
+      run (fun () -> H.greedy_hitting_set ~weights h)
+      = run (fun () ->
+            Greedy_oracle.greedy_hitting_set ~weights (List.map H.Iset.of_list (H.edges h))))
+
+let prop_edge_domination_vs_oracle =
+  (* With every vertex protected node domination never fires, so the
+     condensation is one round of edge domination: its kept edges and
+     the removed ones, in order. *)
+  QCheck.Test.make ~name:"edge domination = the pairwise subset scan" ~count:500
+    (QCheck.make ~print:(QCheck.Print.(pair (list int) (list (list int)))) gen_big_hg)
+    (fun (vs, es) ->
+      let c, trace = H.condense_trace ~protected:vs (mk vs es) in
+      let kept, removed =
+        Greedy_oracle.minimal_edges_trace (List.map H.Iset.of_list es)
+      in
+      H.edges c = List.map H.Iset.elements kept
+      && trace = List.map (fun e -> H.Removed_edge (H.Iset.elements e)) removed)
+
 let () =
   Alcotest.run "hypergraph"
     [
@@ -186,5 +273,7 @@ let () =
             prop_bnb_equals_brute;
             prop_weighted_bnb;
             prop_greedy_upper_bound;
+            prop_greedy_vs_oracle;
+            prop_edge_domination_vs_oracle;
           ] );
     ]

@@ -750,6 +750,48 @@ let test_worker_handler_total () =
       | Error e -> Alcotest.failf "handler reply does not parse for %S: %s" line e)
     [ Proto.job_to_json (job ()); "garbage"; "" ]
 
+(* The worker keeps each query's automaton and classification. A reply
+   must not depend on whether its query was kept. *)
+let test_query_cache () =
+  let bytes j =
+    Proto.reply_to_json
+      { (Runner.run_job_locally j) with Proto.wall_s = 0.0; stages = []; trace = None }
+  in
+  let bound = Runner.query_cache_bound in
+  let j = job ~id:"q" ~query:"(ab)|(bc)" ~db:"u a v\nv b w\nw c x 2\n" () in
+  let first = bytes j in
+  check "the query is kept" true (Runner.query_cache_size () >= 1);
+  check "a kept query gives the same bytes" true (bytes j = first);
+  check "value 1" true (contains first {|"value":1|});
+  let n = Runner.query_cache_size () in
+  let bad = job ~id:"bad" ~query:"(a" () in
+  let b1 = bytes bad in
+  check "invalid regex is a bad job" true (contains b1 {|"kind":"bad-job"|});
+  check "invalid regex twice, same reply" true (bytes bad = b1);
+  check "invalid regex is not kept" true (Runner.query_cache_size () = n);
+  (* More distinct queries than the bound, twice over: every reply is
+     right, the second round's bytes equal the first's, and the table
+     never holds more than the bound. *)
+  let word i =
+    let rec go i acc = if i = 0 then acc else go (i / 3) (String.make 1 "bcd".[i mod 3] ^ acc) in
+    go (i + 1) ""
+  in
+  let queries = List.init (bound + 10) (fun i -> "aa|" ^ word i) in
+  let round () =
+    List.map
+      (fun q ->
+        let r = bytes (job ~id:q ~query:q ()) in
+        check ("kept queries within the bound after " ^ q) true
+          (Runner.query_cache_size () <= bound);
+        r)
+      queries
+  in
+  let r1 = round () in
+  List.iter2
+    (fun q r -> check ("exact 1 for " ^ q) true (contains r {|"value":1|} && contains r "exact"))
+    queries r1;
+  check "second round, same bytes" true (round () = r1)
+
 let test_degrade_budget_monotone () =
   let steps_of (b : Proto.budget_spec) =
     match b.Proto.steps with
@@ -1347,6 +1389,65 @@ let test_serve_disconnect_aborts_hedge () =
             check "no orphan settlement journaled" true
               (Hashtbl.length (Runner.Journal.completed rep.Runner.Journal.entries) = 0)
       end
+
+(* A client on a real socket that half-closes with more jobs queued than
+   there are workers still reads every reply: EOF drains. The client
+   stops the server (SIGTERM) once it has read to EOF. *)
+let test_serve_socket_half_close_drains () =
+  no_faults @@ fun () ->
+  let path = Filename.temp_file "rpq_eof" ".sock" in
+  let out = Filename.temp_file "rpq_eof" ".jsonl" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ path; out ])
+  @@ fun () ->
+  let jobs = List.init 6 (fun i -> job ~id:(Printf.sprintf "e%d" i) ()) in
+  let server = Unix.getpid () in
+  match Unix.fork () with
+  | 0 ->
+      let code =
+        try
+          let rec connect tries =
+            match Transport.connect_unix path with
+            | chans -> chans
+            | exception Unix.Unix_error _ when tries > 0 ->
+                Unix.sleepf 0.02;
+                connect (tries - 1)
+          in
+          let ic, oc = connect 250 in
+          List.iter (fun j -> output_string oc (Proto.job_to_json j ^ "\n")) jobs;
+          Transport.shutdown_send oc;
+          let lines = In_channel.input_lines ic in
+          write_file out (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+          0
+        with _ -> 1
+      in
+      Unix.kill server Sys.sigterm;
+      Unix._exit code
+  | pid ->
+      let scfg =
+        {
+          Runner.default_serve_config with
+          Runner.base = { quick_cfg with Runner.workers = 2 };
+          listen = Some path;
+        }
+      in
+      Runner.serve_sockets scfg;
+      (match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "the socket client failed");
+      let replies =
+        List.map
+          (fun line ->
+            match Proto.reply_of_json line with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "unparseable serve reply %S: %s" line e)
+          (In_channel.with_open_bin out In_channel.input_lines)
+      in
+      Alcotest.(check (list string))
+        "every queued job answered" (List.map (fun (j : Proto.job) -> j.Proto.id) jobs)
+        (List.sort compare (List.map (fun (r : Proto.reply) -> r.Proto.id) replies));
+      check "every reply exact" true (List.for_all is_exact replies)
 
 let test_transport_write_timeout () =
   no_faults @@ fun () ->
@@ -1952,6 +2053,7 @@ let () =
         [
           Alcotest.test_case "run_job_locally" `Quick test_run_job_locally;
           Alcotest.test_case "worker handler is total" `Quick test_worker_handler_total;
+          Alcotest.test_case "kept queries answer the same" `Quick test_query_cache;
           Alcotest.test_case "degradation is monotone" `Quick test_degrade_budget_monotone;
           Alcotest.test_case "verify_reply" `Quick test_verify_reply;
         ] );
@@ -1984,6 +2086,8 @@ let () =
           Alcotest.test_case "admission priority classes" `Quick test_admission_priority_classes;
           Alcotest.test_case "disconnect aborts hedged job" `Quick
             test_serve_disconnect_aborts_hedge;
+          Alcotest.test_case "half-close drains queued jobs" `Quick
+            test_serve_socket_half_close_drains;
           Alcotest.test_case "write-timeout kills stalled client" `Quick test_transport_write_timeout;
           Alcotest.test_case "backpressure gates input" `Quick test_transport_backpressure;
           Alcotest.test_case "two clients, namespaced ids" `Quick test_serve_two_clients;

@@ -338,6 +338,138 @@ let prop_bcl_vs_exact =
           not (Graphdb.Eval.satisfies d' l)
       | Error e -> QCheck.Test.fail_report e)
 
+(* Prop 7.5's network as it was built before the fact index: every
+   structural edge found by scanning all b-facts for each a-fact. The
+   indexed construction must add the same edges in the same order, so
+   the network, flow, cut, certificate and witness are identical. *)
+module Bcl_oracle = struct
+  module Net = Flow.Network
+
+  let endpoint_bipartition ws =
+    let letters, edges = Bcl.endpoint_graph ws in
+    let arr = Array.of_list letters in
+    let index c =
+      let rec go i = if arr.(i) = c then i else go (i + 1) in
+      go 0
+    in
+    let g =
+      Graphs.Ugraph.make ~n:(Array.length arr)
+        ~edges:(List.map (fun (a, b) -> (index a, index b)) edges)
+    in
+    match Graphs.Ugraph.bipartition g with
+    | None -> None
+    | Some (color, _) ->
+        let endpoint_letters =
+          List.concat_map (fun (a, b) -> [ a; b ]) edges |> List.sort_uniq compare
+        in
+        Some (List.map (fun c -> (c, color.(index c))) endpoint_letters)
+
+  let solve_words_certified d ws =
+    let single_letters =
+      List.filter_map (fun w -> if String.length w = 1 then Some w.[0] else None) ws
+    in
+    let forced =
+      List.filter_map
+        (fun (fid, (f : Db.fact)) ->
+          if List.mem f.Db.label single_letters then Some fid else None)
+        (Db.facts d)
+    in
+    let forced_w = List.map (fun fid -> (fid, Db.mult d fid)) forced in
+    let base_cost = List.fold_left (fun acc fid -> acc + Db.mult d fid) 0 forced in
+    let d = Db.restrict d ~removed:(fun id -> List.mem id forced) in
+    let ws = List.filter (fun w -> String.length w >= 2) ws in
+    match endpoint_bipartition ws with
+    | None -> invalid_arg "not bipartite"
+    | Some side_of ->
+        let side c = List.assoc_opt c side_of in
+        let net = Net.create () in
+        let source = Net.add_vertex net and sink = Net.add_vertex net in
+        let fact_ids = List.map fst (Db.facts d) in
+        let startv = Hashtbl.create 64 and endv = Hashtbl.create 64 in
+        let fact_edge = ref [] in
+        List.iter
+          (fun fid ->
+            let s = Net.add_vertex net and e = Net.add_vertex net in
+            Hashtbl.add startv fid s;
+            Hashtbl.add endv fid e;
+            let eid = Net.add_edge net ~src:s ~dst:e (Net.Finite (Db.mult d fid)) in
+            fact_edge := (eid, fid) :: !fact_edge)
+          fact_ids;
+        let vertex_of tbl fid = Option.value ~default:(-1) (Hashtbl.find_opt tbl fid) in
+        let facts_with_label c =
+          List.filter (fun (_, (f : Db.fact)) -> f.Db.label = c) (Db.facts d)
+        in
+        let is_forward w = side w.[0] = Some 0 in
+        List.iter
+          (fun w ->
+            let fwd = is_forward w in
+            for i = 0 to String.length w - 2 do
+              let a = w.[i] and b = w.[i + 1] in
+              List.iter
+                (fun (fid, (f : Db.fact)) ->
+                  List.iter
+                    (fun (gid, (g : Db.fact)) ->
+                      if f.Db.dst = g.Db.src then
+                        if fwd then
+                          ignore
+                            (Net.add_edge net ~src:(vertex_of endv fid)
+                               ~dst:(vertex_of startv gid) Net.Inf)
+                        else
+                          ignore
+                            (Net.add_edge net ~src:(vertex_of endv gid)
+                               ~dst:(vertex_of startv fid) Net.Inf))
+                    (facts_with_label b))
+                (facts_with_label a)
+            done)
+          ws;
+        List.iter
+          (fun (c, s) ->
+            List.iter
+              (fun (fid, _) ->
+                if s = 0 then
+                  ignore (Net.add_edge net ~src:source ~dst:(vertex_of startv fid) Net.Inf)
+                else ignore (Net.add_edge net ~src:(vertex_of endv fid) ~dst:sink Net.Inf))
+              (facts_with_label c))
+          side_of;
+        let cut, flow = Net.min_cut_certified net ~source ~sink in
+        let v = match cut.Net.value with Net.Finite v -> v | Net.Inf -> -1 in
+        let facts = List.filter_map (fun eid -> List.assoc_opt eid !fact_edge) cut.Net.edges in
+        ( Value.Finite (base_cost + v),
+          List.sort_uniq compare (forced @ facts),
+          Certify.cut ~net ~source ~sink ~cut ~flow ~fact_edge:!fact_edge ~forced:forced_w )
+end
+
+let prop_bcl_network_vs_oracle =
+  (* Reversed words (ab|bc: bc runs against the bipartition), a word of
+     length >= 3, and single-letter words (forced facts). *)
+  let langs = [ "ab|bc"; "axyb|bztc|cd|dea"; "a|ab|bc"; "abc|dc"; "b|cd|ad" ] in
+  let letters = [ 'a'; 'b'; 'c'; 'd'; 'e'; 't'; 'x'; 'y'; 'z' ] in
+  let gen_db =
+    QCheck.Gen.(
+      let* seed = int_bound 1000000 in
+      let* max_mult = int_range 1 3 in
+      oneof
+        [
+          (let* nnodes = int_range 2 12 in
+           let* nfacts = int_range 1 60 in
+           return (Graphdb.Generate.random ~nnodes ~nfacts ~alphabet:letters ~max_mult ~seed ()));
+          (let* layers = oneofl [ [ 'a'; 'b'; 'c' ]; [ 'a'; 'b'; 'c'; 'd' ]; [ 'b'; 'c'; 'd' ] ] in
+           let* width = int_range 1 7 in
+           return (Graphdb.Generate.layered ~layers ~width ~max_mult ~seed ()));
+        ])
+  in
+  QCheck.Test.make ~name:"Prop 7.5 network = the scan-built network (value, witness, certificate)"
+    ~count:300
+    (QCheck.pair
+       (QCheck.make ~print:(fun (d : Db.t) -> Format.asprintf "%a" Db.pp d) gen_db)
+       (QCheck.oneofl langs))
+    (fun (d, s) ->
+      let l = lang s in
+      match Automata.Lang.words l with
+      | Some ws when Bcl.is_bcl ws ->
+          Bcl.solve_certified d l = Ok (Bcl_oracle.solve_words_certified d ws)
+      | _ -> QCheck.Test.fail_reportf "%s is not a bipartite chain language" s)
+
 let prop_submodular_vs_exact =
   let langs = [ "abc|be"; "abcd|ce"; "ab|ac" ] in
   (* note: ab|ac is NOT the submodular shape; filter via recognize *)
@@ -475,6 +607,7 @@ let () =
             prop_local_mincut_vs_exact;
             prop_chain_extraction_agrees;
             prop_bcl_vs_exact;
+            prop_bcl_network_vs_oracle;
             prop_submodular_vs_exact;
             prop_submodular_oracle_is_submodular;
             prop_mirror_invariance;
