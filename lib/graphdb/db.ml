@@ -10,46 +10,59 @@ type t = {
 
 let compute_out nnodes all_facts alive =
   let out = Array.make (max nnodes 1) [] in
-  Array.iteri
-    (fun id f -> if alive.(id) then out.(f.src) <- (id, f) :: out.(f.src))
-    all_facts;
-  Array.map List.rev out
+  for id = Array.length all_facts - 1 downto 0 do
+    let f = all_facts.(id) in
+    if alive.(id) then out.(f.src) <- (id, f) :: out.(f.src)
+  done;
+  out
 
 (* Facts are kept in (src, label, dst) order. One integer key per fact,
    ((src * 256 + code label) * nnodes + dst), sorts in exactly that
    order: dst < nnodes and a label code < 256 are the key's lower digits. *)
-let of_mult_list nnodes fact_mults =
-  let keyed = Array.make (List.length fact_mults) (0, 0) in
-  List.iteri
-    (fun i (src, label, dst, m) ->
-      if src < 0 || src >= nnodes || dst < 0 || dst >= nnodes then
-        invalid_arg "Db.make: node out of range";
-      if m < 1 then invalid_arg "Db.make: multiplicity must be >= 1";
-      keyed.(i) <- ((((src * 256) + Char.code label) * nnodes) + dst, m))
-    fact_mults;
-  Array.stable_sort (fun (k, _) (k', _) -> Int.compare k k') keyed;
+let of_columns ~nnodes ~src ~label ~dst ~mult n =
+  let keys = Array.make n 0 in
+  for i = 0 to n - 1 do
+    if src.(i) < 0 || src.(i) >= nnodes || dst.(i) < 0 || dst.(i) >= nnodes then
+      invalid_arg "Db.make: node out of range";
+    if mult.(i) < 1 then invalid_arg "Db.make: multiplicity must be >= 1";
+    keys.(i) <- (((src.(i) * 256) + Char.code (Bytes.get label i)) * nnodes) + dst.(i)
+  done;
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Int.compare keys.(i) keys.(j)) order;
   (* Merge each run of equal keys into one fact, adding multiplicities. *)
-  let n = Array.length keyed in
-  let keys = Array.make n 0 and mults = Array.make n 0 in
+  let merged = Array.make n 0 and mults = Array.make n 0 in
   let nf = ref 0 in
-  Array.iteri
-    (fun i (k, m) ->
-      if i > 0 && k = keys.(!nf - 1) then mults.(!nf - 1) <- mults.(!nf - 1) + m
+  Array.iter
+    (fun i ->
+      if !nf > 0 && keys.(i) = merged.(!nf - 1) then mults.(!nf - 1) <- mults.(!nf - 1) + mult.(i)
       else begin
-        keys.(!nf) <- k;
-        mults.(!nf) <- m;
+        merged.(!nf) <- keys.(i);
+        mults.(!nf) <- mult.(i);
         incr nf
       end)
-    keyed;
+    order;
   let all_facts =
     Array.init !nf (fun i ->
-        let k = keys.(i) in
+        let k = merged.(i) in
         let hi = k / nnodes in
         { src = hi / 256; label = Char.chr (hi mod 256); dst = k mod nnodes })
   in
   let mults = Array.sub mults 0 !nf in
   let alive = Array.make !nf true in
   { nnodes; all_facts; mults; alive; out = compute_out nnodes all_facts alive }
+
+let of_mult_list nnodes fact_mults =
+  let n = List.length fact_mults in
+  let src = Array.make n 0 and label = Bytes.make n 'a' in
+  let dst = Array.make n 0 and mult = Array.make n 0 in
+  List.iteri
+    (fun i (s, l, d, m) ->
+      src.(i) <- s;
+      Bytes.set label i l;
+      dst.(i) <- d;
+      mult.(i) <- m)
+    fact_mults;
+  of_columns ~nnodes ~src ~label ~dst ~mult n
 
 let make ~nnodes ~facts = of_mult_list nnodes (List.map (fun (s, l, d) -> (s, l, d, 1)) facts)
 let make_bag ~nnodes ~facts = of_mult_list nnodes facts

@@ -23,6 +23,13 @@ val make_bag : nnodes:int -> facts:(int * char * int * int) list -> t
 (** Bag database: [(src, label, dst, multiplicity)] with multiplicity ≥ 1.
     Duplicate facts have their multiplicities added. *)
 
+val of_columns :
+  nnodes:int -> src:int array -> label:Bytes.t -> dst:int array -> mult:int array -> int -> t
+(** [of_columns ~nnodes ~src ~label ~dst ~mult n] is {!make_bag} of the
+    first [n] entries of parallel columns, entry [i] being the fact
+    [src.(i) --label[i]--> dst.(i)] of multiplicity [mult.(i)]: for
+    parsers, which can grow columns without a list of tuples. *)
+
 val nnodes : t -> int
 
 val fact_count : t -> int

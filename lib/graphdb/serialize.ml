@@ -16,38 +16,73 @@ let to_string ?(names = default_name) d =
 
 type parsed = { db : Db.t; node_name : int -> string; node_id : string -> int option }
 
-module Names = Hashtbl.Make (String)
-
 (* [String.trim]'s whitespace. *)
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let hash str lo hi =
+  let h = ref 0 in
+  for i = lo to hi - 1 do
+    h := (!h * 31) + Char.code str.[i]
+  done;
+  !h land max_int
+
+(* [name] spells [str.[lo..hi-1]]. *)
+let spells name str lo hi =
+  String.length name = hi - lo
+  &&
+  let k = ref 0 in
+  while !k < hi - lo && name.[!k] = str.[lo + !k] do
+    incr k
+  done;
+  !k = hi - lo
+
+(* Linear probing from slot [j] for [str.[lo..hi-1]]. *)
+let rec probe slots names str lo hi j =
+  if slots.(j) = 0 || spells names.(slots.(j) - 1) str lo hi then j
+  else probe slots names str lo hi ((j + 1) land (Array.length slots - 1))
 
 (* One pass over the text, with the semantics of splitting it on '\n',
    trimming each line and splitting that on ' ' (empty tokens dropped):
    node ids in order of first appearance, a line's source before its
-   destination. *)
+   destination. Node names are looked up straight from the text, so a
+   name seen before costs no allocation: open addressing over [slots]
+   (node id + 1, or 0 when free), sized for at most two names a line at
+   half load. Facts go into columns, one entry a line at most. *)
 let parse s =
-  let ids = Names.create 64 in
-  let names = ref [] and nnodes = ref 0 in
-  let node name =
-    match Names.find_opt ids name with
-    | Some id -> id
-    | None ->
-        let id = !nnodes in
-        incr nnodes;
-        Names.add ids name id;
-        names := name :: !names;
-        id
-  in
-  let facts = ref [] in
   let len = String.length s in
+  let nlines = ref 1 in
+  String.iter (fun c -> if c = '\n' then incr nlines) s;
+  let nlines = !nlines in
+  let size = ref 4 in
+  while !size < 4 * nlines do
+    size := 2 * !size
+  done;
+  let slots = Array.make !size 0 and names = Array.make (2 * nlines) "" and nnodes = ref 0 in
+  (* The slot of [str.[lo..hi-1]]: its node's, or the free one it would take. *)
+  let slot str lo hi = probe slots names str lo hi (hash str lo hi land (Array.length slots - 1)) in
+  let node lo hi =
+    let j = slot s lo hi in
+    if slots.(j) = 0 then begin
+      names.(!nnodes) <- String.sub s lo (hi - lo);
+      incr nnodes;
+      slots.(j) <- !nnodes
+    end;
+    slots.(j) - 1
+  in
+  let src = Array.make nlines 0 and label = Bytes.make nlines 'a' in
+  let dst = Array.make nlines 0 and mult = Array.make nlines 0 in
+  let nfacts = ref 0 in
   (* Start and stop of the first four tokens of the current line. *)
   let tok_lo = Array.make 4 0 and tok_hi = Array.make 4 0 in
   let tok i = String.sub s tok_lo.(i) (tok_hi.(i) - tok_lo.(i)) in
   (* Error messages start with "<line>:" so a caller can prefix the file
      name and get a standard file:line diagnostic. *)
   let rec lines lineno pos =
-    let stop = match String.index_from_opt s pos '\n' with Some i -> i | None -> len in
-    let lo = ref pos and hi = ref stop in
+    let stop = ref pos in
+    while !stop < len && s.[!stop] <> '\n' do
+      incr stop
+    done;
+    let stop = !stop and lo = ref pos and hi = ref !stop in
     while !lo < !hi && is_space s.[!lo] do
       incr lo
     done;
@@ -73,20 +108,21 @@ let parse s =
             i := !j
           end
         done;
-        let add m =
-          let src = node (tok 0) in
-          let dst = node (tok 2) in
-          facts := (src, s.[tok_lo.(1)], dst, m) :: !facts
-        in
         if (!ntok = 3 || !ntok = 4) && tok_hi.(1) - tok_lo.(1) = 1 then
-          if !ntok = 3 then Ok (add 1)
-          else
-            let m = tok 3 in
-            match int_of_string_opt m with
-            | Some m when m >= 1 -> Ok (add m)
-            | _ ->
-                Error
-                  (Printf.sprintf "%d: bad multiplicity %S (expected an integer >= 1)" lineno m)
+          match if !ntok = 3 then Some 1 else int_of_string_opt (tok 3) with
+          | Some m when m >= 1 ->
+              let u = node tok_lo.(0) tok_hi.(0) in
+              let v = node tok_lo.(2) tok_hi.(2) in
+              src.(!nfacts) <- u;
+              Bytes.set label !nfacts s.[tok_lo.(1)];
+              dst.(!nfacts) <- v;
+              mult.(!nfacts) <- m;
+              incr nfacts;
+              Ok ()
+          | _ ->
+              Error
+                (Printf.sprintf "%d: bad multiplicity %S (expected an integer >= 1)" lineno
+                   (tok 3))
         else
           Error
             (Printf.sprintf "%d: expected `src label dst [mult]` with a single-character label"
@@ -100,14 +136,16 @@ let parse s =
   match lines 1 0 with
   | Error e -> Error e
   | Ok () ->
-      let names = Array.of_list (List.rev !names) in
+      let nnodes = !nnodes in
       Ok
         {
-          db = Db.make_bag ~nnodes:!nnodes ~facts:(List.rev !facts);
+          db = Db.of_columns ~nnodes ~src ~label ~dst ~mult !nfacts;
           node_name =
-            (fun id ->
-              if id >= 0 && id < Array.length names then names.(id) else Printf.sprintf "#%d" id);
-          node_id = Names.find_opt ids;
+            (fun id -> if id >= 0 && id < nnodes then names.(id) else Printf.sprintf "#%d" id);
+          node_id =
+            (fun name ->
+              let j = slot name 0 (String.length name) in
+              if slots.(j) = 0 then None else Some (slots.(j) - 1));
         }
 
 let of_string s =
