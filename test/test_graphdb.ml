@@ -439,7 +439,13 @@ let db_entries d = List.map (fun (id, (f : Db.fact)) -> (f.Db.src, f.Db.label, f
    lines (bad label, mult 0 or x, wrong token count). *)
 let gen_db_text =
   QCheck.Gen.(
-    let name = oneofl [ "u"; "v"; "w"; "n0"; "x.1"; "#h"; "é"; "a\tb"; "0"; "-"; "{}" ] in
+    let name =
+      oneof
+        [
+          oneofl [ "u"; "v"; "w"; "x.1"; "x.2"; "#h"; "é"; "a\tb"; "0"; "-"; "{}" ];
+          map (fun k -> "n" ^ string_of_int k) (int_bound 60);
+        ]
+    in
     let sp = oneofl [ " "; "  "; "\t"; " \t "; "" ] in
     let fact label mult =
       let* l = sp and* a = name and* lab = label and* b = name and* m = mult and* r = sp in
