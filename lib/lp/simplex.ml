@@ -31,18 +31,16 @@ let eps = 1e-9
    outcomes, pivot counts and solution bits are those of the dense
    update. *)
 let solve ?(fuel = fun () -> ()) (p : problem) =
-  let base_rows =
-    p.rows
-    @ List.concat
-        (List.init p.ncols (fun i ->
-             match p.upper.(i) with
-             | None -> []
-             | Some u ->
-                 let a = Array.make p.ncols 0.0 in
-                 a.(i) <- -1.0;
-                 [ (a, -.u) ]))
+  (* Each upper bound x_i ≤ u_i becomes the row -x_i ≥ -u_i, after the
+     problem's rows. It has one nonzero, so it is filled as one entry:
+     its other structural entries stay +0.0 where a flipped dense row
+     would hold -0.0, and as in a pivot, a zero's sign never reaches a
+     decision or the right-hand side. *)
+  let bounds =
+    List.filter_map (fun i -> Option.map (fun u -> (i, u)) p.upper.(i)) (List.init p.ncols Fun.id)
   in
-  let m = List.length base_rows in
+  let nrows = List.length p.rows in
+  let m = nrows + List.length bounds in
   let n = p.ncols in
   (* Columns: n structural + m surplus/slack + m artificial + 1 rhs. *)
   let ncols_t = n + m + m + 1 in
@@ -59,18 +57,19 @@ let solve ?(fuel = fun () -> ()) (p : problem) =
     t.(r).(j) <- x;
     if x <> 0.0 then obj.(j) <- obj.(j) -. x
   in
-  List.iteri
-    (fun r (a, b) ->
-      let sign = if b < 0.0 then -1.0 else 1.0 in
-      for j = 0 to n - 1 do
-        set r j (sign *. a.(j))
-      done;
-      (* a·x ≥ b  ⇒  a·x - s = b (s ≥ 0); flipped rows become ≤ with slack. *)
-      set r (n + r) (sign *. -1.0);
-      t.(r).(n + m + r) <- 1.0;
-      set r rhs (sign *. b);
-      basis.(r) <- n + m + r)
-    base_rows;
+  (* Row r is a·x ≥ b, with [coefs f] calling [f j a_j] for its
+     structural entries. a·x ≥ b ⇒ a·x - s = b (s ≥ 0); rows with b < 0
+     are flipped and become ≤ with slack. *)
+  let fill r b coefs =
+    let sign = if b < 0.0 then -1.0 else 1.0 in
+    coefs (fun j a -> set r j (sign *. a));
+    set r (n + r) (sign *. -1.0);
+    t.(r).(n + m + r) <- 1.0;
+    set r rhs (sign *. b);
+    basis.(r) <- n + m + r
+  in
+  List.iteri (fun r (a, b) -> fill r b (fun f -> Array.iteri f a)) p.rows;
+  List.iteri (fun k (i, u) -> fill (nrows + k) (-.u) (fun f -> f i (-1.0))) bounds;
   (* [nz.(0 .. nnz - 1)]: the pivot row's nonzero columns, rhs excluded. *)
   let nz = Array.make ncols_t 0 in
   let pivot row col =
