@@ -856,10 +856,11 @@ let serve_cmd =
           settlement order) under the supervised worker pool — from stdin, a Unix-domain \
           socket ($(b,--listen)), a loopback TCP port ($(b,--tcp)), or several at once. \
           Multi-client: admission is round-robin with a per-client inflight cap, a malformed \
-          line poisons only the client that sent it, a disconnect cancels only that client's \
-          queued jobs, and settled replies are cached under a certificate gate \
-          ($(b,--cache-entries)). Jobs carry end-to-end deadlines and priorities \
-          (admission is weighted-fair across $(b,interactive)/$(b,normal)/$(b,batch)); \
+          line poisons only the client that sent it, a half-close still answers every job \
+          sent, a disconnect cancels only that client's queued jobs, and settled replies are \
+          cached under a certificate gate ($(b,--cache-entries)). Jobs carry end-to-end \
+          deadlines and priorities (admission is weighted-fair across \
+          $(b,interactive)/$(b,normal)/$(b,batch)); \
           $(b,--hedge-after) arms certificate-gated hedging and $(b,--brownout-after) the \
           overload watchdog. SIGTERM/SIGINT drain gracefully ($(b,--drain-grace)). A \
           line $(b,{\"stats\":true}) answers immediately with the metrics snapshot \

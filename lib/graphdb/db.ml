@@ -203,16 +203,13 @@ module Builder = struct
 
   type t = {
     names : (string, int) Hashtbl.t;
-    mutable rev_names : string list;
     mutable next_node : int;
     mutable fact_list : (int * char * int * int) list;
     mutable fresh : int;
   }
 
   let create () =
-    { names = Hashtbl.create 16; rev_names = []; next_node = 0; fact_list = []; fresh = 0 }
-
-  let find_node b name = Hashtbl.find_opt b.names name
+    { names = Hashtbl.create 16; next_node = 0; fact_list = []; fresh = 0 }
 
   let node b name =
     match Hashtbl.find_opt b.names name with
@@ -221,7 +218,6 @@ module Builder = struct
         let id = b.next_node in
         b.next_node <- id + 1;
         Hashtbl.add b.names name id;
-        b.rev_names <- name :: b.rev_names;
         id
 
   let add b ?(mult = 1) u label v =
@@ -243,8 +239,4 @@ module Builder = struct
     end
 
   let build b = of_mult_list b.next_node (List.rev b.fact_list)
-
-  let node_name b id =
-    let arr = Array.of_list (List.rev b.rev_names) in
-    if id >= 0 && id < Array.length arr then arr.(id) else Printf.sprintf "#%d" id
 end

@@ -94,9 +94,6 @@ module Builder : sig
   val node : t -> string -> int
   (** Returns (creating if needed) the node with this name. *)
 
-  val find_node : t -> string -> int option
-  (** Looks the name up without creating it. *)
-
   val add : t -> ?mult:int -> string -> char -> string -> unit
   (** [add b "u" 'a' "v"] adds the fact [u --a--> v]. *)
 
@@ -106,5 +103,4 @@ module Builder : sig
       [v] must be the same node. *)
 
   val build : t -> db
-  val node_name : t -> int -> string
 end
