@@ -41,6 +41,22 @@ let rec probe slots names str lo hi j =
   if slots.(j) = 0 || spells names.(slots.(j) - 1) str lo hi then j
   else probe slots names str lo hi ((j + 1) land (Array.length slots - 1))
 
+(* The decimal value of the digits [s.[i..hi-1]] after [acc], or -1 at
+   a non-digit. *)
+let rec decimal s i hi acc =
+  if i = hi then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> decimal s (i + 1) hi ((acc * 10) + Char.code c - Char.code '0')
+    | _ -> -1
+
+(* The token [s.[lo..hi-1]] as [int_of_string_opt] reads it, 0 for
+   [None]. Plain decimal digits, short enough not to overflow, are read
+   without allocating: [int_of_string] reads them as decimal too. *)
+let multiplicity s lo hi =
+  let m = if hi - lo <= 18 then decimal s lo hi 0 else -1 in
+  if m >= 0 then m else Option.value ~default:0 (int_of_string_opt (String.sub s lo (hi - lo)))
+
 (* One pass over the text, with the semantics of splitting it on '\n',
    trimming each line and splitting that on ' ' (empty tokens dropped):
    node ids in order of first appearance, a line's source before its
@@ -51,7 +67,9 @@ let rec probe slots names str lo hi j =
 let parse s =
   let len = String.length s in
   let nlines = ref 1 in
-  String.iter (fun c -> if c = '\n' then incr nlines) s;
+  for i = 0 to len - 1 do
+    if s.[i] = '\n' then incr nlines
+  done;
   let nlines = !nlines in
   let size = ref 4 in
   while !size < 4 * nlines do
@@ -109,20 +127,20 @@ let parse s =
           end
         done;
         if (!ntok = 3 || !ntok = 4) && tok_hi.(1) - tok_lo.(1) = 1 then
-          match if !ntok = 3 then Some 1 else int_of_string_opt (tok 3) with
-          | Some m when m >= 1 ->
-              let u = node tok_lo.(0) tok_hi.(0) in
-              let v = node tok_lo.(2) tok_hi.(2) in
-              src.(!nfacts) <- u;
-              Bytes.set label !nfacts s.[tok_lo.(1)];
-              dst.(!nfacts) <- v;
-              mult.(!nfacts) <- m;
-              incr nfacts;
-              Ok ()
-          | _ ->
-              Error
-                (Printf.sprintf "%d: bad multiplicity %S (expected an integer >= 1)" lineno
-                   (tok 3))
+          let m = if !ntok = 3 then 1 else multiplicity s tok_lo.(3) tok_hi.(3) in
+          if m >= 1 then begin
+            let u = node tok_lo.(0) tok_hi.(0) in
+            let v = node tok_lo.(2) tok_hi.(2) in
+            src.(!nfacts) <- u;
+            Bytes.set label !nfacts s.[tok_lo.(1)];
+            dst.(!nfacts) <- v;
+            mult.(!nfacts) <- m;
+            incr nfacts;
+            Ok ()
+          end
+          else
+            Error
+              (Printf.sprintf "%d: bad multiplicity %S (expected an integer >= 1)" lineno (tok 3))
         else
           Error
             (Printf.sprintf "%d: expected `src label dst [mult]` with a single-character label"

@@ -454,13 +454,14 @@ let gen_db_text =
     let good =
       fact
         (oneofl [ "a"; "b"; "c"; "#"; "\t" ])
-        (oneofl [ ""; " 1"; " 2"; "  3"; " 0x2"; " 1_0"; " +4" ])
+        (oneofl [ ""; " 1"; " 2"; "  3"; " 0x2"; " 1_0"; " +4"; " 007"; " 123456789012345678" ])
     in
     let bad =
       oneof
         [
           fact (oneofl [ "ab"; "" ]) (return "");
-          fact (return "a") (oneofl [ " 0"; " x"; " -1"; " 2 2"; " 2\t" ]);
+          fact (return "a")
+            (oneofl [ " 0"; " x"; " -1"; " 2 2"; " 2\t"; " 00"; " 4611686018427387904"; " 1e3" ]);
           map (fun n -> n) name;
         ]
     in
