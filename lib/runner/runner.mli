@@ -256,7 +256,8 @@ val serve_sockets :
     (EOF) drains the client's jobs and delivers every reply, while a
     disconnect (a failed or stalled write) cancels that client's
     {e queued} jobs and aborts its inflight jobs that are mid-hedge — an
-    unhedged inflight job settles, is journaled and cached. A job carrying [deadline_ms] that expires while queued
+    unhedged inflight job settles, is journaled and cached. A job
+    carrying [deadline_ms] that expires while queued
     is shed with a retriable [deadline_exceeded] reply; one that
     dispatches has its wall deadline and solver budget clamped to the
     remaining client budget. Global [queue_cap] overflow first tries to

@@ -428,10 +428,12 @@ module Parse_oracle = struct
     match !error with
     | Some e -> Error e
     | None ->
-        Ok (!next, of_mult_list !next (List.rev !facts), List.rev !rev_names, Hashtbl.find_opt names)
+        let db = of_mult_list !next (List.rev !facts) in
+        Ok (!next, db, List.rev !rev_names, Hashtbl.find_opt names)
 end
 
-let db_entries d = List.map (fun (id, (f : Db.fact)) -> (f.Db.src, f.Db.label, f.Db.dst, Db.mult d id)) (Db.facts d)
+let db_entries d =
+  List.map (fun (id, (f : Db.fact)) -> (f.Db.src, f.Db.label, f.Db.dst, Db.mult d id)) (Db.facts d)
 
 (* Database texts that stress the scanner: duplicate facts, multiplicities
    (also in forms int_of_string accepts), comments, blank lines, CRLF,
@@ -476,7 +478,8 @@ let gen_db_text =
           (2, return lines);
           ( 1,
             let* at = int_bound (List.length lines) and* b = bad in
-            return (List.filteri (fun i _ -> i < at) lines @ (b :: List.filteri (fun i _ -> i >= at) lines))
+            let before = List.filteri (fun i _ -> i < at) lines in
+            return (before @ (b :: List.filteri (fun i _ -> i >= at) lines))
           );
         ]
     in
@@ -495,7 +498,9 @@ let prop_parse_vs_oracle =
           Db.nnodes p.Serialize.db = nnodes
           && Db.fact_count p.Serialize.db = List.length entries
           && db_entries p.Serialize.db = entries
-          && List.for_all (fun id -> p.Serialize.node_name id = List.nth names id) (List.init nnodes Fun.id)
+          && List.for_all2
+               (fun id n -> p.Serialize.node_name id = n)
+               (List.init nnodes Fun.id) names
           && p.Serialize.node_name nnodes = Printf.sprintf "#%d" nnodes
           && p.Serialize.node_name (-1) = "#-1"
           && List.for_all
@@ -510,7 +515,8 @@ let prop_make_bag_vs_oracle =
     (QCheck.make
        ~print:(fun (n, l) ->
          Printf.sprintf "%d: %s" n
-           (String.concat "; " (List.map (fun (s, c, d, m) -> Printf.sprintf "%d %C %d %d" s c d m) l)))
+           (String.concat "; "
+              (List.map (fun (s, c, d, m) -> Printf.sprintf "%d %C %d %d" s c d m) l)))
        QCheck.Gen.(
          let* n = int_range 0 6 in
          let* l =
@@ -520,11 +526,14 @@ let prop_make_bag_vs_oracle =
          in
          return (n, l)))
     (fun (nnodes, facts) ->
-      let got = match Db.make_bag ~nnodes ~facts with d -> Ok (db_entries d) | exception Invalid_argument e -> Error e in
-      let want = match Parse_oracle.of_mult_list nnodes facts with l -> Ok l | exception Invalid_argument e -> Error e in
+      let result f = match f () with r -> Ok r | exception Invalid_argument e -> Error e in
+      let got = result (fun () -> db_entries (Db.make_bag ~nnodes ~facts)) in
+      let want = result (fun () -> Parse_oracle.of_mult_list nnodes facts) in
       got = want
       &&
-      let in_range = List.filter (fun (s, _, d, _) -> s >= 0 && s < nnodes && d >= 0 && d < nnodes) facts in
+      let in_range =
+        List.filter (fun (s, _, d, _) -> s >= 0 && s < nnodes && d >= 0 && d < nnodes) facts
+      in
       let d = Db.unsafe_make_bag ~nnodes ~facts:in_range in
       db_entries d = List.sort compare in_range)
 
