@@ -766,7 +766,8 @@ let test_query_cache () =
   let n = Runner.query_cache_size () in
   let bad = job ~id:"bad" ~query:"(a" () in
   let b1 = bytes bad in
-  check "invalid regex is a bad job" true (contains b1 {|"kind":"bad-job"|});
+  check "invalid regex is a bad job" true
+    (contains b1 {|"kind":"bad-job"|} && contains b1 {|invalid regular expression \"(a\"|});
   check "invalid regex twice, same reply" true (bytes bad = b1);
   check "invalid regex is not kept" true (Runner.query_cache_size () = n);
   (* More distinct queries than the bound, twice over: every reply is
