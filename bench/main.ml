@@ -133,7 +133,7 @@ let fig5 () =
   let v, _ = Exact.hitting_set xi l in
   Printf.printf "  vc(triangle)=%d; predicted RES = vc + m(l-1)/2 = %d; measured RES_set = %s\n"
     (Graphs.Ugraph.vertex_cover_number graph)
-    expected (Value.to_string v)
+    expected (Cert.Value.to_string v)
 
 let fig6 () =
   Printf.printf "Figure 6: full hypergraph of matches of the axb|cxd gadget completion\n";
@@ -199,9 +199,9 @@ let thm33_check () =
         match Local_solver.solve d (lang "ax*b") with Ok (v, _) -> v | Error e -> failwith e
       in
       let ex = fst (Exact.branch_and_bound d (lang "ax*b")) in
-      Printf.printf "  grid(3x3, seed %d): mincut=%s exact=%s %s\n" seed (Value.to_string mc)
-        (Value.to_string ex)
-        (verdict (Value.equal mc ex) ~pass:"AGREE" ~fail:"DISAGREE!"))
+      Printf.printf "  grid(3x3, seed %d): mincut=%s exact=%s %s\n" seed (Cert.Value.to_string mc)
+        (Cert.Value.to_string ex)
+        (verdict (Cert.Value.equal mc ex) ~pass:"AGREE" ~fail:"DISAGREE!"))
     [ 1; 2; 3 ]
 
 let prop75_check () =
@@ -211,9 +211,9 @@ let prop75_check () =
       let d = Graphdb.Generate.layered ~layers:[ 'a'; 'b'; 'c' ] ~width:2 ~max_mult:2 ~seed () in
       let bc = match Bcl.solve d (lang "ab|bc") with Ok (v, _) -> v | Error e -> failwith e in
       let ex = fst (Exact.branch_and_bound d (lang "ab|bc")) in
-      Printf.printf "  layered(width 2, seed %d): bcl=%s exact=%s %s\n" seed (Value.to_string bc)
-        (Value.to_string ex)
-        (verdict (Value.equal bc ex) ~pass:"AGREE" ~fail:"DISAGREE!"))
+      Printf.printf "  layered(width 2, seed %d): bcl=%s exact=%s %s\n" seed (Cert.Value.to_string bc)
+        (Cert.Value.to_string ex)
+        (verdict (Cert.Value.equal bc ex) ~pass:"AGREE" ~fail:"DISAGREE!"))
     [ 1; 2; 3 ]
 
 let prop77_check () =
@@ -228,9 +228,9 @@ let prop77_check () =
         match Submod_solver.solve d (lang "abc|be") with Ok v -> v | Error e -> failwith e
       in
       let ex = fst (Exact.branch_and_bound d (lang "abc|be")) in
-      Printf.printf "  random(seed %d): submodular=%s exact=%s %s\n" seed (Value.to_string sm)
-        (Value.to_string ex)
-        (verdict (Value.equal sm ex) ~pass:"AGREE" ~fail:"DISAGREE!"))
+      Printf.printf "  random(seed %d): submodular=%s exact=%s %s\n" seed (Cert.Value.to_string sm)
+        (Cert.Value.to_string ex)
+        (verdict (Cert.Value.equal sm ex) ~pass:"AGREE" ~fail:"DISAGREE!"))
     [ 1; 2; 3 ]
 
 let set_bag_check () =
@@ -246,9 +246,9 @@ let set_bag_check () =
       let l = lang s in
       let bag = fst (Exact.branch_and_bound d l) in
       let set = fst (Exact.branch_and_bound (Db.with_unit_mults d) l) in
-      Printf.printf "  %-8s RES_bag=%s RES_set=%s (set <= bag: %b)\n" s (Value.to_string bag)
-        (Value.to_string set)
-        (Value.compare set bag <= 0))
+      Printf.printf "  %-8s RES_bag=%s RES_set=%s (set <= bag: %b)\n" s (Cert.Value.to_string bag)
+        (Cert.Value.to_string set)
+        (Cert.Value.compare set bag <= 0))
     [ "aa"; "ax*b"; "ab|bc" ]
 
 let thm61_demo () =
@@ -326,11 +326,11 @@ let ablation_solvers () =
     (fun (name, d, l) ->
       let bnb = fst (Exact.branch_and_bound d l) in
       let hs = fst (Exact.hitting_set d l) in
-      let ilp = match Ilp_solver.solve d l with Ok (v, _) -> v | Error _ -> Value.Infinite in
+      let ilp = match Ilp_solver.solve d l with Ok (v, _) -> v | Error _ -> Cert.Value.Infinite in
       let lp = match Ilp_solver.lp_relaxation d l with Ok x -> x | Error _ -> nan in
       Printf.printf "  %-22s %10d %8s %8s %8s %10.2f %s\n" name (Db.fact_count d)
-        (Value.to_string bnb) (Value.to_string hs) (Value.to_string ilp) lp
-        (verdict (Value.equal bnb hs && Value.equal hs ilp) ~pass:"[agree]" ~fail:"[MISMATCH]"))
+        (Cert.Value.to_string bnb) (Cert.Value.to_string hs) (Cert.Value.to_string ilp) lp
+        (verdict (Cert.Value.equal bnb hs && Cert.Value.equal hs ilp) ~pass:"[agree]" ~fail:"[MISMATCH]"))
     instances
 
 (* ------------------------------------------------------------------ *)
@@ -346,7 +346,7 @@ let scaling_local () =
       let d = Graphdb.Generate.flow_grid ~width:w ~depth:dep ~max_mult:5 ~seed:42 () in
       let (v, _), t = time_it (fun () -> Local_solver.solve d (lang "ax*b") |> Result.get_ok) in
       Printf.printf "  %8d %8d %10d %12.4f (RES=%s)\n" w dep (Db.fact_count d) t
-        (Value.to_string v))
+        (Cert.Value.to_string v))
     [ (4, 4); (8, 8); (16, 16); (24, 24); (32, 32) ]
 
 let scaling_bcl () =
@@ -358,7 +358,7 @@ let scaling_bcl () =
         Graphdb.Generate.layered ~layers:[ 'a'; 'b'; 'c' ] ~width:w ~density:0.4 ~seed:7 ()
       in
       let (v, _), t = time_it (fun () -> Bcl.solve d (lang "ab|bc") |> Result.get_ok) in
-      Printf.printf "  %8d %10d %12.4f (RES=%s)\n" w (Db.fact_count d) t (Value.to_string v))
+      Printf.printf "  %8d %10d %12.4f (RES=%s)\n" w (Db.fact_count d) t (Cert.Value.to_string v))
     [ 4; 8; 12; 16 ]
 
 let scaling_hardness () =
@@ -374,7 +374,7 @@ let scaling_hardness () =
       let (v1, _), t1 = time_it (fun () -> Exact.hitting_set xi l) in
       let _, t2 = time_it (fun () -> Local_solver.solve xi (lang "abc") |> Result.get_ok) in
       Printf.printf "  %8d %10d %16.4f %16.4f (RES_aa=%s)\n" n (Db.fact_count xi) t1 t2
-        (Value.to_string v1))
+        (Cert.Value.to_string v1))
     [ 3; 5; 7; 9 ]
 
 let ablation_chain_extraction () =
@@ -416,7 +416,7 @@ let scaling_submodular () =
             time_it (fun () -> Submod_solver.solve d (lang "abc|be") |> Result.get_ok)
           in
           Printf.printf "  %8d %10d %12.4f (RES=%s)\n" nfacts (List.length ground) t
-            (Value.to_string v))
+            (Cert.Value.to_string v))
     [ 10; 20; 40; 80 ]
 
 (* ------------------------------------------------------------------ *)
@@ -442,10 +442,10 @@ let ablation_anytime () =
       let show =
         match outcome with
         | Solver.Exact r ->
-            Format.asprintf "exact %a via %s" Value.pp r.Solver.value
+            Format.asprintf "exact %a via %s" Cert.Value.pp r.Solver.value
               (Solver.algorithm_name r.Solver.algorithm)
         | Solver.Bounded { lower; upper; _ } ->
-            Format.asprintf "%a <= RES <= %a" Value.pp lower Value.pp upper
+            Format.asprintf "%a <= RES <= %a" Cert.Value.pp lower Cert.Value.pp upper
       in
       Printf.printf "  %10d  %-28s %.3fs (%d ticks spent)\n%!" steps show dt spent.Budget.steps)
     [ 100; 500; 1_000; 2_000; 5_000; 20_000; 100_000 ]

@@ -224,7 +224,7 @@ let solve_cmd =
                 Format.printf "verdict     : %s@."
                   (Classify.verdict_summary r.Solver.classification.Classify.verdict);
                 Format.printf "algorithm   : %s@." (Solver.algorithm_name r.Solver.algorithm);
-                Format.printf "resilience  : %a@." Value.pp r.Solver.value;
+                Format.printf "resilience  : %a@." Cert.Value.pp r.Solver.value;
                 (if witness then
                    match r.Solver.witness with
                    | Some w -> print_fact_removals db p.Ser.node_name w
@@ -233,7 +233,7 @@ let solve_cmd =
             | Solver.Bounded { lower; upper; upper_witness; spent; reason; cert = _ } ->
                 Format.printf "outcome     : bounds only (budget exhausted: %s)@."
                   (Budget.exhaustion_name reason);
-                Format.printf "resilience  : %a <= RES <= %a@." Value.pp lower Value.pp upper;
+                Format.printf "resilience  : %a <= RES <= %a@." Cert.Value.pp lower Cert.Value.pp upper;
                 Format.printf "spent       : %d steps, %.3fs@." spent.Budget.steps
                   spent.Budget.elapsed;
                 (if witness then
@@ -456,7 +456,7 @@ let st_solve_cmd =
         | Some src_id, Some dst_id ->
             let l = Automata.Lang.of_string s in
             let r = St_resilience.solve p.Ser.db l ~src:src_id ~dst:dst_id in
-            Format.printf "resilience of %s from %s to %s: %a  [%s]@." s src dst Value.pp
+            Format.printf "resilience of %s from %s to %s: %a  [%s]@." s src dst Cert.Value.pp
               r.St_resilience.value
               (Solver.algorithm_name r.St_resilience.algorithm);
             0
@@ -713,10 +713,10 @@ let batch_cmd =
             (* An unreadable/corrupt/locked journal is an input problem
                (exit 2, file:line in the message), not a crash. *)
             | exception Invalid_argument e -> input_error "%s" e
-            | replies, stats ->
-                List.iter (fun r -> print_endline (Runner.Proto.reply_to_json r)) replies;
+            | settled, stats ->
+                List.iter (fun (_, line) -> print_endline line) settled;
                 Printf.eprintf "batch: %d jobs (%d run, %d resumed), %d failures\n%!"
-                  (List.length replies) stats.Runner.ran stats.Runner.resumed
+                  (List.length settled) stats.Runner.ran stats.Runner.resumed
                   stats.Runner.failures;
                 if stats.Runner.failures = 0 then 0 else 1
           end
@@ -1193,7 +1193,7 @@ let journal_inspect_line path (rep : Journal.report) =
     List.length
       (List.filter (function Journal.Started _ -> true | _ -> false) rep.Journal.entries)
   in
-  let module J = Runner.Proto.Json in
+  let module J = Cert.Json in
   J.to_string
     (J.Obj
        [
@@ -1283,7 +1283,7 @@ let journal_compact_cmd =
           match Journal.compact file with
           | Error e -> input_error "%s" e
           | Ok s ->
-              let module J = Runner.Proto.Json in
+              let module J = Cert.Json in
               print_endline
                 (J.to_string
                    (J.Obj
@@ -1365,6 +1365,13 @@ let rec chaos_waitpid pid =
   | _, status -> status
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> chaos_waitpid pid
 
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("rpq: chaos: " ^ msg);
+      exit 1)
+    fmt
+
 (* ---- chaos --churn: client churn over a live socket server ----
 
    The harness starts this very binary as `rpq serve --listen ...` with a
@@ -1380,13 +1387,6 @@ let rec chaos_waitpid pid =
    modulo wall-clock fields. Everything printed is a pure function of the
    seed and the jobfile, so two runs diff byte-identically. *)
 let run_churn ~jobs ~kills ~seed ~net_period ~hedge_after ~(cfg : Runner.config) =
-  let die fmt =
-    Printf.ksprintf
-      (fun msg ->
-        prerr_endline ("rpq: chaos: " ^ msg);
-        exit 1)
-      fmt
-  in
   (* A victim's vanished reader must surface as EPIPE in the server, and
      a vanished server as EPIPE here — never as SIGPIPE. *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
@@ -1497,13 +1497,10 @@ let run_churn ~jobs ~kills ~seed ~net_period ~hedge_after ~(cfg : Runner.config)
       ~faults:(Printf.sprintf "net:partial_write:%d" net_period)
       ~hedged:true ~sock ~journal
   in
-  (* Same LCG construction as the crash schedule: high bits of a 48-bit
-     stream, printed up front so two runs of one seed diff clean. *)
-  let lcg = ref ((seed land max_int) lxor 0x2545F4914F6CDD1D) in
-  let draw bound =
-    lcg := ((!lcg * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-    !lcg lsr 16 mod bound
-  in
+  (* The seed's stream, as for the crash schedule; printed up front so
+     two runs of one seed diff clean. *)
+  let rng = Invariant.Prng.make seed in
+  let draw bound = Invariant.Prng.int rng bound in
   for k = 1 to kills do
     let nsub = 1 + draw (min 4 njobs) in
     let start = draw njobs in
@@ -1721,19 +1718,7 @@ let chaos_cmd =
                   (chaos_child_env ?flight faults) Unix.stdin fd_out Unix.stderr
               in
               Unix.close fd_out;
-              let rec wait () =
-                match Unix.waitpid [] pid with
-                | _, status -> status
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-              in
-              wait ()
-            in
-            let die fmt =
-              Printf.ksprintf
-                (fun msg ->
-                  prerr_endline ("rpq: chaos: " ^ msg);
-                  exit 1)
-                fmt
+              chaos_waitpid pid
             in
             (* Every answer that survived a crash must carry a certificate
                that re-checks: a settled record whose evidence does not
@@ -1760,19 +1745,19 @@ let chaos_cmd =
               match In_channel.with_open_text flight_file In_channel.input_all with
               | exception Sys_error _ -> die "crash left no flight dump at %s" flight_file
               | contents -> begin
-                  match Runner.Proto.Json.parse contents with
+                  match Cert.Json.parse contents with
                   | Error e -> die "crash left an unparseable flight dump: %s" e
                   | Ok v ->
-                      let get f conv = Option.bind (Runner.Proto.Json.member f v) conv in
-                      (match get "v" Runner.Proto.Json.to_int_opt with
+                      let get f conv = Option.bind (Cert.Json.member f v) conv in
+                      (match get "v" Cert.Json.to_int_opt with
                       | Some 1 -> ()
                       | _ -> die "flight dump lacks version 1");
-                      (match get "reason" Runner.Proto.Json.to_str_opt with
+                      (match get "reason" Cert.Json.to_str_opt with
                       | Some r when String.starts_with ~prefix:"crash:" r -> ()
                       | Some r -> die "flight dump has unexpected reason %S" r
                       | None -> die "flight dump lacks a reason");
-                      (match Runner.Proto.Json.member "events" v with
-                      | Some (Runner.Proto.Json.List _) -> ()
+                      (match Cert.Json.member "events" v with
+                      | Some (Cert.Json.List _) -> ()
                       | _ -> die "flight dump lacks an events array");
                       Sys.remove flight_file
                 end
@@ -1782,9 +1767,9 @@ let chaos_cmd =
             | Unix.WEXITED (0 | 1) -> ()
             | st -> die "reference run died unexpectedly (%s)" (status_to_string st));
             let reference = read_replies out_file in
-            (* Seeded schedule: same LCG construction as Resilience.Faults
-               (high bits of a 48-bit stream). Printed up front so two runs
-               of the same seed diff byte-identically. *)
+            (* Seeded schedule: the seed's Invariant.Prng stream, as for
+               Resilience.Faults. Printed up front so two runs of the same
+               seed diff byte-identically. *)
             (* [journal.mid_compact] is excluded from the random schedule:
                whether auto-compaction runs at all depends on journal
                geometry, so a drawn hit count would usually never fire and
@@ -1794,11 +1779,8 @@ let chaos_cmd =
               Array.of_list
                 (List.filter (fun s -> s <> "journal.mid_compact") Faults.crash_sites)
             in
-            let lcg = ref ((seed land max_int) lxor 0x2545F4914F6CDD1D) in
-            let draw bound =
-              lcg := ((!lcg * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-              (!lcg lsr 16) mod bound
-            in
+            let rng = Invariant.Prng.make seed in
+            let draw bound = Invariant.Prng.int rng bound in
             Printf.printf "chaos: seed %d, %d planned crashes, %d jobs\n" seed crashes
               (List.length jobs);
             (* Each crash's hit count is drawn below the number of times its

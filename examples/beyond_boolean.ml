@@ -29,7 +29,7 @@ let () =
 
   (* 1. All minimum contingency sets. *)
   let v, sets = Analysis.all_minimum_contingency_sets db l in
-  Format.printf "@.RES(st*) = %a with %d minimum contingency set(s):@." Value.pp v
+  Format.printf "@.RES(st*) = %a with %d minimum contingency set(s):@." Cert.Value.pp v
     (List.length sets);
   List.iter
     (fun set ->
@@ -56,7 +56,7 @@ let () =
   (* node ids follow insertion order in the builder *)
   let store = Db.nnodes db - 1 in
   let r = St_resilience.solve db (Automata.Lang.of_string "st*t") ~src:mine1 ~dst:store in
-  Format.printf "@.(s,t)-resilience of st*t from mine1 to store: %a [%s]@." Value.pp
+  Format.printf "@.(s,t)-resilience of st*t from mine1 to store: %a [%s]@." Cert.Value.pp
     r.St_resilience.value
     (Solver.algorithm_name r.St_resilience.algorithm);
 
@@ -65,15 +65,15 @@ let () =
   let l2 = Automata.Lang.of_string "sS" in
   Format.printf "@.Two-way query sS (two mines sharing a smelter): satisfied=%b, RES=%a@."
     (Two_way.satisfies db l2)
-    Value.pp
+    Cert.Value.pp
     (fst (Two_way.resilience db l2));
 
   (* 5. ILP baseline and its LP relaxation. *)
   (match (Ilp_solver.solve db l, Ilp_solver.lp_relaxation db l) with
   | Ok (v, _), Ok lp ->
       Format.printf "@.ILP baseline: RES = %a, LP relaxation = %.2f (integrality gap %s)@."
-        Value.pp v lp
+        Cert.Value.pp v lp
         (match v with
-        | Value.Finite n when float_of_int n > lp +. 1e-6 -> "> 1"
+        | Cert.Value.Finite n when float_of_int n > lp +. 1e-6 -> "> 1"
         | _ -> "= 1")
   | Error e, _ | _, Error e -> Format.printf "ILP error: %s@." e)

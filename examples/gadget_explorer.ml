@@ -25,8 +25,8 @@ let explore (name, g, l) =
     let expected = Gadgets.expected_resilience g l graph in
     let measured, _ = Exact.hitting_set xi l in
     Format.printf "encoding a 4-vertex graph (m=4, vc=%d): %d facts@." k (Db.fact_count xi);
-    Format.printf "predicted resilience %d, measured %a -> %s@." expected Value.pp measured
-      (if Value.equal measured (Value.Finite expected) then "reduction confirmed"
+    Format.printf "predicted resilience %d, measured %a -> %s@." expected Cert.Value.pp measured
+      (if Cert.Value.equal measured (Cert.Value.Finite expected) then "reduction confirmed"
        else "MISMATCH")
   end
 

@@ -44,10 +44,10 @@ let () =
       let r = Solver.solve db l in
       let direct = direct_mincut db in
       Format.printf "%8d %8d %10d %12s %12s%s@." w d (Db.fact_count db)
-        (Value.to_string r.Solver.value)
+        (Cert.Value.to_string r.Solver.value)
         (match direct with Net.Finite v -> string_of_int v | Net.Inf -> "inf")
         (match (r.Solver.value, direct) with
-        | Value.Finite a, Net.Finite b when a = b -> "   [agree]"
+        | Cert.Value.Finite a, Net.Finite b when a = b -> "   [agree]"
         | _ -> "   [MISMATCH]"))
     [ (2, 2); (4, 4); (8, 8); (16, 16) ];
 
@@ -64,4 +64,4 @@ let () =
           Format.printf "  %d --%c--> %d (cost %d)@." f.Db.src f.Db.label f.Db.dst (Db.mult db id))
         w
   | None -> Format.printf "  (no witness)@.");
-  Format.printf "total cost: %a@." Value.pp r.Solver.value
+  Format.printf "total cost: %a@." Cert.Value.pp r.Solver.value

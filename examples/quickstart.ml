@@ -29,7 +29,7 @@ let () =
     (fun q ->
       let l = Automata.Lang.of_string q in
       let r = Solver.solve db l in
-      Format.printf "RES(%s) = %a   [algorithm: %s, verdict: %s]@." q Value.pp r.Solver.value
+      Format.printf "RES(%s) = %a   [algorithm: %s, verdict: %s]@." q Cert.Value.pp r.Solver.value
         (Solver.algorithm_name r.Solver.algorithm)
         (Classify.verdict_summary r.Solver.classification.Classify.verdict);
       match r.Solver.witness with

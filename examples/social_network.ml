@@ -39,5 +39,5 @@ let () =
       Format.printf "  verdict   : %s@."
         (Classify.verdict_summary r.Solver.classification.Classify.verdict);
       Format.printf "  algorithm : %s@." (Solver.algorithm_name r.Solver.algorithm);
-      Format.printf "  resilience: %a   (%.4fs)@." Value.pp r.Solver.value dt)
+      Format.printf "  resilience: %a   (%.4fs)@." Cert.Value.pp r.Solver.value dt)
     queries

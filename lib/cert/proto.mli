@@ -9,8 +9,8 @@
 
     The module lives in the dependency-free [cert] library so the
     independent certificate checker ([rpq_certcheck]) can parse reply
-    streams without linking any solver code; [Runner.Proto] re-exports
-    it unchanged. *)
+    streams without linking any solver code; [Runner.Proto] is an alias
+    of it. *)
 
 val schema_version : int
 (** Current reply-schema version (1). Emitted as the [v] field on every

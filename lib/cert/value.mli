@@ -4,11 +4,9 @@
     contingency set (Definition 2.1); it is [+∞] exactly when every
     sub-database satisfies [Q], i.e. when ε ∈ L for RPQs.
 
-    This is the protocol-level copy of the type: it lives in the
-    dependency-free [cert] library so {!Proto} and {!Checker} can speak
-    about values without linking the solver stack. [Resilience.Value]
-    re-exports it (adding the flow-capacity conversion that needs
-    [Flow]). *)
+    The type lives in the dependency-free [cert] library so {!Proto}
+    and {!Checker} can speak about values without linking the solver
+    stack; the solvers use it from here too. *)
 
 type t = Finite of int | Infinite
 

@@ -2,17 +2,17 @@ module Db = Graphdb.Db
 module ISet = Hypergraph.Iset
 
 let all_minimum_contingency_sets d a =
-  if Automata.Nfa.nullable a then (Value.Infinite, [])
+  if Automata.Nfa.nullable a then (Cert.Value.Infinite, [])
   else begin
     let h = Graphdb.Eval.match_hypergraph d a in
     let value, sets = Hypergraph.all_min_hitting_sets ~weights:(Db.mult d) h in
-    (Value.Finite value, sets)
+    (Cert.Value.Finite value, sets)
   end
 
 let count_minimum_contingency_sets d a =
   match all_minimum_contingency_sets d a with
-  | Value.Infinite, _ -> 0
-  | Value.Finite _, sets -> List.length sets
+  | Cert.Value.Infinite, _ -> 0
+  | Cert.Value.Finite _, sets -> List.length sets
 
 (* Responsibility via the hypergraph of matches: f is counterfactual after
    removing Γ iff Γ ∪ {f} hits every match while Γ alone leaves some match
@@ -29,12 +29,12 @@ let count_minimum_contingency_sets d a =
    survives). Γ ∪ {f} must falsify the query: every match must meet Γ ∪ {f};
    matches containing f are fine, all others must meet Γ. *)
 let responsibility d a f =
-  if Automata.Nfa.nullable a then Value.Infinite
+  if Automata.Nfa.nullable a then Cert.Value.Infinite
   else if not (Db.is_live d f) then invalid_arg "Analysis.responsibility: dead fact"
   else begin
     let matches = Graphdb.Eval.all_matches d a in
     let with_f, without_f = List.partition (fun m -> ISet.mem f m) matches in
-    let best = ref Value.Infinite in
+    let best = ref Cert.Value.Infinite in
     List.iter
       (fun m ->
         (* witness match m: Γ avoids m entirely (f ∉ Γ by construction since
@@ -53,7 +53,7 @@ let responsibility d a f =
           let verts = List.sort_uniq compare (List.concat reduced_edges) in
           let h = Hypergraph.make ~vertices:verts ~edges:reduced_edges in
           let cost, _ = Hypergraph.min_hitting_set ~weights:(Db.mult d) h in
-          best := Value.min !best (Value.Finite cost)
+          best := Cert.Value.min !best (Cert.Value.Finite cost)
         end)
       with_f;
     !best
@@ -61,8 +61,8 @@ let responsibility d a f =
 
 let responsibility_score d a f =
   match responsibility d a f with
-  | Value.Infinite -> 0.0
-  | Value.Finite k -> 1.0 /. (1.0 +. float_of_int k)
+  | Cert.Value.Infinite -> 0.0
+  | Cert.Value.Finite k -> 1.0 /. (1.0 +. float_of_int k)
 
 let most_responsible_facts d a =
   List.map (fun (id, _) -> (id, responsibility_score d a id)) (Db.facts d)

@@ -8,7 +8,7 @@
     tools for small and medium instances. *)
 
 val all_minimum_contingency_sets :
-  Graphdb.Db.t -> Automata.Nfa.t -> Value.t * Hypergraph.Iset.t list
+  Graphdb.Db.t -> Automata.Nfa.t -> Cert.Value.t * Hypergraph.Iset.t list
 (** Every minimum-cost contingency set (as fact-id sets). [Infinite] (with
     an empty list) when ε ∈ L. *)
 
@@ -16,7 +16,7 @@ val count_minimum_contingency_sets : Graphdb.Db.t -> Automata.Nfa.t -> int
 (** Number of distinct minimum contingency sets (0 when resilience is
     infinite). *)
 
-val responsibility : Graphdb.Db.t -> Automata.Nfa.t -> int -> Value.t
+val responsibility : Graphdb.Db.t -> Automata.Nfa.t -> int -> Cert.Value.t
 (** [responsibility d l f]: the minimum cost of a set Γ of facts with
     [f ∉ Γ] such that [f] is counterfactual after removing Γ — i.e. the
     query still holds on [D ∖ Γ] but fails on [D ∖ (Γ ∪ {f})]. [Finite 0]

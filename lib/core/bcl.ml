@@ -175,7 +175,7 @@ let is_bcl_nfa a =
    certificate. *)
 let solve_words_gen d ws =
   if List.mem "" ws then
-    (Value.Infinite, [], fun () -> Certify.trivial "epsilon-in-language")
+    (Cert.Value.Infinite, [], fun () -> Certify.trivial "epsilon-in-language")
   else begin
     (* Single-letter words force removal of every fact with that letter. *)
     let single_letters =
@@ -269,7 +269,7 @@ let solve_words_gen d ws =
               Certify.cut ~net ~source ~sink ~cut ~flow ~fact_edge:!fact_edge
                 ~forced:forced_w
             in
-            (Value.Finite (base_cost + v), List.sort_uniq compare (forced @ facts), cert))
+            (Cert.Value.Finite (base_cost + v), List.sort_uniq compare (forced @ facts), cert))
   end
 
 let solve_words d ws =

@@ -31,13 +31,13 @@ val words_of_chain_nfa : Automata.Nfa.t -> (Automata.Word.t list, string) result
     always the exact word list (also for non-chain inputs that happen to
     pass). *)
 
-val solve : Graphdb.Db.t -> Automata.Nfa.t -> (Value.t * int list, string) result
+val solve : Graphdb.Db.t -> Automata.Nfa.t -> (Cert.Value.t * int list, string) result
 (** Proposition 7.5: resilience of a BCL via the forward/reversed-words
     MinCut construction, with a witness contingency set.
     [Error _] if the language is not a BCL. *)
 
 val solve_certified :
-  Graphdb.Db.t -> Automata.Nfa.t -> (Value.t * int list * Cert.Certificate.t, string) result
+  Graphdb.Db.t -> Automata.Nfa.t -> (Cert.Value.t * int list * Cert.Certificate.t, string) result
 (** {!solve} additionally serializing the weak-duality evidence (network,
     flow, cut, forced single-letter facts) into a portable
     {!Cert.Certificate.Cut}. *)

@@ -4,13 +4,13 @@ module Eval = Graphdb.Eval
 
 let bruteforce ?budget d a =
   let b = match budget with Some b -> b | None -> Budget.unlimited () in
-  if Automata.Nfa.nullable a then Value.Infinite
+  if Automata.Nfa.nullable a then Cert.Value.Infinite
   else begin
     let live = List.map fst (Db.facts d) in
     let n = List.length live in
     if n > 22 then invalid_arg "Exact.bruteforce: too many facts";
     let live = Array.of_list live in
-    let best = ref Value.Infinite in
+    let best = ref Cert.Value.Infinite in
     for mask = 0 to (1 lsl n) - 1 do
       Budget.tick b;
       let removed = ref ISet.empty and cost = ref 0 in
@@ -20,7 +20,7 @@ let bruteforce ?budget d a =
           cost := !cost + Db.mult d live.(i)
         end
       done;
-      if Value.compare (Finite !cost) !best < 0 then begin
+      if Cert.Value.compare (Finite !cost) !best < 0 then begin
         let d' = Db.restrict d ~removed:(fun id -> ISet.mem id !removed) in
         if not (Eval.satisfies d' a) then best := Finite !cost
       end
@@ -29,7 +29,7 @@ let bruteforce ?budget d a =
   end
 
 type anytime =
-  | Complete of Value.t * int list
+  | Complete of Cert.Value.t * int list
   | Truncated of { incumbent : (int * int list) option; reason : Budget.exhaustion }
 
 let bnb_nodes = Obs.Metrics.counter "bnb.nodes"
@@ -60,7 +60,7 @@ module Memo = Hashtbl.Make (struct
 end)
 
 let branch_and_bound_anytime ~budget:b d a =
-  if Automata.Nfa.nullable a then Complete (Value.Infinite, [])
+  if Automata.Nfa.nullable a then Complete (Cert.Value.Infinite, [])
   else begin
     (* One compiled product for the whole search: a node marks its removed
        facts dead in the product's mask (set before descending, cleared
@@ -106,7 +106,7 @@ let branch_and_bound_anytime ~budget:b d a =
     | () ->
         (* The loop always terminates with a finite best: removing all facts
            falsifies the query since ε ∉ L. *)
-        Complete (Value.Finite !best, !best_set)
+        Complete (Cert.Value.Finite !best, !best_set)
     | exception Budget.Exhausted reason ->
         let incumbent = if !best < max_int then Some (!best, !best_set) else None in
         Truncated { incumbent; reason }
@@ -120,9 +120,9 @@ let branch_and_bound ?budget d a =
 
 let hitting_set ?budget d a =
   let b = match budget with Some b -> b | None -> Budget.unlimited () in
-  if Automata.Nfa.nullable a then (Value.Infinite, [])
+  if Automata.Nfa.nullable a then (Cert.Value.Infinite, [])
   else begin
     let h = Eval.match_hypergraph ~fuel:(Budget.fuel b) d a in
     let value, set = Hypergraph.min_hitting_set ~weights:(Db.mult d) ~fuel:(Budget.fuel b) h in
-    (Value.Finite value, set)
+    (Cert.Value.Finite value, set)
   end

@@ -11,13 +11,13 @@
     {!branch_and_bound_anytime}, which converts it to a truncated outcome
     carrying the best incumbent. *)
 
-val bruteforce : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Value.t
+val bruteforce : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Cert.Value.t
 (** Enumerates all subsets of live facts (≤ 22 facts), ticking the budget
     once per subset.
     @raise Invalid_argument on larger databases.
     @raise Budget.Exhausted when the budget runs out. *)
 
-val branch_and_bound : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Value.t * int list
+val branch_and_bound : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Cert.Value.t * int list
 (** Witness-branching: while some L-walk exists, pick a shortest one
     ({!Graphdb.Eval.shortest_witness}'s walk, on one product compiled per
     call) and branch on which of its facts enters the contingency set.
@@ -32,7 +32,7 @@ val branch_and_bound : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Val
     @raise Budget.Exhausted when the budget runs out. *)
 
 type anytime =
-  | Complete of Value.t * int list  (** exact value and witness *)
+  | Complete of Cert.Value.t * int list  (** exact value and witness *)
   | Truncated of {
       incumbent : (int * int list) option;
           (** best contingency set found so far — a certified {e upper}
@@ -44,7 +44,7 @@ val branch_and_bound_anytime : budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t
 (** {!branch_and_bound} as an anytime algorithm: never raises on
     exhaustion, returning the incumbent instead. *)
 
-val hitting_set : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Value.t * int list
+val hitting_set : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> Cert.Value.t * int list
 (** Via the hypergraph of matches (Definition 4.7) and exact weighted
     minimum hitting set. Requires the matches to be enumerable: finite
     language or acyclic database (see {!Graphdb.Eval.all_matches}).

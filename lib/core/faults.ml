@@ -130,14 +130,9 @@ let to_string = function
   | Crash_at { site; hits } -> Printf.sprintf "crash:%s:%d" site hits
   | Net_at { site; period } -> Printf.sprintf "net:%s:%d" site period
 
-(* Stream state for Seeded plans: a 48-bit LCG drawn from the high bits
-   (the low bits of an LCG have tiny periods — see Sfm.validate_submodular
-   for the same construction and rationale). *)
-let mix seed = (seed land max_int) lxor 0x2545F4914F6CDD1D
-
 type state = {
   mutable active : plan;
-  mutable lcg : int;
+  mutable lcg : Invariant.Prng.t;  (** the Seeded plan's stream *)
   mutable from_env : bool;  (** the active plan came from [RPQ_FAULTS] *)
   crash_hits : (string, int) Hashtbl.t;  (** per-site counters for [Crash_at] *)
 }
@@ -157,7 +152,7 @@ let seed_of = function
 let state =
   {
     active = initial;
-    lcg = mix (seed_of initial);
+    lcg = Invariant.Prng.make (seed_of initial);
     from_env = Sys.getenv_opt "RPQ_FAULTS" <> None;
     crash_hits = Hashtbl.create 8;
   }
@@ -166,7 +161,7 @@ let plan () = state.active
 
 let set_plan p =
   state.active <- p;
-  state.lcg <- mix (seed_of p);
+  state.lcg <- Invariant.Prng.make (seed_of p);
   state.from_env <- false;
   Hashtbl.reset state.crash_hits
 
@@ -222,8 +217,7 @@ let next_fault_tick () =
   | Off | Kill_after _ | Wedge_after _ | Crash_at _ | Net_at _ -> None
   | At_tick n -> Some n
   | Seeded { period; _ } ->
-      state.lcg <- ((state.lcg * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-      Some (1 + ((state.lcg lsr 16) mod period))
+      Some (1 + Invariant.Prng.int state.lcg period)
 
 let worker_mode () =
   match state.active with

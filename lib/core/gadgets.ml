@@ -121,7 +121,7 @@ let expected_resilience g lang graph =
 let reduction_check g lang graph =
   let xi = encode g graph in
   let value, _ = Exact.hitting_set xi lang in
-  Value.equal value (Value.Finite (expected_resilience g lang graph))
+  Cert.Value.equal value (Cert.Value.Finite (expected_resilience g lang graph))
 
 (* ---- Concrete gadgets from the paper ---- *)
 

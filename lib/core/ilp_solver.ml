@@ -36,7 +36,7 @@ let instance_of ?budget d a =
 let solve_with_covers ?budget d a =
   let b = match budget with Some b -> b | None -> Budget.unlimited () in
   Check.cheap "Ilp_solver.solve: database" (fun () -> Db.validate d);
-  if Automata.Nfa.nullable a then Ok (Value.Infinite, [], [])
+  if Automata.Nfa.nullable a then Ok (Cert.Value.Infinite, [], [])
   else
     match instance_of ~budget:b d a with
     | Error e -> Error e
@@ -77,7 +77,7 @@ let solve_with_covers ?budget d a =
             let covers_facts =
               List.map (List.map (fun v -> fact_ids.(v))) inst.Lp.Ilp.covers
             in
-            Ok (Value.Finite sol.Lp.Ilp.value, List.rev !witness, covers_facts)
+            Ok (Cert.Value.Finite sol.Lp.Ilp.value, List.rev !witness, covers_facts)
       end
 
 let solve ?budget d a =

@@ -18,14 +18,14 @@ val instance_of :
     acyclic database); [Error] otherwise or when ε ∈ L. *)
 
 val solve :
-  ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> (Value.t * int list, string) result
+  ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> (Cert.Value.t * int list, string) result
 (** Exact resilience via ILP, with a witness contingency set. *)
 
 val solve_with_covers :
   ?budget:Budget.t ->
   Graphdb.Db.t ->
   Automata.Nfa.t ->
-  (Value.t * int list * int list list, string) result
+  (Cert.Value.t * int list * int list list, string) result
 (** {!solve} additionally returning the cover matrix as fact-id sets (one
     per match) — the evidence a {!Cert.Certificate.Bounds} certificate
     ships so an independent checker can re-verify hitting-set coverage. *)

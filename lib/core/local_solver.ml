@@ -72,9 +72,9 @@ let cut_facts net ~fact_edge (cut : Net.cut) =
    nothing for certification. *)
 let solve_ro_gen d ~ro =
   if Automata.Nfa.nullable ro then
-    (Value.Infinite, [], fun () -> Certify.trivial "epsilon-in-language")
+    (Cert.Value.Infinite, [], fun () -> Certify.trivial "epsilon-in-language")
   else if ro.Automata.Nfa.nstates = 0 || Db.nnodes d = 0 then
-    (Value.Finite 0, [], fun () -> Certify.trivial "query-unsatisfied")
+    (Cert.Value.Finite 0, [], fun () -> Certify.trivial "query-unsatisfied")
   else begin
     let { net; source; sink; fact_edge } = build_network d ~ro in
     Check.cheap "Local_solver.solve_ro: product network" (fun () -> Net.validate net);
@@ -99,9 +99,9 @@ let solve_ro_gen d ~ro =
                 ]);
     let cert () = Certify.cut ~net ~source ~sink ~cut ~flow ~fact_edge ~forced:[] in
     match cut.Net.value with
-    | Net.Inf -> (Value.Infinite, [], cert)
+    | Net.Inf -> (Cert.Value.Infinite, [], cert)
     | Net.Finite v ->
-        (Value.Finite v, List.sort_uniq compare (cut_facts net ~fact_edge cut), cert)
+        (Cert.Value.Finite v, List.sort_uniq compare (cut_facts net ~fact_edge cut), cert)
   end
 
 let solve_ro d ~ro =

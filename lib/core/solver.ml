@@ -22,7 +22,7 @@ let stage = Obs.Trace.stage
 let reason_arg reason = [ ("reason", Cert.Json.Str (Budget.exhaustion_name reason)) ]
 
 type result = {
-  value : Value.t;
+  value : Cert.Value.t;
   witness : int list option;
   algorithm : algorithm;
   classification : Classify.t;
@@ -43,7 +43,7 @@ let solve ?classification d a =
   match cl.Classify.verdict with
   | Classify.PTime Classify.Trivial_empty ->
       {
-        value = Value.Finite 0;
+        value = Cert.Value.Finite 0;
         witness = Some [];
         algorithm = Alg_trivial;
         classification = cl;
@@ -51,7 +51,7 @@ let solve ?classification d a =
       }
   | Classify.PTime Classify.Trivial_eps ->
       {
-        value = Value.Infinite;
+        value = Cert.Value.Infinite;
         witness = None;
         algorithm = Alg_trivial;
         classification = cl;
@@ -109,8 +109,8 @@ let resilience_regex d s = resilience d (Automata.Lang.of_string s)
 type outcome =
   | Exact of result
   | Bounded of {
-      lower : Value.t;
-      upper : Value.t;
+      lower : Cert.Value.t;
+      upper : Cert.Value.t;
       upper_witness : int list option;
       spent : Budget.spent;
       reason : Budget.exhaustion;
@@ -192,8 +192,8 @@ let bounded_outcome master reduced d ~incumbent ~reason =
   in
   Bounded
     {
-      lower = Value.Finite lower;
-      upper = Value.Finite upper;
+      lower = Cert.Value.Finite lower;
+      upper = Cert.Value.Finite upper;
       upper_witness = Some upper_witness;
       spent = Budget.spent master;
       reason;
@@ -207,7 +207,7 @@ let hard_chain master cl reduced d =
   if not (stage "satisfies" (fun () -> Eval.satisfies d reduced)) then
     Exact
       {
-        value = Value.Finite 0;
+        value = Cert.Value.Finite 0;
         witness = Some [];
         algorithm = Alg_trivial;
         classification = cl;
@@ -282,7 +282,7 @@ let solve_bounded ?classification ?budget d a =
               else
                 Exact
                   {
-                    value = Value.Finite 0;
+                    value = Cert.Value.Finite 0;
                     witness = Some [];
                     algorithm = Alg_trivial;
                     classification = cl;

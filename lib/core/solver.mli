@@ -21,7 +21,7 @@ type algorithm =
 val algorithm_name : algorithm -> string
 
 type result = {
-  value : Value.t;
+  value : Cert.Value.t;
   witness : int list option;
       (** a minimum contingency set (fact ids), when the algorithm produces
           one; submodular minimization reports only the value *)
@@ -40,10 +40,10 @@ val solve : ?classification:Classify.t -> Graphdb.Db.t -> Automata.Nfa.t -> resu
     to reuse a previously computed verdict (it must be for the same
     language). *)
 
-val resilience : Graphdb.Db.t -> Automata.Nfa.t -> Value.t
+val resilience : Graphdb.Db.t -> Automata.Nfa.t -> Cert.Value.t
 (** Just the value. *)
 
-val resilience_regex : Graphdb.Db.t -> string -> Value.t
+val resilience_regex : Graphdb.Db.t -> string -> Cert.Value.t
 (** Convenience: parse the regex and solve. *)
 
 (** {1 Anytime solving under a budget} *)
@@ -51,8 +51,8 @@ val resilience_regex : Graphdb.Db.t -> string -> Value.t
 type outcome =
   | Exact of result  (** the budget sufficed; same answer as {!solve} *)
   | Bounded of {
-      lower : Value.t;  (** certified lower bound (LP relaxation / satisfiability) *)
-      upper : Value.t;  (** certified upper bound (incumbent or greedy hitting set) *)
+      lower : Cert.Value.t;  (** certified lower bound (LP relaxation / satisfiability) *)
+      upper : Cert.Value.t;  (** certified upper bound (incumbent or greedy hitting set) *)
       upper_witness : int list option;
           (** a contingency set achieving [upper] — removing these facts
               falsifies the query (re-verified under [RPQ_CHECK=paranoid]) *)

@@ -38,7 +38,7 @@ let satisfies d a ~src ~dst =
   end
 
 type result = {
-  value : Value.t;
+  value : Cert.Value.t;
   witness : int list option;
   algorithm : Solver.algorithm;
 }
@@ -94,7 +94,7 @@ let solve d a ~src ~dst =
   Check.cheap "St_resilience.solve: query automaton" (fun () -> Nfa.validate a);
   if Nfa.nullable a && src = dst then
     (* The empty walk from src to itself can never be removed. *)
-    { value = Value.Infinite; witness = None; algorithm = Solver.Alg_trivial }
+    { value = Cert.Value.Infinite; witness = None; algorithm = Solver.Alg_trivial }
   else begin
     let d', guarded, back = transform d a ~src ~dst in
     Check.cheap "St_resilience.solve: guarded database" (fun () -> Db.validate d');

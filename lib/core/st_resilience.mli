@@ -16,7 +16,7 @@ val satisfies : Graphdb.Db.t -> Automata.Nfa.t -> src:int -> dst:int -> bool
 (** Is there an L-walk from [src] to [dst]? (ε ∈ L and [src = dst] counts.) *)
 
 type result = {
-  value : Value.t;
+  value : Cert.Value.t;
   witness : int list option;
   algorithm : Solver.algorithm;
 }
@@ -25,4 +25,4 @@ val solve : Graphdb.Db.t -> Automata.Nfa.t -> src:int -> dst:int -> result
 (** Fixed-endpoint resilience: MinCut for local languages, exact branch and
     bound otherwise. Witness facts refer to the original database's ids. *)
 
-val resilience : Graphdb.Db.t -> Automata.Nfa.t -> src:int -> dst:int -> Value.t
+val resilience : Graphdb.Db.t -> Automata.Nfa.t -> src:int -> dst:int -> Cert.Value.t

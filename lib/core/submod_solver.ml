@@ -53,8 +53,8 @@ let res_alpha d alpha =
   let a = Automata.Nfa.of_words [ alpha ] in
   let ro = Automata.Local.ro_enfa a in
   match Local_solver.solve_ro d ~ro with
-  | Value.Finite v, _ -> v
-  | Value.Infinite, _ ->
+  | Cert.Value.Finite v, _ -> v
+  | Cert.Value.Infinite, _ ->
       Invariant.internal_error "Submod_solver.res_alpha: infinite resilience for nonempty α"
 
 let oracle d shape =
@@ -122,4 +122,4 @@ let solve ?budget d a =
                 Invariant.violation ~subsystem:"Submodular.Sfm" ~invariant:"minimizer-value"
                   "f(returned set) = %d but the minimizer claims %d" v value;
               ]);
-      Ok (Value.Finite value)
+      Ok (Cert.Value.Finite value)

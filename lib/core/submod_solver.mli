@@ -30,7 +30,7 @@ val oracle : Graphdb.Db.t -> shape -> int list * (bool array -> int)
     aₙ₋₁aₙ₊₁ match) and the submodular objective over it; used by tests to
     check submodularity directly. *)
 
-val solve : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> (Value.t, string) result
+val solve : ?budget:Budget.t -> Graphdb.Db.t -> Automata.Nfa.t -> (Cert.Value.t, string) result
 (** Full pipeline: recognize the shape (possibly mirroring the database) and
     minimize the objective with {!Submodular.Sfm.minimize}. The budget
     (default {!Budget.unlimited}) is ticked once per SFM oracle call; may

@@ -147,7 +147,7 @@ let matches_up_to d a ~max_len =
   | `Go r -> r
 
 let resilience d a =
-  if Automata.Nfa.nullable a then (Value.Infinite, [])
+  if Automata.Nfa.nullable a then (Cert.Value.Infinite, [])
   else begin
     let memo = ISet.Tbl.create 256 in
     let best = ref max_int and best_set = ref [] in
@@ -168,5 +168,5 @@ let resilience d a =
       end
     in
     go ISet.empty 0 [];
-    (Value.Finite !best, !best_set)
+    (Cert.Value.Finite !best, !best_set)
   end

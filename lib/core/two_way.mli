@@ -19,6 +19,6 @@ val shortest_witness : Graphdb.Db.t -> Automata.Nfa.t -> int list option
 val matches_up_to : Graphdb.Db.t -> Automata.Nfa.t -> max_len:int -> Hypergraph.Iset.t list
 (** Distinct fact sets of two-way L-walks of length at most the bound. *)
 
-val resilience : Graphdb.Db.t -> Automata.Nfa.t -> Value.t * int list
+val resilience : Graphdb.Db.t -> Automata.Nfa.t -> Cert.Value.t * int list
 (** Exact resilience by witness-branching branch and bound (exponential;
     no tractability theory exists yet for 2RPQs). *)

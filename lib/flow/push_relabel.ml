@@ -110,7 +110,10 @@ let min_cut_certified (t : Network.t) ~source ~sink =
     done
   in
   let steps = ref 0 in
-  let max_steps = 20 * n * n * (m + 1) in
+  (* A safety net, saturated at [max_int]: 20·n²·(m+1) overflows 63 bits
+     near 6·10⁵ vertices, and a wrapped bound would trip at once. *)
+  let sat_mul a b = if a > 0 && b > max_int / a then max_int else a * b in
+  let max_steps = sat_mul (sat_mul (sat_mul 20 n) n) (m + 1) in
   let rec loop () =
     if !steps > max_steps then
       Invariant.internal_error "Push_relabel.min_cut: step budget %d exceeded" max_steps;

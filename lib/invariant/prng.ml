@@ -1,7 +1,9 @@
-(* Deterministic 48-bit LCG, the same generator family as Faults and
-   Sfm.validate_submodular: every random draw in the tree must be a pure
-   function of an explicit seed, so failures replay exactly. Draws come
-   from the high bits — the low bits of an LCG have tiny periods. *)
+(* Deterministic 48-bit LCG, the one stream behind every random draw in
+   the tree (the fault plan's seeded ticks, Sfm.validate_submodular's
+   samples, the chaos schedules): each draw is a pure function of an
+   explicit seed, so failures replay exactly. Draws come from the high
+   bits — the low bits of an LCG have tiny periods (the lowest bit
+   alternates), which would correlate consecutive draws. *)
 
 type t = { mutable state : int }
 

@@ -289,8 +289,7 @@ let scan_source ~file src =
                 the fsync/lock discipline)"
                tok);
         (* Ambient randomness makes failing runs unreplayable: every draw
-           must come from an explicitly seeded stream (Invariant.Prng, or
-           the fault plan's LCG). *)
+           must come from an explicitly seeded stream (Invariant.Prng). *)
         if tok = "Random" || String.starts_with ~prefix:"Random." tok
            || String.starts_with ~prefix:"Stdlib.Random." tok
         then
@@ -524,7 +523,7 @@ let explanations =
        Exit is exempt as the stdlib loop-break idiom." );
     ( rule_random,
       "The 'random' capability: ambient Random draws make failing runs unreplayable. All \
-       randomness comes from explicitly seeded streams (Invariant.Prng; the fault plan's LCG). \
+       randomness comes from explicitly seeded streams (Invariant.Prng). \
        No module holds a standing grant; the policy table can name seeded chaos modules." );
     ( rule_exit,
       "The 'exit' capability: calling exit from a library terminates the supervisor, the \

@@ -1,3 +1,4 @@
+open Cert
 open Proto
 
 let m_hits = Obs.Metrics.counter "cache.hits"

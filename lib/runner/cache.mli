@@ -21,10 +21,10 @@
 type t
 
 type lookup =
-  | Hit of { reply : Proto.reply; line : string }
+  | Hit of { reply : Cert.Proto.reply; line : string }
       (** certificate re-checked; id rewritten to the requester's,
           [wall_s] zeroed (no supervisor time was spent). [line] is the
-          stored bytes with that head ({!Proto.restamp}): what the
+          stored bytes with that head ({!Cert.Proto.restamp}): what the
           requester is sent, encoded without touching the certificate. *)
   | Miss
   | Cert_reject of string
@@ -47,7 +47,7 @@ val find : t -> digest:string -> id:string -> lookup
     first hit, and the decoded reply is kept for later hits; every hit
     re-checks the certificate. A [Hit] refreshes recency. *)
 
-val store : t -> digest:string -> ?line:string -> Proto.reply -> unit
+val store : t -> digest:string -> ?line:string -> Cert.Proto.reply -> unit
 (** Inserts or refreshes an entry, evicting the least recently used
     entries beyond capacity. With [line], which must be the reply's
     bytes as sent, the entry holds those bytes and not the decoded

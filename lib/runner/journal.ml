@@ -1,3 +1,4 @@
+open Cert
 open Proto
 
 type entry =
@@ -300,7 +301,7 @@ let completed entries =
 
 (* ------------------------------------------------------------------ *)
 (* Atomic rewrite: temp + fsync + rename. Shared by explicit            *)
-(* compaction and the auto-compaction in open_append.                  *)
+(* compaction and the auto-compaction in open_load.                    *)
 (* ------------------------------------------------------------------ *)
 
 let fsync_dir dir =
@@ -396,7 +397,7 @@ let release fd key =
 
 let default_compact_ratio = 0.5
 
-let open_append ?(sync = Per_job) ?(compact_ratio = default_compact_ratio) path =
+let open_load ?(sync = Per_job) ?(compact_ratio = default_compact_ratio) path =
   let ( let* ) = Result.bind in
   let* fd, key = acquire path in
   match load path with
@@ -409,37 +410,38 @@ let open_append ?(sync = Per_job) ?(compact_ratio = default_compact_ratio) path 
         && rep.bytes > 0
         && float_of_int rep.dead_bytes /. float_of_int rep.bytes >= compact_ratio
       in
-      let* fd, key, rep =
+      (* [good] is where the next record goes: the end of the intact
+         prefix, 0 for a file that still needs its header. *)
+      let* fd, key, good, seq =
         if auto_compact then begin
           (* Rewrite in place, keeping only live entries, then re-acquire:
-             the rename replaced the inode our lock lives on. *)
-          match rewrite_atomic path (compact_entries rep.entries) with
+             the rename replaced the inode our lock lives on. The rewrite
+             is a whole journal of the kept records numbered from 1, so
+             there is nothing to read back. *)
+          let kept = compact_entries rep.entries in
+          match rewrite_atomic path kept with
           | () ->
               release fd key;
               let* fd, key = acquire path in
-              let* rep =
-                match load path with
-                | Ok rep -> Ok rep
-                | Error e ->
-                    release fd key;
-                    Error e
-              in
-              Ok (fd, key, rep)
+              Ok (fd, key, String.length header_line, List.length kept)
           | exception e ->
               release fd key;
               raise e
         end
-        else Ok (fd, key, rep)
+        else Ok (fd, key, rep.bytes - rep.torn_bytes, rep.last_seq)
       in
       (* Truncate the torn tail so this run's appends extend the good
          prefix instead of gluing new records onto half a record — the
          crash artifact that used to make a resumed-then-resumed journal
          unreadable. *)
-      if rep.torn_bytes > 0 then Unix.ftruncate fd (rep.bytes - rep.torn_bytes);
+      if (not auto_compact) && rep.torn_bytes > 0 then Unix.ftruncate fd good;
       ignore (Unix.lseek fd 0 Unix.SEEK_END);
       let oc = Unix.out_channel_of_descr fd in
-      if rep.bytes - rep.torn_bytes = 0 then output_string oc header_line;
-      Ok { fd; oc; sync; key; seq = rep.last_seq }
+      if good = 0 then output_string oc header_line;
+      Ok ({ fd; oc; sync; key; seq }, rep.entries)
+
+let open_append ?sync ?compact_ratio path =
+  Result.map fst (open_load ?sync ?compact_ratio path)
 
 (* The single sync point every append funnels through: flush always (the
    write-ahead property needs the line out of the userland buffer), fsync

@@ -1,11 +1,11 @@
 (** Crash-consistent write-ahead job journal (v2) for resumable batch
-    runs.
+    runs and the serve loop's settled answers.
 
-    [rpq batch] appends one record per event — [Started] when a job is
-    first dispatched, [Done] with the full reply when it settles — so
-    that after a crash (or a SIGKILL of the supervisor itself) a re-run
-    with the same journal skips every settled job and recomputes only
-    the rest.
+    The supervisor engine appends one record per event — [Started] when
+    a job is first dispatched, [Done] with the full reply when it
+    settles — so that after a crash (or a SIGKILL of the supervisor
+    itself) a re-run with the same journal skips every settled job and
+    recomputes only the rest.
 
     {2 On-disk format (v2)}
 
@@ -14,7 +14,7 @@
     <len>:<crc>:<seq>:<payload>\n             one line per record
     v}
 
-    where [payload] is the entry's {!Proto.Json} line (human-greppable,
+    where [payload] is the entry's {!Cert.Proto.Json} line (human-greppable,
     schema-shared with the wire protocol), [len] its byte length
     (self-delimiting framing), [crc] the CRC32 (IEEE) of
     ["<seq>:<payload>"] as 8 lowercase hex digits, and [seq] a strictly
@@ -29,7 +29,7 @@
     {- a {b torn tail} — the final record is a strict prefix of a valid
        frame, or a complete {e final} record whose checksum fails: the
        expected artifact of dying mid-append. The good prefix loads, the
-       tail is reported (and truncated away by the next {!open_append});}
+       tail is reported (and truncated away by the next {!open_load});}
     {- {b corruption} — a checksum or framing failure {e before} the last
        record, a bad payload in a checksummed frame, or a sequence
        regression: the file is not a trustworthy journal, and [load]
@@ -38,9 +38,9 @@
 
 type entry =
   | Started of { id : string; digest : string }
-  | Done of { id : string; digest : string; reply : Proto.reply }
+  | Done of { id : string; digest : string; reply : Cert.Proto.reply }
 
-val job_digest : Proto.job -> string
+val job_digest : Cert.Proto.job -> string
 (** Hex digest of the canonical job encoding (with its {e original}
     budget). Resume matches on both id and digest, so editing a job in the
     jobfile invalidates its recorded answer instead of silently reusing
@@ -52,7 +52,7 @@ val job_digest : Proto.job -> string
     before settlement, so hedged and unhedged runs produce byte-identical
     journals modulo wall-clock fields. *)
 
-val canonical_digest : Proto.job -> string
+val canonical_digest : Cert.Proto.job -> string
 (** {!job_digest} with the job's id blanked, so two clients submitting
     the same work under different ids agree on one key. The serve loop
     journals and caches under this digest; batch journals use
@@ -88,7 +88,7 @@ val load : string -> (report, string) result
     [path:line] position — resuming from such a file would silently drop
     results. *)
 
-val completed : entry list -> (string, string * Proto.reply) Hashtbl.t
+val completed : entry list -> (string, string * Cert.Proto.reply) Hashtbl.t
 (** Settled jobs by id, mapping to [(digest, reply)]; for duplicate ids
     the last [Done] entry wins. *)
 
@@ -101,9 +101,12 @@ type sync =
 
 type t
 
-val open_append : ?sync:sync -> ?compact_ratio:float -> string -> (t, string) result
-(** Opens the journal for appending, creating it if missing. Eager, and
-    exclusive: the file is locked ([Unix.lockf], plus an in-process
+val open_load :
+  ?sync:sync -> ?compact_ratio:float -> string -> (t * entry list, string) result
+(** Opens the journal for appending, creating it if missing, and returns
+    its entries as {!load} reads them, before any auto-compaction: a
+    driver reads its journal once, under the lock, at the open. Eager,
+    and exclusive: the file is locked ([Unix.lockf], plus an in-process
     registry — record locks do not exclude within one process) so two
     supervisors cannot interleave records; a held lock is an [Error].
     On open, a journal whose dead-byte ratio is at least [compact_ratio]
@@ -111,7 +114,11 @@ val open_append : ?sync:sync -> ?compact_ratio:float -> string -> (t, string) re
     and a torn tail is truncated, so appends always extend a clean
     prefix. New records continue the sequence from the last intact one.
     [sync] defaults to [Per_job]. Corruption refuses exactly as {!load}
-    does. *)
+    does. [t] does not keep the entries: a long-lived supervisor holds
+    only what it takes from them. *)
+
+val open_append : ?sync:sync -> ?compact_ratio:float -> string -> (t, string) result
+(** {!open_load} without the entries. *)
 
 val append : t -> entry -> unit
 (** Frames and appends one record, then runs the single sync point:
@@ -123,10 +130,12 @@ val append : t -> entry -> unit
 
 val append_done : t -> id:string -> digest:string -> reply_json:string -> unit
 (** [append t (Done { id; digest; reply })] for a reply already encoded
-    as [reply_json = Proto.reply_to_json reply]: the record is built
-    around those bytes, so a reply sent to a client and journaled is
-    encoded once. Same framing, sync point and crash sites as
-    {!append}. *)
+    as its line [reply_json] ([Cert.Proto.reply_to_json reply], or a worker's
+    line restamped with {!Cert.Proto.restamp}: the same bytes). The record is
+    built around those bytes, so a settled reply is encoded once for the
+    journal and its reader together. This is how the supervisor engine
+    writes every [Done] record. Same framing, sync point and crash sites
+    as {!append}. *)
 
 val close : t -> unit
 (** Flushes, releases the lock, closes. *)

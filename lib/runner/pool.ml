@@ -2,7 +2,7 @@
 
    Each worker is a forked child connected by two pipes: the parent writes
    job lines down [to_worker] and reads reply lines from [of_worker]. The
-   framing is one line per message ([Proto.Json.to_string] never emits a
+   framing is one line per message ([Cert.Json.to_string] never emits a
    raw newline). Workers are single-job: the supervisor only assigns to an
    idle worker, so a reply line always belongs to the single in-flight job.
 
@@ -88,13 +88,15 @@ let worker_loop handler to_child of_child =
   (try Sys.set_signal Sys.sigterm Sys.Signal_default with Invalid_argument _ | Sys_error _ -> ());
   (try Sys.set_signal Sys.sigint Sys.Signal_default with Invalid_argument _ | Sys_error _ -> ());
   Obs.Flight.disable ();
-  (* If the supervisor is tracing, stream our spans back interleaved
-     with (and marked distinct from) reply lines. Both writers flush
-     whole lines and the process is single-threaded, so frames never
-     tear. *)
-  Obs.Trace.adopt_pipe oc;
   let status = ref 0 in
   (try
+     (* If the supervisor is tracing, stream our spans back interleaved
+        with (and marked distinct from) reply lines. Both writers flush
+        whole lines and the process is single-threaded, so frames never
+        tear. The first write can meet a pipe the supervisor already
+        closed: that too must end in [_exit], never unwind into the
+        forking caller's stack. *)
+     Obs.Trace.adopt_pipe oc;
      while true do
        let line = input_line ic in
        let reply = handler line in

@@ -1,9 +1,10 @@
-module Proto = Proto
+module Proto = Cert.Proto
 module Pool = Pool
 module Journal = Journal
 module Transport = Transport
 module Cache = Cache
 module Trace_check = Trace_check
+open Cert
 open Proto
 module Ser = Graphdb.Serialize
 open Resilience
@@ -321,6 +322,10 @@ let poisonous = function
 
 type task = {
   job : job;  (** as submitted, with the original budget *)
+  origin : string;
+      (** the id the settled reply and the journal carry: the job's own,
+          or the client's id for a job serve runs under a namespaced id *)
+  digest : string;  (** the journal's key for the job; unused without a journal *)
   submitted : float;  (** wall clock at {!submit}, for dispatch latency *)
   span : Trace.handle option;  (** the supervisor-side [job] span: submit -> settle *)
   deadline_abs : float;  (** end-to-end client deadline, absolute; [infinity] = none *)
@@ -364,17 +369,20 @@ type wspan = {
   w_psid : string option;
 }
 
+(* The engine owns the journal protocol: a [Started] record at a task's
+   first dispatch, before [Pool.assign]; a [Done] record when it settles,
+   after settle's bookkeeping and before the driver sees the reply. *)
 type engine = {
   cfg : config;
   pool : Pool.t;
+  journal : Journal.t option;
   pending : task Queue.t;
   mutable delayed : task list;
   inflight : (string, task) Hashtbl.t;
   wopen : (string, wspan list) Hashtbl.t;  (** job id -> worker spans still open *)
-  emit : reply -> (string * reply) option -> unit;
-      (** a settled reply, and the worker's line with its decode when the
-          reply is that decode restamped (see {!settle}) *)
-  on_dispatch : task -> unit;  (** first dispatch only (journal Started) *)
+  emit : engine -> task -> reply -> string -> unit;
+      (** a settled task, its reply under the task's [origin] id, and that
+          reply's line (see {!settle}) *)
 }
 
 let engine_load e = Queue.length e.pending + List.length e.delayed + Hashtbl.length e.inflight
@@ -386,7 +394,7 @@ let update_gauges e =
 (* Callers count [runner.jobs] where they accept a job: [run_batch] at
    submission, the serve loop at admission — so a stats line sees the job
    on the line above it even while that job waits for a worker. *)
-let submit ?deadline_abs e (job : job) =
+let submit ?deadline_abs ?origin ?(digest = "") e (job : job) =
   (* The supervisor's per-job span opens at submission and closes at
      settle, spanning queue wait, every dispatch and every retry. Its
      parent is the job's propagated context (a serve [request] span, or
@@ -414,6 +422,8 @@ let submit ?deadline_abs e (job : job) =
   Queue.add
     {
       job;
+      origin = Option.value origin ~default:job.id;
+      digest;
       submitted;
       span;
       deadline_abs;
@@ -431,9 +441,15 @@ let submit ?deadline_abs e (job : job) =
     }
     e.pending
 
-(* [worker] is the worker's line and its decode [reply]; absent for
-   replies the supervisor made (deadline, poison, retry exhaustion) and
-   for a hedge's fallback, whose line is not kept. *)
+let journal_done e ~id ~digest line =
+  Option.iter (fun jl -> Journal.append_done jl ~id ~digest ~reply_json:line) e.journal
+
+(* A settled reply has one line, built here once: the worker's bytes with
+   the head restamped when [worker] (the worker's line and its decode,
+   [reply]) is given, else the supervisor's own reply encoded. [worker] is
+   absent for replies the supervisor made (deadline, poison, retry
+   exhaustion) and for a hedge's fallback, whose line is not kept. The
+   journal's [Done] record and the driver share that line. *)
 let settle ?worker e t reply =
   Hashtbl.remove e.inflight t.job.id;
   Hashtbl.remove e.wopen t.job.id;
@@ -454,9 +470,16 @@ let settle ?worker e t reply =
           ]
         h)
     t.span;
-  e.emit
-    { reply with id = t.job.id; attempts = t.attempts; wall_s = now_s () -. t.first_dispatch }
-    worker
+  let reply =
+    { reply with id = t.origin; attempts = t.attempts; wall_s = now_s () -. t.first_dispatch }
+  in
+  let line =
+    match worker with
+    | Some (wline, w) -> restamp wline w ~id:reply.id ~attempts:reply.attempts ~wall_s:reply.wall_s
+    | None -> reply_to_json reply
+  in
+  journal_done e ~id:reply.id ~digest:t.digest line;
+  e.emit e t reply line
 
 (* Seconds left on the task's end-to-end deadline, clamped into the
    worker budget: the solver's wall-clock deadline never exceeds the
@@ -541,7 +564,9 @@ let dispatch_ready e =
       if t.attempts = 0 then begin
         t.first_dispatch <- t_now;
         Obs.Metrics.observe m_dispatch_latency (t.first_dispatch -. t.submitted);
-        e.on_dispatch t
+        Option.iter
+          (fun jl -> Journal.append jl (Journal.Started { id = t.origin; digest = t.digest }))
+          e.journal
       end;
       t.attempts <- t.attempts + 1;
       t.last_dispatch <- t_now;
@@ -847,9 +872,10 @@ let handle_event e = function
         end
     end
 
-(* Abandon an in-flight task whose owner vanished (client disconnect):
-   kill every running attempt without generating crash events, close its
-   spans, and forget it — no reply is emitted and nothing is journaled.
+(* Abandon an in-flight task nobody will read (its client vanished, or it
+   outlived a drain's grace): kill every running attempt without
+   generating crash events, close its spans, and forget it — no reply is
+   emitted and nothing is journaled.
    The freed workers go back to the idle set immediately. *)
 let abort_task e t =
   if t.primary_up then ignore (Pool.abort e.pool ~id:t.job.id);
@@ -890,7 +916,7 @@ let engine_timeout e =
           else Float.min acc (Float.max 0.005 (t.last_dispatch +. after -. t_now)))
         e.inflight acc
 
-let create_engine ?(handler = worker_handler) cfg ~emit ~on_dispatch =
+let create_engine ?(handler = worker_handler) ?journal cfg ~emit =
   if cfg.retries < 0 then invalid_arg "Runner: negative retries";
   if cfg.queue_cap < 1 then invalid_arg "Runner: queue cap must be at least 1";
   (match cfg.max_heap_mb with
@@ -906,12 +932,12 @@ let create_engine ?(handler = worker_handler) cfg ~emit ~on_dispatch =
   {
     cfg;
     pool;
+    journal;
     pending = Queue.create ();
     delayed = [];
     inflight = Hashtbl.create 64;
     wopen = Hashtbl.create 16;
     emit;
-    on_dispatch;
   }
 
 let drain e =
@@ -927,92 +953,69 @@ let drain e =
 
 type batch_stats = { ran : int; resumed : int; failures : int }
 
-let run_batch ?journal cfg (jobs : job list) : reply list * batch_stats =
+let run_batch ?journal cfg (jobs : job list) : (reply * string) list * batch_stats =
   flight_on_crash @@ fun () ->
-  (* Each job's journal digest, by id: computed at most once, and only
-     when a journal asks for it. *)
-  let digests = Hashtbl.create 64 in
+  let ids = Hashtbl.create 64 in
   List.iter
     (fun (j : job) ->
-      if Hashtbl.mem digests j.id then
+      if Hashtbl.mem ids j.id then
         invalid_arg (Printf.sprintf "Runner.run_batch: duplicate job id %S" j.id);
-      Hashtbl.add digests j.id (lazy (Journal.job_digest j)))
+      Hashtbl.add ids j.id ())
     jobs;
-  let digest id =
-    match Hashtbl.find_opt digests id with
-    | Some d -> Lazy.force d
-    | None -> Invariant.internal_error "Runner.run_batch: no job %s" id
-  in
-  let recorded =
+  let jnl, recorded =
     match journal with
-    | None -> Hashtbl.create 0
+    | None -> (None, Hashtbl.create 0)
     | Some path -> begin
-        match Journal.load path with
-        | Ok rep -> Journal.completed rep.Journal.entries
-        | Error msg -> invalid_arg (Printf.sprintf "Runner.run_batch: %s" msg)
-      end
-  in
-  let jnl =
-    match journal with
-    | None -> None
-    | Some path -> begin
-        match Journal.open_append ~sync:cfg.journal_sync path with
-        | Ok j -> Some j
+        match Journal.open_load ~sync:cfg.journal_sync path with
+        | Ok (j, entries) -> (Some j, Journal.completed entries)
         | Error msg -> invalid_arg (Printf.sprintf "Runner.run_batch: %s" msg)
       end
   in
   Fun.protect
     ~finally:(fun () -> Option.iter Journal.close jnl)
     (fun () ->
-      let results : (string, reply) Hashtbl.t = Hashtbl.create 64 in
+      let results : (string, reply * string) Hashtbl.t = Hashtbl.create 64 in
       let resumed = ref 0 in
       let todo =
-        List.filter
+        List.filter_map
           (fun (j : job) ->
+            (* A job's journal digest is computed once, and only for a
+               journal. *)
+            let digest = match jnl with None -> "" | Some _ -> Journal.job_digest j in
             match Hashtbl.find_opt recorded j.id with
             | Some (d, reply)
-              when d = digest j.id && (Check.level () = Check.Off || verify_reply reply) ->
-                Hashtbl.replace results j.id reply;
+              when d = digest && (Check.level () = Check.Off || verify_reply reply) ->
+                Hashtbl.replace results j.id (reply, reply_to_json reply);
                 incr resumed;
-                false
-            | _ -> true)
+                None
+            | _ -> Some (j, digest))
           jobs
       in
-      let emit r _worker =
-        Hashtbl.replace results r.id r;
-        Option.iter
-          (fun jnl -> Journal.append jnl (Journal.Done { id = r.id; digest = digest r.id; reply = r }))
-          jnl
-      in
-      let on_dispatch t =
-        Option.iter
-          (fun jnl -> Journal.append jnl (Journal.Started { id = t.job.id; digest = digest t.job.id }))
-          jnl
-      in
-      let e = create_engine cfg ~emit ~on_dispatch in
+      let emit _ _ (r : reply) line = Hashtbl.replace results r.id (r, line) in
+      let e = create_engine ?journal:jnl cfg ~emit in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown e.pool)
         (fun () ->
           List.iter
-            (fun j ->
+            (fun (j, digest) ->
               Obs.Metrics.incr m_jobs;
-              submit e j)
+              submit ~digest e j)
             todo;
           drain e);
-      let replies =
+      let settled =
         List.map
           (fun (j : job) ->
             match Hashtbl.find_opt results j.id with
-            | Some r -> r
+            | Some s -> s
             | None ->
                 Invariant.internal_error "Runner.run_batch: job %s never settled" j.id)
           jobs
       in
       let failures =
         List.length
-          (List.filter (fun r -> match r.verdict with V_failed _ -> true | _ -> false) replies)
+          (List.filter (fun (r, _) -> match r.verdict with V_failed _ -> true | _ -> false) settled)
       in
-      (replies, { ran = List.length todo; resumed = !resumed; failures }))
+      (settled, { ran = List.length todo; resumed = !resumed; failures }))
 
 (* ------------------------------------------------------------------ *)
 (* Serve: many clients, one engine — per-client fairness, admission    *)
@@ -1208,15 +1211,461 @@ let m_brownout_degraded = Obs.Metrics.counter "serve.brownout_degraded_total"
 
 (* The engine's inflight table is keyed by job id, but two clients may
    use the same id concurrently — so jobs run under a namespaced
-   internal id and the owner table maps back to (client, original id,
-   parsed job). Journal and cache always see original ids and the
+   internal id and the request table maps back to the client and its
+   original id. Journal and cache always see original ids and the
    canonical (id-blind) digest, which is what lets a resubmission from
    any client hit the cache. *)
 let internal_id cid id = Printf.sprintf "c%d:%s" cid id
 
+(* An admitted job, from admission until it leaves the server through
+   [release]. The request span opens at admission and closes at release:
+   the serve-side hop of the stitched trace, parent of the engine's [job]
+   span. *)
+type request = {
+  cid : int;  (** the owning client *)
+  orig : string;  (** the client's job id *)
+  digest : string;  (** canonical digest: the cache key, and the journal's *)
+  rjob : job;  (** as the engine runs it: the internal id, the span context *)
+  rspan : Trace.handle option;
+  deadline : float option;
+      (** absolute end-to-end deadline, fixed at admission so time queued
+          in the per-client FIFOs is charged to the client's budget *)
+  mutable slot : bool;  (** off the admission queue: holds an inflight slot *)
+}
+
+type server = {
+  scfg : serve_config;
+  tr : Transport.t;
+  adm : request Admission.t;
+  cache : Cache.t;
+  requests : (string, request) Hashtbl.t;  (** internal id -> request *)
+  stdio_cid : int option;
+  mutable draining : bool;  (** set by SIGTERM/SIGINT *)
+  mutable brownout : bool;
+  mutable pressure_since : float option;
+}
+
+(* What a leaving request's client reads: its settled line, a retriable
+   error reply of a kind, or nothing. *)
+type answer = Deliver of string | Retry of string * string | Silent
+
+let total_load srv e = Admission.queued srv.adm + engine_load e
+
+(* ---- admission and brownout ---- *)
+
+(* Brownout watchdog: queue pressure (half the admission cap or more)
+   sustained for [brownout_after] seconds flips the service into
+   brownout; the next pressure-free observation clears both. *)
+let update_brownout srv =
+  match srv.scfg.brownout_after with
+  | None -> ()
+  | Some after ->
+      let t_now = now_s () in
+      let queued = Admission.queued srv.adm in
+      (match (queued >= max 1 (srv.scfg.base.queue_cap / 2), srv.pressure_since) with
+      | true, None -> srv.pressure_since <- Some t_now
+      | false, _ -> srv.pressure_since <- None
+      | true, Some _ -> ());
+      let active =
+        match srv.pressure_since with Some s -> t_now -. s >= after | None -> false
+      in
+      if active <> srv.brownout then begin
+        srv.brownout <- active;
+        Obs.Metrics.set m_brownout (if active then 1.0 else 0.0);
+        let event = if active then "brownout-enter" else "brownout-exit" in
+        Trace.instant ~args:[ ("queued", Json.Int queued) ] event;
+        Log.warn event [ ("queued", Json.Int queued) ]
+      end
+
+let update_serve_gauges srv =
+  Obs.Metrics.set m_serve_clients (float_of_int (List.length (Transport.clients srv.tr)));
+  Obs.Metrics.set m_serve_queued (float_of_int (Admission.queued srv.adm));
+  Obs.Metrics.set m_serve_inflight (float_of_int (Admission.inflight srv.adm));
+  Obs.Metrics.set m_serve_draining (if srv.draining then 1.0 else 0.0)
+
+let close_request ~outcome =
+  Option.iter (fun h -> Trace.close_span ~args:[ ("outcome", Json.Str outcome) ] h)
+
+(* ---- request release and transport glue ---- *)
+
+(* The one way out of the server for an admitted request, whichever of
+   its seven exits it takes: settled, deadline expired in the queue,
+   client cancel, hedged cancel, priority eviction, drain shed, drain
+   leftover. It forgets the request, frees its admission slot if it holds
+   one, closes its span with [outcome], counts it, logs [warn] (an event
+   and fields after the client and job ids) and delivers [answer]. *)
+let rec release srv e rq ?count ?warn ~outcome answer =
+  Hashtbl.remove srv.requests rq.rjob.id;
+  if rq.slot then Admission.settled srv.adm rq.cid;
+  close_request ~outcome rq.rspan;
+  Option.iter Obs.Metrics.incr count;
+  Option.iter
+    (fun (event, fields) ->
+      Log.warn event (("cid", Json.Int rq.cid) :: ("id", Json.Str rq.orig) :: fields))
+    warn;
+  match answer with
+  | Deliver line -> deliver srv e rq.cid line
+  | Retry (kind, message) ->
+      deliver srv e rq.cid (reply_to_json (failed ~retriable:true ~id:rq.orig ~kind "%s" message))
+  | Silent -> ()
+
+(* A client that died while its job was inflight cannot be told: the
+   answer is settled, journaled and cached all the same. A send can
+   surface a [Dead] event, whose handling is policy. *)
+and deliver srv e cid line =
+  match List.find_opt (fun c -> Transport.cid c = cid) (Transport.clients srv.tr) with
+  | None -> ()
+  | Some c -> send srv e c line
+
+and send srv e c line = handle_tevs srv e (Transport.send srv.tr c line)
+and handle_tevs srv e evs = List.iter (handle_tev srv e) evs
+
+and handle_tev srv e = function
+  | Transport.Accepted c ->
+      Trace.instant ~args:[ ("cid", Json.Int (Transport.cid c)) ] "client-accept"
+  | Transport.Line (c, line) ->
+      (* Lines split from the same read batch as a poisoning line
+         still arrive as events; a closing client's input is dead.
+         (A torn trailing line at EOF is [St_eof], not closing, and
+         is still admitted.) *)
+      if not (Transport.closing c) then admit srv e c line
+  | Transport.Eof c ->
+      (* A zero read means the peer is done sending, not gone: a client
+         that half-closes after its last job still reads every reply,
+         so its queued jobs drain as on stdio. A client that is really
+         gone surfaces as [Dead] (a failed or stalled write), which
+         cancels them. *)
+      if not (Transport.eof_drains c) then cancel_client srv e c
+  | Transport.Overlong c ->
+      Log.warn "overlong-line" [ ("cid", Json.Int (Transport.cid c)) ];
+      send srv e c
+        (reply_to_json (failed ~id:"" ~kind:"bad-job" "input line exceeds the size limit"));
+      cancel_client srv e c
+  | Transport.Dead (c, reason) ->
+      let args = [ ("cid", Json.Int (Transport.cid c)); ("reason", Json.Str reason) ] in
+      Trace.instant ~args "client-dead";
+      Log.info "client-dead" args;
+      cancel_client srv e c
+
+and cancel_client srv e c =
+  let cid = Transport.cid c in
+  List.iter
+    (fun rq -> release srv e rq ~count:m_serve_cancelled ~outcome:"cancelled" Silent)
+    (Admission.cancel srv.adm cid);
+  (* A disconnected client's job that is inflight AND hedged is holding
+     two workers for an answer nobody will read: kill both attempts and
+     release the admission slot. (A single-worker inflight job still
+     settles — journal and cache keep the answer — as serve always
+     has.) *)
+  let hedged =
+    Hashtbl.fold
+      (fun iid t acc ->
+        match Hashtbl.find_opt srv.requests iid with
+        | Some rq when rq.cid = cid && t.hedged && (t.primary_up || t.hedge_up) -> (t, rq) :: acc
+        | _ -> acc)
+      e.inflight []
+  in
+  List.iter
+    (fun (t, rq) ->
+      abort_task e t;
+      release srv e rq ~count:m_serve_cancelled ~outcome:"cancelled" Silent)
+    hedged
+
+and admit srv e c line =
+  if String.trim line = "" then ()
+  else if String.starts_with ~prefix:"GET " line then handle_http srv e c line
+  else
+    match Json.parse line with
+    | Ok v when is_stats_request v ->
+        let id = Option.value ~default:"" (Option.bind (Json.member "id" v) Json.to_str_opt) in
+        update_serve_gauges srv;
+        send srv e c (stats_line id)
+    | parsed -> begin
+        match Result.bind parsed job_of_obj with
+        | Error msg ->
+            send srv e c
+              (reply_to_json (failed ~id:"" ~kind:"bad-job" "unparseable job line: %s" msg));
+            (* A malformed line poisons only this client: socket framing
+               after garbage is untrustworthy, so the connection closes
+               once the error reply flushes. The stdio client keeps the
+               historical tolerant behavior. *)
+            if srv.stdio_cid <> Some (Transport.cid c) then begin
+              cancel_client srv e c;
+              Transport.close_after_flush srv.tr c
+            end
+        | Ok job -> admit_job srv e c job
+      end
+
+(* A job line is refused at once (a duplicate id, a draining or
+   browned-out server, a full queue), answered from the cache, or queued
+   as a request. *)
+and admit_job srv e c (job : job) =
+  let cid = Transport.cid c in
+  let iid = internal_id cid job.id in
+  let refuse r = send srv e c (reply_to_json r) in
+  let cap = srv.scfg.base.queue_cap in
+  if Hashtbl.mem srv.requests iid then
+    refuse (failed ~id:job.id ~kind:"bad-job" "duplicate job id still in flight")
+  else if srv.draining then
+    refuse (failed ~retriable:true ~id:job.id ~kind:"overloaded" "server draining; resubmit later")
+  else if srv.brownout && priority_class job.priority = 0 then begin
+    (* Brownout sheds batch work at the door: sustained pressure means
+       the queue is not going to reach it before its usefulness expires
+       anyway. *)
+    Obs.Metrics.incr m_shed;
+    Obs.Metrics.incr m_brownout_shed;
+    Log.warn "brownout-shed" [ ("cid", Json.Int cid); ("id", Json.Str job.id) ];
+    refuse
+      (failed ~retriable:true ~id:job.id ~kind:"overloaded"
+         "brownout: batch work shed under sustained overload; resubmit later")
+  end
+  else if total_load srv e >= cap && not (shed_lower_priority srv e ~than:job.priority) then begin
+    (* Load shedding: a full queue answers immediately instead of
+       buffering without bound; the client may resubmit. (A
+       higher-priority arrival instead evicts the oldest queued job of
+       the lowest class — see [shed_lower_priority] — and is
+       admitted.) *)
+    Obs.Metrics.incr m_shed;
+    Log.warn "shed" [ ("cid", Json.Int cid); ("id", Json.Str job.id) ];
+    refuse
+      (failed ~retriable:true ~id:job.id ~kind:"overloaded" "queue full (%d jobs); resubmit later"
+         cap)
+  end
+  else begin
+    (* The serve-side request span: parented by the client's propagated
+       context, parent of the engine's job span. *)
+    let rspan =
+      Trace.open_span
+        ?parent:(Option.bind job.trace Trace.ctx_of_string)
+        ~args:[ ("cid", Json.Int cid); ("id", Json.Str job.id) ]
+        "request"
+    in
+    let digest = Journal.canonical_digest job in
+    match Cache.find srv.cache ~digest ~id:job.id with
+    | Cache.Hit { line; _ } ->
+        Trace.instant ~args:[ ("id", Json.Str job.id) ] "cache-hit";
+        close_request ~outcome:"cache-hit" rspan;
+        journal_done e ~id:job.id ~digest line;
+        send srv e c line
+    | Cache.Miss | Cache.Cert_reject _ ->
+        Obs.Metrics.incr m_jobs;
+        let trace =
+          match rspan with
+          | Some h -> Some (Trace.ctx_to_string (Trace.handle_ctx h))
+          | None -> job.trace
+        in
+        let rq =
+          {
+            cid;
+            orig = job.id;
+            digest;
+            rjob = { job with id = iid; trace };
+            rspan;
+            (* The end-to-end clock starts now: queue time below is the
+               client's budget being spent. *)
+            deadline = Option.map (fun ms -> now_s () +. (float_of_int ms /. 1000.0)) job.deadline_ms;
+            slot = false;
+          }
+        in
+        Hashtbl.replace srv.requests iid rq;
+        Admission.enqueue ~prio:(priority_class job.priority) srv.adm cid rq
+  end
+
+(* An HTTP GET on the job socket is a metrics scrape: answer with one
+   HTTP/1.0 response and close. [/metrics] is the full Prometheus
+   exposition; [/metrics/counters] restricts it to counters, which are
+   deterministic under a seeded fault plan (gauges and histograms carry
+   wall-clock noise) — the byte-stable variant CI diffs. *)
+and handle_http srv e c line =
+  match String.split_on_char ' ' line with
+  | "GET" :: target :: _ ->
+      update_serve_gauges srv;
+      let respond status ctype body =
+        send srv e c
+          (Printf.sprintf
+             "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+             status ctype (String.length body) body)
+      in
+      Log.debug "scrape" [ ("cid", Json.Int (Transport.cid c)); ("target", Json.Str target) ];
+      (match target with
+      | "/metrics" ->
+          respond "200 OK" "text/plain; version=0.0.4" (Obs.Metrics.prometheus_string ())
+      | "/metrics/counters" ->
+          respond "200 OK" "text/plain; version=0.0.4"
+            (Obs.Metrics.prometheus_string ~only_counters:true ())
+      | _ -> respond "404 Not Found" "text/plain" "not found\n");
+      Transport.close_after_flush srv.tr c
+  | _ -> ()
+
+(* At the admission cap, an arrival of class P may evict the oldest
+   queued job of a class strictly below P: the victim gets the same
+   retriable [overloaded] reply a plain shed produces, and the arrival
+   takes its slot. Returns whether a slot was freed. *)
+and shed_lower_priority srv e ~than =
+  match Admission.steal_lowest srv.adm ~below:(priority_class than) with
+  | None -> false
+  | Some (_, rq) ->
+      release srv e rq ~count:m_shed ~outcome:"shed"
+        ~warn:("priority-evict", [ ("priority", Json.Str rq.rjob.priority) ])
+        (Retry ("overloaded", "queue full; evicted for higher-priority work; resubmit later"));
+      true
+
+(* ---- settlement ---- *)
+
+(* Move admitted jobs into the engine only while a worker is idle and
+   nothing is already waiting there: keeping the backlog in the
+   per-client queues is what makes the round-robin fair. A popped job
+   whose end-to-end deadline already expired in the queue is shed here
+   — a retriable [deadline_exceeded] reply, no worker, no journal
+   entry. Under brownout, non-interactive work leaves the queue with a
+   degraded budget (the retry divisor, applied once). *)
+let feed srv e =
+  let continue = ref true in
+  while !continue && Pool.idle_count e.pool > 0 && Queue.is_empty e.pending do
+    match Admission.next srv.adm with
+    | None -> continue := false
+    | Some (_, rq) -> begin
+        rq.slot <- true;
+        match rq.deadline with
+        | Some d when d <= now_s () ->
+            release srv e rq ~count:m_deadline_exceeded ~outcome:"deadline_exceeded"
+              ~warn:("deadline-exceeded", [])
+              (Retry ("deadline_exceeded", "deadline expired while queued for admission"))
+        | deadline_abs ->
+            let j = rq.rjob in
+            let j =
+              if srv.brownout && priority_class j.priority < 2 then begin
+                Obs.Metrics.incr m_brownout_degraded;
+                Trace.instant
+                  ~args:[ ("id", Json.Str j.id); ("reason", Json.Str "brownout") ]
+                  "degrade";
+                { j with budget = degrade_budget ~degrade:srv.scfg.base.degrade j.budget }
+              end
+              else j
+            in
+            submit ?deadline_abs ~origin:rq.orig ~digest:rq.digest e j;
+            dispatch_ready e
+      end
+  done
+
+(* The engine's [emit]: the journal already holds the settled line; the
+   cache keeps it, and the request's client reads it. *)
+let settled srv e (t : task) (r : reply) line =
+  match Hashtbl.find_opt srv.requests t.job.id with
+  | None -> ()
+  | Some rq ->
+      Cache.store srv.cache ~digest:rq.digest ~line r;
+      release srv e rq ~outcome:(verdict_name r.verdict) (Deliver line)
+
+(* The journal is read once, at the open: its settled answers seed the
+   cache. Serve journals key [Done] entries by the canonical digest,
+   which is exactly the cache key, and the certificate gate inside
+   [Cache.find] keeps a tampered entry from ever being served. *)
+let open_serve_journal (cfg : config) cache path =
+  match Journal.open_load ~sync:cfg.journal_sync path with
+  | Ok (jl, entries) ->
+      Hashtbl.iter
+        (fun _id (digest, reply) -> Cache.store cache ~digest reply)
+        (Journal.completed entries);
+      jl
+  | Error msg -> invalid_arg (Printf.sprintf "Runner.serve_sockets: %s" msg)
+
+(* ---- transport glue ---- *)
+
+(* One poll of the workers and the clients, and the handling of what it
+   returns. Client input is read only when [reading]: a draining server
+   only settles and flushes. *)
+let turn srv e ~reading ~timeout =
+  let extra = if reading then Transport.read_fds ~accepting:(not srv.draining) srv.tr else [] in
+  let extra_write = Transport.write_fds srv.tr in
+  List.iter
+    (function
+      | Pool.Input fd -> handle_tevs srv e (Transport.handle_readable srv.tr fd)
+      | Pool.Writable fd -> handle_tevs srv e (Transport.handle_writable srv.tr fd)
+      | ev -> handle_event e ev)
+    (Pool.poll ~extra ~extra_write ~timeout e.pool)
+
+(* A client at EOF with nothing owed and nothing buffered is done. Its
+   requests are exactly its queued and slot-holding jobs in admission. *)
+let sweep srv =
+  List.iter
+    (fun c ->
+      let cid = Transport.cid c in
+      if
+        Transport.at_eof c
+        && Transport.pending_out c = 0
+        && Admission.queued_for srv.adm cid + Admission.inflight_for srv.adm cid = 0
+      then Transport.drop srv.tr c)
+    (Transport.clients srv.tr)
+
+(* SIGTERM/SIGINT request a graceful drain. The handler only flips a
+   flag; everything observable happens in the loop, not in signal
+   context. Returns the handlers to restore. *)
+let install_drain_signals srv =
+  let install s behavior =
+    match Sys.signal s behavior with
+    | old -> Some (s, old)
+    | exception Invalid_argument _ -> None
+    | exception Sys_error _ -> None
+  in
+  List.filter_map Fun.id
+    [
+      install Sys.sigterm (Sys.Signal_handle (fun _ -> srv.draining <- true));
+      install Sys.sigint (Sys.Signal_handle (fun _ -> srv.draining <- true));
+      (* A write to a client whose peer vanished must surface as EPIPE
+         (handled per client in {!Transport}), not kill the server. *)
+      install Sys.sigpipe Sys.Signal_ignore;
+    ]
+
+let restore_signals =
+  List.iter (fun (s, old) ->
+      match Sys.set_signal s old with
+      | () -> ()
+      | exception Invalid_argument _ -> ()
+      | exception Sys_error _ -> ())
+
+(* ---- drain ---- *)
+
+(* Graceful drain: stop accepting, shed everything still queued
+   (retriable — a resubmission after restart can succeed), give inflight
+   jobs [drain_grace] seconds to settle, shed what outlived it, flush
+   what the clients will take. *)
+let drain_server srv e =
+  update_serve_gauges srv;
+  Transport.close_listeners srv.tr;
+  List.iter
+    (fun c ->
+      List.iter
+        (fun rq ->
+          release srv e rq ~count:m_serve_cancelled ~outcome:"shed"
+            (Retry ("overloaded", "server draining; resubmit later")))
+        (Admission.cancel srv.adm (Transport.cid c)))
+    (Transport.clients srv.tr);
+  let deadline = now_s () +. srv.scfg.drain_grace in
+  while Hashtbl.length srv.requests > 0 && now_s () < deadline do
+    dispatch_ready e;
+    turn srv e ~reading:false ~timeout:(Float.min 0.1 (Float.max 0.01 (deadline -. now_s ())))
+  done;
+  (* Whatever outlived the grace period is shed too. Its attempts are
+     killed, so its [Started] journal record stays the only one: it
+     never settled. *)
+  List.iter
+    (fun rq ->
+      Option.iter (abort_task e) (Hashtbl.find_opt e.inflight rq.rjob.id);
+      release srv e rq ~count:m_serve_cancelled ~outcome:"shed"
+        (Retry ("overloaded", "server draining; job did not settle within the grace period")))
+    (Hashtbl.fold (fun _ rq acc -> rq :: acc) srv.requests []);
+  (* Final flush, bounded: a slow reader does not hold up the exit. *)
+  let flush_deadline = now_s () +. 1.0 in
+  while
+    now_s () < flush_deadline
+    && List.exists (fun c -> Transport.pending_out c > 0) (Transport.clients srv.tr)
+  do
+    turn srv e ~reading:false ~timeout:0.05
+  done
+
 let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) ?handler scfg =
   flight_on_crash @@ fun () ->
-  let cfg = scfg.base in
   if scfg.cache_entries < 0 then
     invalid_arg "Runner.serve_sockets: cache size must be non-negative";
   if scfg.drain_grace < 0.0 then
@@ -1248,440 +1697,22 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) ?handl
       ignore (Transport.add_client tr ~eof_drains:false ~owns_fds:true ~in_fd:fd ~out_fd:fd ()))
     preconnected_abrupt;
   let cache = Cache.create ~entries:scfg.cache_entries in
-  (* Seed the cache from the journal's settled answers: serve journals
-     key [Done] entries by the canonical digest, which is exactly the
-     cache key, and the certificate gate inside [Cache.find] keeps a
-     tampered entry from ever being served. *)
-  (match scfg.serve_journal with
-  | Some path when Sys.file_exists path -> begin
-      match Journal.load path with
-      | Ok rep ->
-          Hashtbl.iter
-            (fun _id (digest, reply) -> Cache.store cache ~digest reply)
-            (Journal.completed rep.Journal.entries)
-      | Error msg -> invalid_arg (Printf.sprintf "Runner.serve_sockets: %s" msg)
-    end
-  | Some _ | None -> ());
-  let jnl =
-    match scfg.serve_journal with
-    | None -> None
-    | Some path -> begin
-        match Journal.open_append ~sync:cfg.journal_sync path with
-        | Ok j -> Some j
-        | Error msg -> invalid_arg (Printf.sprintf "Runner.serve_sockets: %s" msg)
-      end
+  let jnl = Option.map (open_serve_journal scfg.base cache) scfg.serve_journal in
+  let srv =
+    {
+      scfg;
+      tr;
+      adm = Admission.create ~client_inflight:scfg.client_inflight;
+      cache;
+      requests = Hashtbl.create 64;
+      stdio_cid;
+      draining = false;
+      brownout = false;
+      pressure_since = None;
+    }
   in
-  let adm = Admission.create ~client_inflight:scfg.client_inflight in
-  (* internal id -> absolute end-to-end deadline, fixed at admission so
-     time queued in the per-client FIFOs is charged to the client's
-     budget. Entries leave with their job (settle, shed, cancel). *)
-  let deadlines : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  (* Brownout watchdog: queue pressure (half the admission cap or more)
-     sustained for [brownout_after] seconds flips the service into
-     brownout; the next pressure-free observation clears both. *)
-  let pressure_since = ref None in
-  let brownout = ref false in
-  let update_brownout () =
-    match scfg.brownout_after with
-    | None -> ()
-    | Some after ->
-        let t_now = now_s () in
-        let pressured = Admission.queued adm >= max 1 (cfg.queue_cap / 2) in
-        (match (pressured, !pressure_since) with
-        | true, None -> pressure_since := Some t_now
-        | false, _ -> pressure_since := None
-        | true, Some _ -> ());
-        let active =
-          match !pressure_since with Some s -> t_now -. s >= after | None -> false
-        in
-        if active <> !brownout then begin
-          brownout := active;
-          Obs.Metrics.set m_brownout (if active then 1.0 else 0.0);
-          Trace.instant
-            ~args:[ ("queued", Json.Int (Admission.queued adm)) ]
-            (if active then "brownout-enter" else "brownout-exit");
-          Log.warn
-            (if active then "brownout-enter" else "brownout-exit")
-            [ ("queued", Json.Int (Admission.queued adm)) ]
-        end
-  in
-  (* internal id -> (client, original id, canonical digest, request
-     span). The digest is the one admission computed for the cache
-     lookup; the journal's [Started] and [Done] records reuse it. The
-     request span opens at admission and closes when the reply is
-     delivered (or the job is cancelled/shed) — the serve-side hop of
-     the stitched trace, parenting the engine's [job] span. *)
-  let owners : (string, int * string * string * Trace.handle option) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let close_request ?(outcome = "") h =
-    Option.iter
-      (fun h ->
-        Trace.close_span
-          ~args:(if outcome = "" then [] else [ ("outcome", Json.Str outcome) ])
-          h)
-      h
-  in
-  let draining = ref false in
-  (* SIGTERM/SIGINT request a graceful drain. The handler only flips a
-     flag; everything observable — stop accepting, shed queued work,
-     flush, release the journal lock, final trace flush — happens in
-     the loop below, not in signal context. *)
-  let install s behavior =
-    match Sys.signal s behavior with
-    | old -> Some (s, old)
-    | exception Invalid_argument _ -> None
-    | exception Sys_error _ -> None
-  in
-  let saved_signals =
-    List.filter_map Fun.id
-      [
-        install Sys.sigterm (Sys.Signal_handle (fun _ -> draining := true));
-        install Sys.sigint (Sys.Signal_handle (fun _ -> draining := true));
-        (* A write to a client whose peer vanished must surface as EPIPE
-           (handled per client in {!Transport}), not kill the server. *)
-        install Sys.sigpipe Sys.Signal_ignore;
-      ]
-  in
-  let update_serve_gauges () =
-    Obs.Metrics.set m_serve_clients (float_of_int (List.length (Transport.clients tr)));
-    Obs.Metrics.set m_serve_queued (float_of_int (Admission.queued adm));
-    Obs.Metrics.set m_serve_inflight (float_of_int (Admission.inflight adm));
-    Obs.Metrics.set m_serve_draining (if !draining then 1.0 else 0.0)
-  in
-  let find_client cid =
-    List.find_opt (fun c -> Transport.cid c = cid) (Transport.clients tr)
-  in
-  (* [admit] and the transport-event handler are mutually recursive (a
-     send can surface a [Dead] event, whose handling is policy): tie the
-     knot with a forward reference. *)
-  let tev_handler = ref (fun (_ : Transport.event) -> ()) in
-  let handle_tevs evs = List.iter (fun ev -> !tev_handler ev) evs in
-  let deliver_line cid line =
-    match find_client cid with
-    | None ->
-        (* The client died while the job was inflight: the answer is
-           settled, journaled and cached — only delivery is impossible. *)
-        ()
-    | Some c -> handle_tevs (Transport.send tr c line)
-  in
-  let deliver cid r = deliver_line cid (reply_to_json r) in
-  (* A settled reply has one line: the client's, the journal's [Done]
-     record and the cache entry share those bytes. *)
-  let journal_settled ~id ~digest line =
-    Option.iter (fun jl -> Journal.append_done jl ~id ~digest ~reply_json:line) jnl
-  in
-  (* A worker's reply settles from the worker's bytes, with only the
-     head restamped; the decode that validated them is dropped here. *)
-  let emit r worker =
-    match Hashtbl.find_opt owners r.id with
-    | None -> ()
-    | Some (cid, orig, digest, rspan) ->
-        Hashtbl.remove owners r.id;
-        Hashtbl.remove deadlines r.id;
-        Admission.settled adm cid;
-        close_request ~outcome:(verdict_name r.verdict) rspan;
-        let r = { r with id = orig } in
-        let line =
-          match worker with
-          | Some (wline, w) -> restamp wline w ~id:orig ~attempts:r.attempts ~wall_s:r.wall_s
-          | None -> reply_to_json r
-        in
-        journal_settled ~id:orig ~digest line;
-        Cache.store cache ~digest ~line r;
-        deliver_line cid line
-  in
-  let on_dispatch (t : task) =
-    match (jnl, Hashtbl.find_opt owners t.job.id) with
-    | Some jl, Some (_, orig, digest, _) ->
-        Journal.append jl (Journal.Started { id = orig; digest })
-    | _ -> ()
-  in
-  let e = create_engine ?handler cfg ~emit ~on_dispatch in
-  let total_load () = Admission.queued adm + engine_load e in
-  (* Move admitted jobs into the engine only while a worker is idle and
-     nothing is already waiting there: keeping the backlog in the
-     per-client queues is what makes the round-robin fair. A popped job
-     whose end-to-end deadline already expired in the queue is shed here
-     — a retriable [deadline_exceeded] reply, no worker, no journal
-     entry. Under brownout, non-interactive work leaves the queue with a
-     degraded budget (the retry divisor, applied once). *)
-  let feed () =
-    let continue = ref true in
-    while !continue do
-      if Pool.idle_count e.pool > 0 && Queue.is_empty e.pending then begin
-        match Admission.next adm with
-        | Some (cid, (j : job)) -> begin
-            let dl = Hashtbl.find_opt deadlines j.id in
-            match dl with
-            | Some d when d <= now_s () ->
-                Obs.Metrics.incr m_deadline_exceeded;
-                (match Hashtbl.find_opt owners j.id with
-                | Some (_, orig, _, rspan) ->
-                    Hashtbl.remove owners j.id;
-                    Hashtbl.remove deadlines j.id;
-                    Admission.settled adm cid;
-                    close_request ~outcome:"deadline_exceeded" rspan;
-                    Log.warn "deadline-exceeded"
-                      [ ("cid", Json.Int cid); ("id", Json.Str orig) ];
-                    deliver cid
-                      (failed ~retriable:true ~id:orig ~kind:"deadline_exceeded"
-                         "deadline expired while queued for admission")
-                | None -> Admission.settled adm cid)
-            | _ ->
-                let j =
-                  if !brownout && priority_class j.priority < 2 then begin
-                    Obs.Metrics.incr m_brownout_degraded;
-                    Trace.instant
-                      ~args:
-                        [ ("id", Json.Str j.id); ("reason", Json.Str "brownout") ]
-                      "degrade";
-                    { j with budget = degrade_budget ~degrade:cfg.degrade j.budget }
-                  end
-                  else j
-                in
-                submit ?deadline_abs:dl e j;
-                dispatch_ready e
-          end
-        | None -> continue := false
-      end
-      else continue := false
-    done
-  in
-  let cancel_client c =
-    let cid = Transport.cid c in
-    List.iter
-      (fun (j : job) ->
-        (match Hashtbl.find_opt owners j.id with
-        | Some (_, _, _, rspan) -> close_request ~outcome:"cancelled" rspan
-        | None -> ());
-        Hashtbl.remove owners j.id;
-        Hashtbl.remove deadlines j.id;
-        Obs.Metrics.incr m_serve_cancelled)
-      (Admission.cancel adm cid);
-    (* A disconnected client's job that is inflight AND hedged is holding
-       two workers for an answer nobody will read: kill both attempts and
-       release the admission slot. (A single-worker inflight job still
-       settles — journal and cache keep the answer — as serve always
-       has.) *)
-    let owned =
-      Hashtbl.fold (fun iid (ocid, _, _, _) acc -> if ocid = cid then iid :: acc else acc)
-        owners []
-    in
-    List.iter
-      (fun iid ->
-        match Hashtbl.find_opt e.inflight iid with
-        | Some t when t.hedged && (t.primary_up || t.hedge_up) ->
-            abort_task e t;
-            (match Hashtbl.find_opt owners iid with
-            | Some (_, _, _, rspan) -> close_request ~outcome:"cancelled" rspan
-            | None -> ());
-            Hashtbl.remove owners iid;
-            Hashtbl.remove deadlines iid;
-            Admission.settled adm cid;
-            Obs.Metrics.incr m_serve_cancelled
-        | _ -> ())
-      owned
-  in
-  (* An HTTP GET on the job socket is a metrics scrape: answer with one
-     HTTP/1.0 response and close. [/metrics] is the full Prometheus
-     exposition; [/metrics/counters] restricts it to counters, which are
-     deterministic under a seeded fault plan (gauges and histograms
-     carry wall-clock noise) — the byte-stable variant CI diffs. *)
-  let handle_http c line =
-    match String.split_on_char ' ' line with
-    | "GET" :: target :: _ ->
-        update_serve_gauges ();
-        let respond status ctype body =
-          handle_tevs
-            (Transport.send tr c
-               (Printf.sprintf
-                  "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-                  status ctype (String.length body) body))
-        in
-        Log.debug "scrape"
-          [ ("cid", Json.Int (Transport.cid c)); ("target", Json.Str target) ];
-        (match target with
-        | "/metrics" ->
-            respond "200 OK" "text/plain; version=0.0.4" (Obs.Metrics.prometheus_string ())
-        | "/metrics/counters" ->
-            respond "200 OK" "text/plain; version=0.0.4"
-              (Obs.Metrics.prometheus_string ~only_counters:true ())
-        | _ -> respond "404 Not Found" "text/plain" "not found\n");
-        Transport.close_after_flush tr c
-    | _ -> ()
-  in
-  (* At the admission cap, an arrival of class P may evict the oldest
-     queued job of a class strictly below P: the victim gets the same
-     retriable [overloaded] reply a plain shed produces, and the arrival
-     takes its slot. Returns whether a slot was freed. *)
-  let shed_lower_priority ~than =
-    match Admission.steal_lowest adm ~below:(priority_class than) with
-    | None -> false
-    | Some (vcid, (vjob : job)) ->
-        Obs.Metrics.incr m_shed;
-        (match Hashtbl.find_opt owners vjob.id with
-        | Some (_, orig, _, rspan) ->
-            Hashtbl.remove owners vjob.id;
-            Hashtbl.remove deadlines vjob.id;
-            close_request ~outcome:"shed" rspan;
-            Log.warn "priority-evict"
-              [
-                ("cid", Json.Int vcid);
-                ("id", Json.Str orig);
-                ("priority", Json.Str vjob.priority);
-              ];
-            deliver vcid
-              (failed ~retriable:true ~id:orig ~kind:"overloaded"
-                 "queue full; evicted for higher-priority work; resubmit later")
-        | None -> ());
-        true
-  in
-  let admit c line =
-    if String.trim line = "" then ()
-    else if String.starts_with ~prefix:"GET " line then handle_http c line
-    else
-      let send_reply r = handle_tevs (Transport.send tr c (reply_to_json r)) in
-      match Json.parse line with
-      | Ok v when is_stats_request v ->
-          let id =
-            Option.value ~default:"" (Option.bind (Json.member "id" v) Json.to_str_opt)
-          in
-          update_serve_gauges ();
-          handle_tevs (Transport.send tr c (stats_line id))
-      | parsed -> begin
-          match Result.bind parsed job_of_obj with
-          | Error msg ->
-              send_reply (failed ~id:"" ~kind:"bad-job" "unparseable job line: %s" msg);
-              (* A malformed line poisons only this client: socket framing
-                 after garbage is untrustworthy, so the connection closes
-                 once the error reply flushes. The stdio client keeps the
-                 historical tolerant behavior. *)
-              if stdio_cid <> Some (Transport.cid c) then begin
-                cancel_client c;
-                Transport.close_after_flush tr c
-              end
-          | Ok job ->
-              let cid = Transport.cid c in
-              let iid = internal_id cid job.id in
-              if Hashtbl.mem owners iid then
-                send_reply
-                  (failed ~id:job.id ~kind:"bad-job" "duplicate job id still in flight")
-              else if !draining then
-                send_reply
-                  (failed ~retriable:true ~id:job.id ~kind:"overloaded"
-                     "server draining; resubmit later")
-              else if !brownout && priority_class job.priority = 0 then begin
-                (* Brownout sheds batch work at the door: sustained
-                   pressure means the queue is not going to reach it
-                   before its usefulness expires anyway. *)
-                Obs.Metrics.incr m_shed;
-                Obs.Metrics.incr m_brownout_shed;
-                Log.warn "brownout-shed"
-                  [ ("cid", Json.Int cid); ("id", Json.Str job.id) ];
-                send_reply
-                  (failed ~retriable:true ~id:job.id ~kind:"overloaded"
-                     "brownout: batch work shed under sustained overload; resubmit later")
-              end
-              else if
-                total_load () >= cfg.queue_cap
-                && not (shed_lower_priority ~than:job.priority)
-              then begin
-                (* Load shedding: a full queue answers immediately instead
-                   of buffering without bound; the client may resubmit.
-                   (A higher-priority arrival instead evicts the oldest
-                   queued job of the lowest class — see
-                   [shed_lower_priority] — and is admitted.) *)
-                Obs.Metrics.incr m_shed;
-                Log.warn "shed"
-                  [ ("cid", Json.Int cid); ("id", Json.Str job.id) ];
-                send_reply
-                  (failed ~retriable:true ~id:job.id ~kind:"overloaded"
-                     "queue full (%d jobs); resubmit later" cfg.queue_cap)
-              end
-              else begin
-                (* The serve-side request span: parented by the client's
-                   propagated context, parent of the engine's job span. *)
-                let rspan =
-                  Trace.open_span
-                    ?parent:(Option.bind job.trace Trace.ctx_of_string)
-                    ~args:[ ("cid", Json.Int cid); ("id", Json.Str job.id) ]
-                    "request"
-                in
-                let digest = Journal.canonical_digest job in
-                match Cache.find cache ~digest ~id:job.id with
-                | Cache.Hit { line; _ } ->
-                    Trace.instant ~args:[ ("id", Json.Str job.id) ] "cache-hit";
-                    close_request ~outcome:"cache-hit" rspan;
-                    journal_settled ~id:job.id ~digest line;
-                    handle_tevs (Transport.send tr c line)
-                | Cache.Miss | Cache.Cert_reject _ ->
-                    Obs.Metrics.incr m_jobs;
-                    Hashtbl.replace owners iid (cid, job.id, digest, rspan);
-                    (* The end-to-end clock starts now: queue time below
-                       is the client's budget being spent. *)
-                    Option.iter
-                      (fun ms ->
-                        Hashtbl.replace deadlines iid
-                          (now_s () +. (float_of_int ms /. 1000.0)))
-                      job.deadline_ms;
-                    let trace =
-                      match rspan with
-                      | Some h -> Some (Trace.ctx_to_string (Trace.handle_ctx h))
-                      | None -> job.trace
-                    in
-                    Admission.enqueue ~prio:(priority_class job.priority) adm cid
-                      { job with id = iid; trace }
-              end
-        end
-  in
-  let handle_tev = function
-    | Transport.Accepted c ->
-        Trace.instant ~args:[ ("cid", Json.Int (Transport.cid c)) ] "client-accept"
-    | Transport.Line (c, line) ->
-        (* Lines split from the same read batch as a poisoning line
-           still arrive as events; a closing client's input is dead.
-           (A torn trailing line at EOF is [St_eof], not closing, and
-           is still admitted.) *)
-        if not (Transport.closing c) then admit c line
-    | Transport.Eof c ->
-        (* A zero read means the peer is done sending, not gone: a client
-           that half-closes after its last job still reads every reply,
-           so its queued jobs drain as on stdio. A client that is really
-           gone surfaces as [Dead] (a failed or stalled write), which
-           cancels them. *)
-        if not (Transport.eof_drains c) then cancel_client c
-    | Transport.Overlong c ->
-        Log.warn "overlong-line" [ ("cid", Json.Int (Transport.cid c)) ];
-        handle_tevs
-          (Transport.send tr c
-             (reply_to_json
-                (failed ~id:"" ~kind:"bad-job" "input line exceeds the size limit")));
-        cancel_client c
-    | Transport.Dead (c, reason) ->
-        Trace.instant
-          ~args:
-            [ ("cid", Json.Int (Transport.cid c)); ("reason", Json.Str reason) ]
-          "client-dead";
-        Log.info "client-dead"
-          [ ("cid", Json.Int (Transport.cid c)); ("reason", Json.Str reason) ];
-        cancel_client c
-  in
-  tev_handler := handle_tev;
-  let owns_jobs cid =
-    Hashtbl.fold (fun _ (ocid, _, _, _) acc -> acc || ocid = cid) owners false
-  in
-  (* A client at EOF with nothing owed and nothing buffered is done. *)
-  let sweep () =
-    List.iter
-      (fun c ->
-        if
-          Transport.at_eof c
-          && Transport.pending_out c = 0
-          && not (owns_jobs (Transport.cid c))
-        then Transport.drop tr c)
-      (Transport.clients tr)
-  in
+  let saved_signals = install_drain_signals srv in
+  let e = create_engine ?handler ?journal:jnl scfg.base ~emit:(settled srv) in
   Fun.protect
     ~finally:(fun () ->
       (* The journal must close (releasing its lock) on every exit path,
@@ -1692,101 +1723,26 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) ?handl
       Option.iter Journal.close jnl;
       Transport.shutdown tr;
       Pool.shutdown e.pool;
-      List.iter
-        (fun (s, old) ->
-          match Sys.set_signal s old with
-          | () -> ()
-          | exception Invalid_argument _ -> ()
-          | exception Sys_error _ -> ())
-        saved_signals)
+      restore_signals saved_signals)
     (fun () ->
       while
-        (not !draining)
-        && (Transport.listening tr || Transport.clients tr <> [] || total_load () > 0)
+        (not srv.draining)
+        && (Transport.listening tr || Transport.clients tr <> [] || total_load srv e > 0)
       do
-        update_brownout ();
-        feed ();
+        update_brownout srv;
+        feed srv e;
         (* Promote backed-off retries even when admission has nothing new
            to feed: a crashed job's delayed retry must re-dispatch on its
            own — [engine_timeout] wakes the poll for exactly this. *)
         dispatch_ready e;
-        update_serve_gauges ();
-        let extra = Transport.read_fds ~accepting:(not !draining) tr in
-        let extra_write = Transport.write_fds tr in
-        let events = Pool.poll ~extra ~extra_write ~timeout:(engine_timeout e) e.pool in
-        List.iter
-          (function
-            | Pool.Input fd -> handle_tevs (Transport.handle_readable tr fd)
-            | Pool.Writable fd -> handle_tevs (Transport.handle_writable tr fd)
-            | ev -> handle_event e ev)
-          events;
-        handle_tevs (Transport.check_timeouts tr);
-        feed ();
-        sweep ()
+        update_serve_gauges srv;
+        turn srv e ~reading:true ~timeout:(engine_timeout e);
+        handle_tevs srv e (Transport.check_timeouts tr);
+        feed srv e;
+        sweep srv
       done;
-      if !draining then begin
-        update_serve_gauges ();
-        (* Graceful drain: stop accepting, shed everything still queued
-           (retriable — a resubmission after restart can succeed), give
-           inflight jobs [drain_grace] seconds to settle, flush what the
-           clients will take, exit. *)
-        Transport.close_listeners tr;
-        List.iter
-          (fun c ->
-            List.iter
-              (fun (j : job) ->
-                match Hashtbl.find_opt owners j.id with
-                | None -> ()
-                | Some (_, orig, _, rspan) ->
-                    Hashtbl.remove owners j.id;
-                    Obs.Metrics.incr m_serve_cancelled;
-                    close_request ~outcome:"shed" rspan;
-                    handle_tevs
-                      (Transport.send tr c
-                         (reply_to_json
-                            (failed ~retriable:true ~id:orig ~kind:"overloaded"
-                               "server draining; resubmit later"))))
-              (Admission.cancel adm (Transport.cid c)))
-          (Transport.clients tr);
-        let deadline = now_s () +. scfg.drain_grace in
-        while Hashtbl.length owners > 0 && now_s () < deadline do
-          dispatch_ready e;
-          let extra_write = Transport.write_fds tr in
-          let timeout = Float.min 0.1 (Float.max 0.01 (deadline -. now_s ())) in
-          List.iter
-            (function
-              | Pool.Input _ -> ()
-              | Pool.Writable fd -> handle_tevs (Transport.handle_writable tr fd)
-              | ev -> handle_event e ev)
-            (Pool.poll ~extra_write ~timeout e.pool)
-        done;
-        (* Whatever outlived the grace period is shed too; its [Started]
-           journal entry records that it never settled. *)
-        let leftovers = Hashtbl.fold (fun iid own acc -> (iid, own) :: acc) owners [] in
-        List.iter
-          (fun (iid, (cid, orig, _, rspan)) ->
-            Hashtbl.remove owners iid;
-            Obs.Metrics.incr m_serve_cancelled;
-            close_request ~outcome:"shed" rspan;
-            deliver cid
-              (failed ~retriable:true ~id:orig ~kind:"overloaded"
-                 "server draining; job did not settle within the grace period"))
-          leftovers;
-        (* Final flush, bounded: a slow reader does not hold up the exit. *)
-        let flush_deadline = now_s () +. 1.0 in
-        while
-          now_s () < flush_deadline
-          && List.exists (fun c -> Transport.pending_out c > 0) (Transport.clients tr)
-        do
-          let extra_write = Transport.write_fds tr in
-          List.iter
-            (function
-              | Pool.Writable fd -> handle_tevs (Transport.handle_writable tr fd)
-              | _ -> ())
-            (Pool.poll ~extra_write ~timeout:0.05 e.pool)
-        done;
-        update_serve_gauges ()
-      end)
+      if srv.draining then drain_server srv e;
+      update_serve_gauges srv)
 
 let serve cfg ic oc =
   serve_sockets ~stdio:(ic, oc)

@@ -16,10 +16,12 @@
        error {e reply} ([kind] one of [crash], [timeout], [malformed],
        [bad-job], [overloaded], [internal]) — the supervisor itself never
        raises on worker misbehavior;}
-    {- {b crash recovery}: {!run_batch} write-ahead journals every
-       dispatch and settlement ({!Journal}), so an interrupted batch
-       rerun with the same journal recomputes only unsettled jobs —
-       recorded answers are re-verified first unless [RPQ_CHECK=off];}
+    {- {b crash recovery}: the supervisor engine under both {!run_batch}
+       and {!serve_sockets} write-ahead journals every first dispatch and
+       every settlement ({!Journal}), the [Done] record around the one
+       line it builds per settled reply, so an interrupted batch rerun
+       with the same journal recomputes only unsettled jobs — recorded
+       answers are re-verified first unless [RPQ_CHECK=off];}
     {- {b admission control}: {!serve} sheds load with a retriable
        [overloaded] reply once [queue_cap] jobs are pending.}}
 
@@ -28,7 +30,7 @@
     and either self-SIGKILL or wedge (stop responding with SIGTERM
     blocked) at the given budget tick. *)
 
-module Proto = Proto
+module Proto = Cert.Proto
 module Pool = Pool
 module Journal = Journal
 module Transport = Transport
@@ -140,14 +142,19 @@ type batch_stats = {
 }
 
 val run_batch :
-  ?journal:string -> config -> Proto.job list -> Proto.reply list * batch_stats
-(** Runs the jobs to completion and returns one reply per job, {e in
-    input order} (so output is deterministic regardless of worker count
-    and scheduling). Job ids must be unique — raises [Invalid_argument]
-    otherwise, as with an unreadable journal. With [?journal], settled
-    jobs found there (matching id {e and} digest, and passing
+  ?journal:string -> config -> Proto.job list -> (Proto.reply * string) list * batch_stats
+(** Runs the jobs to completion and returns one reply per job, with its
+    line, {e in input order} (so output is deterministic regardless of
+    worker count and scheduling). A computed reply's line is the
+    worker's bytes with the head restamped ({!Proto.restamp}), the same
+    bytes the journal's [Done] record holds; a resumed reply's line is
+    its encoding. Job ids must be unique — raises [Invalid_argument]
+    otherwise, as with an unreadable journal. With [?journal], the
+    journal is read once, at its open, under its lock: settled jobs
+    found there (matching id {e and} digest, and passing
     {!verify_reply} when [RPQ_CHECK] is not [off]) are reused, and this
-    run's dispatches and settlements are appended for the next resume. *)
+    run's dispatches and settlements are appended for the next
+    resume. *)
 
 (** Scheduling policy of the multi-client server, exposed so its
     properties (weighted-fair class cycle, round-robin order, the
@@ -278,7 +285,14 @@ val serve_sockets :
     [serve_journal], settlements are journaled under the client's
     original job ids and the cache is pre-seeded from the journal on
     start (each entry certificate-gated on use, so a tampered journal
-    entry can be seeded but never served). *)
+    entry can be seeded but never served); the journal is read once, at
+    its open.
+
+    An admitted job leaves the server by one release, whichever way it
+    goes (settled, deadline expired while queued, disconnect, hedged
+    disconnect, priority eviction, drain shed, unsettled at the end of
+    the drain grace): its admission slot is freed, its [request] span
+    closed once with the outcome, and its reply, if any, delivered. *)
 
 val serve : config -> in_channel -> out_channel -> unit
 (** Line-oriented job server: one {!Proto.job} JSON line in, one

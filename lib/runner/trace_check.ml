@@ -21,7 +21,7 @@
      same containment — their stop time is the supervisor's
      death-detection instant, inside the still-open job span. *)
 
-module Json = Proto.Json
+module Json = Cert.Json
 
 type span = {
   sname : string;

@@ -66,16 +66,10 @@ let validate_submodular ?samples ?(seed = 0x5eed) ~n oracle =
       done
     else begin
       let samples = Option.value ~default:200 samples in
-      (* Deterministic 48-bit LCG so that any reported violation is
-         reproducible. Draw from the high bits: the low bits of an LCG have
-         tiny periods (the lowest bit alternates), which would correlate
-         consecutive draws and can even make the rejection loop below spin
-         forever. *)
-      let state = ref ((seed land max_int) lxor 0x2545F4914F6CDD1D) in
-      let next bound =
-        state := ((!state * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-        (!state lsr 16) mod bound
-      in
+      (* A seeded stream, so that any reported violation is
+         reproducible. *)
+      let rng = Invariant.Prng.make seed in
+      let next bound = Invariant.Prng.int rng bound in
       let tried = ref 0 in
       while !tried < samples do
         let s = Array.init n (fun _ -> next 2 = 1) in

@@ -8,7 +8,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let vcheck name expected got =
-  Alcotest.check (Alcotest.testable Value.pp Value.equal) name expected got
+  Alcotest.check (Alcotest.testable Cert.Value.pp Cert.Value.equal) name expected got
 
 (* The running example: a path of three a-facts 0-1-2-3, language aa.
    Matches: {0,1}, {1,2}. Minimum contingency sets: {1} (the middle fact)
@@ -18,7 +18,7 @@ let path3 () = Db.make ~nnodes:4 ~facts:[ (0, 'a', 1); (1, 'a', 2); (2, 'a', 3) 
 let test_enumeration () =
   let d = path3 () in
   let v, sets = Analysis.all_minimum_contingency_sets d (lang "aa") in
-  vcheck "value" (Value.Finite 1) v;
+  vcheck "value" (Cert.Value.Finite 1) v;
   check_int "one minimum set" 1 (List.length sets);
   check "it is the middle fact" true (List.hd sets = ISet.singleton 1);
   check_int "count" 1 (Analysis.count_minimum_contingency_sets d (lang "aa"));
@@ -31,11 +31,11 @@ let test_enumeration () =
      minimum is the pair of b's. *)
   let d3 = Db.make_bag ~nnodes:4 ~facts:[ (0, 'a', 1, 2); (1, 'b', 2, 1); (1, 'b', 3, 1) ] in
   let v3, sets3 = Analysis.all_minimum_contingency_sets d3 (lang "ab") in
-  vcheck "weighted value" (Value.Finite 2) v3;
+  vcheck "weighted value" (Cert.Value.Finite 2) v3;
   check_int "two minimum sets" 2 (List.length sets3);
   (* infinite *)
   let vi, si = Analysis.all_minimum_contingency_sets d2 (lang "a*") in
-  check "inf" true (vi = Value.Infinite && si = [])
+  check "inf" true (vi = Cert.Value.Infinite && si = [])
 
 let test_enumeration_all_hit () =
   let d = path3 () in
@@ -51,16 +51,16 @@ let test_responsibility () =
   let l = lang "aa" in
   (* fact 1 (middle): removing it alone falsifies: but responsibility needs
      f counterfactual: D\{} satisfies, D\{1} does not: resp = 0 *)
-  vcheck "middle fact" (Value.Finite 0) (Analysis.responsibility d l 1);
+  vcheck "middle fact" (Cert.Value.Finite 0) (Analysis.responsibility d l 1);
   (* fact 0: D\Γ must satisfy Q and removing 0 too must falsify. Γ = {2}:
      D\{2} has matches {0,1} only; removing 0 kills it: resp = 1 *)
-  vcheck "end fact" (Value.Finite 1) (Analysis.responsibility d l 0);
+  vcheck "end fact" (Cert.Value.Finite 1) (Analysis.responsibility d l 0);
   check "scores ordered" true
     (Analysis.responsibility_score d l 1 > Analysis.responsibility_score d l 0);
   (* a fact not in any match has zero responsibility score; fact ids are
      sorted by (src, label, dst), so the b-fact (0,b,3) gets id 1 *)
   let d2 = Db.make ~nnodes:4 ~facts:[ (0, 'a', 1); (1, 'a', 2); (0, 'b', 3) ] in
-  check "irrelevant fact" true (Analysis.responsibility d2 (lang "aa") 1 = Value.Infinite);
+  check "irrelevant fact" true (Analysis.responsibility d2 (lang "aa") 1 = Cert.Value.Infinite);
   check "score zero" true (Analysis.responsibility_score d2 (lang "aa") 1 = 0.0)
 
 let test_most_responsible () =
@@ -76,7 +76,7 @@ let brute_responsibility d l f =
   let live = List.filter (fun id -> id <> f) (List.map fst (Db.facts d)) in
   let live = Array.of_list live in
   let n = Array.length live in
-  let best = ref Value.Infinite in
+  let best = ref Cert.Value.Infinite in
   for mask = 0 to (1 lsl n) - 1 do
     let cost = ref 0 and removed = ref [] in
     for i = 0 to n - 1 do
@@ -85,11 +85,11 @@ let brute_responsibility d l f =
         removed := live.(i) :: !removed
       end
     done;
-    if Value.compare (Value.Finite !cost) !best < 0 then begin
+    if Cert.Value.compare (Cert.Value.Finite !cost) !best < 0 then begin
       let d_g = Db.restrict d ~removed:(fun id -> List.mem id !removed) in
       let d_gf = Db.restrict d ~removed:(fun id -> id = f || List.mem id !removed) in
       if Graphdb.Eval.satisfies d_g l && not (Graphdb.Eval.satisfies d_gf l) then
-        best := Value.Finite !cost
+        best := Cert.Value.Finite !cost
     end
   done;
   !best
@@ -112,7 +112,7 @@ let prop_responsibility_vs_brute =
     (fun (d, s) ->
       let l = lang s in
       List.for_all
-        (fun (id, _) -> Value.equal (Analysis.responsibility d l id) (brute_responsibility d l id))
+        (fun (id, _) -> Cert.Value.equal (Analysis.responsibility d l id) (brute_responsibility d l id))
         (Db.facts d))
 
 let prop_enumerated_sets_are_optimal =
@@ -122,9 +122,9 @@ let prop_enumerated_sets_are_optimal =
     (fun (d, s) ->
       let l = lang s in
       match Analysis.all_minimum_contingency_sets d l with
-      | Value.Infinite, _ -> false
-      | Value.Finite v, sets ->
-          Value.equal (Value.Finite v) (fst (Exact.branch_and_bound d l))
+      | Cert.Value.Infinite, _ -> false
+      | Cert.Value.Finite v, sets ->
+          Cert.Value.equal (Cert.Value.Finite v) (fst (Exact.branch_and_bound d l))
           && sets <> []
           && List.for_all
                (fun set ->

@@ -12,7 +12,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let vcheck name expected got =
-  Alcotest.check (Alcotest.testable Value.pp Value.equal) name expected got
+  Alcotest.check (Alcotest.testable Cert.Value.pp Cert.Value.equal) name expected got
 
 (* A database hard enough that every solver stage performs many ticks: the
    vertex-cover encoding of K4 under the `aa` gadget (resilience 15). *)
@@ -307,7 +307,7 @@ let test_memo_cap_still_exact () =
   Faults.with_plan Faults.Off (fun () ->
       let d = Db.make ~nnodes:5 ~facts:[ (0, 'a', 1); (1, 'a', 2); (2, 'a', 3); (3, 'a', 4) ] in
       let v, _ = Exact.branch_and_bound ~budget:(Budget.create ~memo_cap:0 ()) d (lang "aa") in
-      vcheck "memo cap 0 stays exact" (Value.Finite 2) v)
+      vcheck "memo cap 0 stays exact" (Cert.Value.Finite 2) v)
 
 let test_deadline_bounds () =
   Faults.with_plan Faults.Off (fun () ->
@@ -316,7 +316,7 @@ let test_deadline_bounds () =
       | Solver.Exact _ -> Alcotest.fail "zero deadline cannot complete on K4"
       | Solver.Bounded { lower; upper; reason; _ } ->
           check "reason is deadline" true (reason = Budget.Deadline);
-          check "ordered" true (Value.compare lower upper <= 0))
+          check "ordered" true (Cert.Value.compare lower upper <= 0))
 
 (* ---- solve_bounded ---- *)
 
@@ -340,7 +340,7 @@ let prop_no_budget_is_exact =
       Faults.with_plan (Faults.At_tick 1) (fun () ->
           let l = lang s in
           match Solver.solve_bounded d l with
-          | Solver.Exact r -> Value.equal r.Solver.value (Solver.solve d l).Solver.value
+          | Solver.Exact r -> Cert.Value.equal r.Solver.value (Solver.solve d l).Solver.value
           | Solver.Bounded _ -> false))
 
 (* The central anytime property: for *every* injected exhaustion point the
@@ -348,17 +348,17 @@ let prop_no_budget_is_exact =
 let bounded_ok d l outcome =
   let truth = Exact.bruteforce d l in
   match outcome with
-  | Solver.Exact r -> Value.equal r.Solver.value truth
+  | Solver.Exact r -> Cert.Value.equal r.Solver.value truth
   | Solver.Bounded { lower; upper; upper_witness; _ } -> (
-      Value.compare lower truth <= 0
-      && Value.compare truth upper <= 0
+      Cert.Value.compare lower truth <= 0
+      && Cert.Value.compare truth upper <= 0
       &&
       match upper_witness with
       | None -> true
       | Some w ->
           let d' = Db.restrict d ~removed:(fun id -> List.mem id w) in
           (not (Graphdb.Eval.satisfies d' l))
-          && Value.equal upper (Value.Finite (List.fold_left (fun a id -> a + Db.mult d id) 0 w)))
+          && Cert.Value.equal upper (Cert.Value.Finite (List.fold_left (fun a id -> a + Db.mult d id) 0 w)))
 
 let prop_fault_sweep_brackets =
   QCheck.Test.make ~name:"every fault tick: lower <= bruteforce <= upper" ~count:40
@@ -400,7 +400,7 @@ let test_ample_budget_is_exact () =
   Faults.with_plan Faults.Off (fun () ->
       let d = Db.make ~nnodes:5 ~facts:[ (0, 'a', 1); (1, 'a', 2); (2, 'a', 3); (3, 'a', 4) ] in
       match Solver.solve_bounded ~budget:(Budget.create ~steps:1_000_000 ()) d (lang "aa") with
-      | Solver.Exact r -> vcheck "exact under ample budget" (Value.Finite 2) r.Solver.value
+      | Solver.Exact r -> vcheck "exact under ample budget" (Cert.Value.Finite 2) r.Solver.value
       | Solver.Bounded _ -> Alcotest.fail "ample budget must complete")
 
 let test_ptime_ignores_budget () =
@@ -421,7 +421,7 @@ let test_ilp_stage_completes () =
       match Solver.solve_bounded ~budget:(Budget.create ~steps:10_000 ()) d (lang "aa") with
       | Solver.Exact r ->
           check "ilp algorithm" true (r.Solver.algorithm = Solver.Alg_ilp);
-          vcheck "ilp value" (Value.Finite 15) r.Solver.value
+          vcheck "ilp value" (Cert.Value.Finite 15) r.Solver.value
       | Solver.Bounded _ -> Alcotest.fail "ILP stage should have completed on K4")
 
 let test_bounds_informative () =
@@ -434,8 +434,8 @@ let test_bounds_informative () =
       | Solver.Exact _ -> Alcotest.fail "2000 steps cannot complete on K4"
       | Solver.Bounded { lower; upper; reason; _ } ->
           check "reason is steps" true (reason = Budget.Steps);
-          check "lp beats trivial lower" true (Value.compare (Value.Finite 1) lower < 0);
-          check "greedy beats trivial upper" true (Value.compare upper (Value.Finite total) < 0))
+          check "lp beats trivial lower" true (Cert.Value.compare (Cert.Value.Finite 1) lower < 0);
+          check "greedy beats trivial upper" true (Cert.Value.compare upper (Cert.Value.Finite total) < 0))
 
 let () =
   Alcotest.run "anytime"

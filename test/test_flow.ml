@@ -253,6 +253,20 @@ let test_edge_store_sizes () =
       check (label "network validates") true (Network.validate net = Ok ()))
     [ 0; 1; 15; 16; 17; 64; 65; 1000 ]
 
+(* A path of 7·10⁵ vertices: 20·n²·(m+1) wraps past 63 bits here, and the
+   step bound must saturate rather than trip before the first step. *)
+let test_push_relabel_long_path () =
+  let n = 700_000 in
+  let net = Network.create () in
+  for _ = 1 to n do
+    ignore (Network.add_vertex net)
+  done;
+  for v = 0 to n - 2 do
+    ignore (Network.add_edge net ~src:v ~dst:(v + 1) (Network.Finite (1 + (v mod 3))))
+  done;
+  let cut = Push_relabel.min_cut net ~source:0 ~sink:(n - 1) in
+  check "the lightest edge" true (cut.Network.value = Network.Finite 1)
+
 let () =
   Alcotest.run "flow"
     [
@@ -266,6 +280,8 @@ let () =
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges;
           Alcotest.test_case "cut disconnects" `Quick test_cut_is_valid;
           Alcotest.test_case "edge store across growth" `Quick test_edge_store_sizes;
+          Alcotest.test_case "push-relabel on a 7e5-vertex path" `Quick
+            test_push_relabel_long_path;
         ] );
       ( "properties",
         List.map qcheck

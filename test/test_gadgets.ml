@@ -139,7 +139,7 @@ let test_reduction_values () =
     (Gadgets.expected_resilience g l (Graphs.Ugraph.cycle 3));
   let xi = Gadgets.encode g (Graphs.Ugraph.cycle 3) in
   let v, _ = Exact.hitting_set xi l in
-  check "matches expectation" true (Value.equal v (Value.Finite 8))
+  check "matches expectation" true (Cert.Value.equal v (Cert.Value.Finite 8))
 
 let test_reduction_other_gadgets () =
   let graph = Graphs.Ugraph.path 3 in

@@ -210,7 +210,7 @@ let prop_paranoid_same_answers =
       let a = Automata.Lang.of_string l in
       let off = Check.with_level Check.Off (fun () -> Solver.resilience d a) in
       let paranoid = Check.with_level Check.Paranoid (fun () -> Solver.resilience d a) in
-      check (Printf.sprintf "%s under paranoid" l) true (Value.equal off paranoid);
+      check (Printf.sprintf "%s under paranoid" l) true (Cert.Value.equal off paranoid);
       true)
 
 let prop_paranoid_st_resilience =
@@ -222,7 +222,7 @@ let prop_paranoid_st_resilience =
       let paranoid =
         Check.with_level Check.Paranoid (fun () -> St_resilience.resilience d a ~src ~dst)
       in
-      check "st under paranoid" true (Value.equal off paranoid);
+      check "st under paranoid" true (Cert.Value.equal off paranoid);
       true)
 
 let () =

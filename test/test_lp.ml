@@ -407,14 +407,14 @@ let test_ilp_resilience () =
   in
   (match Resilience.Ilp_solver.solve d (lang "aa") with
   | Ok (v, w) ->
-      check "value 2" true (Resilience.Value.equal v (Resilience.Value.Finite 2));
+      check "value 2" true (Cert.Value.equal v (Cert.Value.Finite 2));
       (* witness is a real contingency set *)
       let d' = Graphdb.Db.restrict d ~removed:(fun id -> List.mem id w) in
       check "witness" true (not (Graphdb.Eval.satisfies d' (lang "aa")))
   | Error e -> Alcotest.fail e);
   (* ε ∈ L *)
   match Resilience.Ilp_solver.solve d (lang "a*") with
-  | Ok (v, _) -> check "infinite" true (v = Resilience.Value.Infinite)
+  | Ok (v, _) -> check "infinite" true (v = Cert.Value.Infinite)
   | Error e -> Alcotest.fail e
 
 let arb_db =
@@ -434,7 +434,7 @@ let prop_ilp_resilience_vs_exact =
     (fun (d, s) ->
       let l = lang s in
       match Resilience.Ilp_solver.solve d l with
-      | Ok (v, _) -> Resilience.Value.equal v (fst (Resilience.Exact.branch_and_bound d l))
+      | Ok (v, _) -> Cert.Value.equal v (fst (Resilience.Exact.branch_and_bound d l))
       | Error _ -> false)
 
 let prop_lp_bound_below_resilience =
@@ -443,7 +443,7 @@ let prop_lp_bound_below_resilience =
     (fun (d, s) ->
       let l = lang s in
       match (Resilience.Ilp_solver.lp_relaxation d l, Resilience.Exact.branch_and_bound d l) with
-      | Ok lp, (Resilience.Value.Finite v, _) -> lp <= float_of_int v +. 1e-6
+      | Ok lp, (Cert.Value.Finite v, _) -> lp <= float_of_int v +. 1e-6
       | _ -> false)
 
 let () =

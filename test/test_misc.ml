@@ -7,15 +7,13 @@ let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
 let test_value () =
-  let open Value in
+  let open Cert.Value in
   check "add fin" true (equal (add (Finite 2) (Finite 3)) (Finite 5));
   check "add inf" true (equal (add (Finite 2) Infinite) Infinite);
   check "min" true (equal (min (Finite 2) Infinite) (Finite 2));
   check "compare" true (compare (Finite 5) Infinite < 0);
   check "compare eq" true (compare Infinite Infinite = 0);
-  check_str "to_string" "7" (to_string (Finite 7));
-  check "of capacity" true (equal (of_capacity (Flow.Network.Finite 3)) (Finite 3));
-  check "of inf capacity" true (equal (of_capacity Flow.Network.Inf) Infinite)
+  check_str "to_string" "7" (to_string (Finite 7))
 
 let test_cset () =
   let open Automata.Cset in
@@ -68,7 +66,7 @@ let test_solver_reuse_classification () =
   let d = Graphdb.Generate.flow_grid ~width:2 ~depth:2 ~seed:1 () in
   let r1 = Solver.solve ~classification:c d l in
   let r2 = Solver.solve d l in
-  check "same value" true (Value.equal r1.Solver.value r2.Solver.value)
+  check "same value" true (Cert.Value.equal r1.Solver.value r2.Solver.value)
 
 let test_nfa_misc () =
   let a = lang "ab" in

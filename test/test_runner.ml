@@ -94,7 +94,7 @@ let test_proto_roundtrip () =
         stages = [ ("mincut", 0.2); ("parse", 0.01) ];
         verdict =
           Proto.V_exact
-            { value = Value.Finite 3; algorithm = "mincut"; witness = Some [ 1; 2; 7 ] };
+            { value = Cert.Value.Finite 3; algorithm = "mincut"; witness = Some [ 1; 2; 7 ] };
         cert = Some (Cert.Certificate.Trivial { why = "query-unsatisfied" });
       };
       {
@@ -106,7 +106,7 @@ let test_proto_roundtrip () =
         trace = None;
         verdict =
           Proto.V_bounded
-            { lower = Value.Finite 1; upper = Value.Infinite; witness = None; reason = "steps" };
+            { lower = Cert.Value.Finite 1; upper = Cert.Value.Infinite; witness = None; reason = "steps" };
         cert = None;
       };
       Proto.failed ~retriable:true ~id:"f" ~kind:"overloaded" "queue full (%d jobs)" 64;
@@ -243,7 +243,7 @@ let gen_reply =
            float_range (-1e6) 1e6;
          ])
   in
-  let value = oneof [ map (fun n -> Value.Finite n) int; return Value.Infinite ] in
+  let value = oneof [ map (fun n -> Cert.Value.Finite n) int; return Cert.Value.Infinite ] in
   let cap = oneof [ map (fun n -> Cert.Certificate.Fin n) int; return Cert.Certificate.Inf ] in
   let cert =
     let open Cert.Certificate in
@@ -388,10 +388,50 @@ let load_exn path =
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-let contains s sub =
+let index_of s sub =
   let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
   go 0
+
+let contains s sub = index_of s sub <> None
+
+module Trace = Obs.Trace
+
+(* Run [f] with tracing routed to a temp JSONL file; return the file's
+   bytes after [Trace.finish] has flushed the meta record and spans. *)
+let with_traced f =
+  with_temp (fun path ->
+      Trace.configure ~format:Trace.Jsonl path;
+      Fun.protect ~finally:Trace.finish f;
+      read_file path)
+
+(* The [request] spans a trace holds, as (span id, outcome). *)
+let request_spans content =
+  List.filter_map
+    (fun line ->
+      match Cert.Json.parse line with
+      | Error _ -> None
+      | Ok v ->
+          let str k = Option.value ~default:"" (Option.bind (Cert.Json.member k v) Cert.Json.to_str_opt) in
+          if str "ev" = "span" && str "name" = "request" then Some (str "sid", str "outcome")
+          else None)
+    (String.split_on_char '\n' content)
+
+(* After a serve run: the admission gauges a stats line reports are back
+   at 0, and every request span closed exactly once; [outcomes] judges
+   their outcomes, sorted. *)
+let check_request_exits label content outcomes =
+  let gauge name = Obs.Metrics.get (Obs.Metrics.gauge name) in
+  check (label ^ ": serve.queued back at 0") true (gauge "serve.queued" = 0.0);
+  check (label ^ ": serve.inflight back at 0") true (gauge "serve.inflight" = 0.0);
+  let spans = request_spans content in
+  check (label ^ ": each request span closed once") true
+    (List.length (List.sort_uniq compare (List.map fst spans)) = List.length spans);
+  let got = List.sort compare (List.map snd spans) in
+  if not (outcomes got) then
+    Alcotest.failf "%s: unexpected request outcomes [%s]" label (String.concat "; " got)
+
+let exactly xs got = got = List.sort compare xs
 
 (* Byte offsets one past each '\n' — for a well-formed journal these are
    the header and record boundaries. *)
@@ -683,6 +723,34 @@ let test_journal_crash_sites () =
       | Error e -> Alcotest.failf "compact after aborted compact: %s" e);
       check "compaction completes afterwards" true ((load_exn path).Journal.dead_bytes = 0))
 
+(* A driver reads its journal once, at the open: the entries it gets are
+   what [load] reads, on a missing file, on a torn tail and on a journal
+   the open auto-compacts. *)
+let test_journal_open_load () =
+  with_temp (fun path ->
+      let opens_as_loaded label ?compact_ratio () =
+        let loaded = (load_exn path).Journal.entries in
+        match Journal.open_load ?compact_ratio path with
+        | Error e -> Alcotest.failf "%s: open_load: %s" label e
+        | Ok (j, entries) ->
+            Journal.close j;
+            check (label ^ ": the open returns load's entries") true (entries = loaded)
+      in
+      Sys.remove path;
+      opens_as_loaded "missing file" ();
+      write_journal path sample_entries;
+      let whole = read_file path in
+      write_file path (String.sub whole 0 (String.length whole - 3));
+      opens_as_loaded "torn tail" ();
+      check "the tail was truncated" true ((load_exn path).Journal.torn = None);
+      Sys.remove path;
+      write_journal path
+        (List.init 10 (fun i ->
+             Journal.Done
+               { id = "a"; digest = "d"; reply = Proto.failed ~id:"a" ~kind:"crash" "v%d" i }));
+      opens_as_loaded "auto-compacted" ~compact_ratio:0.5 ();
+      check "the journal was compacted" true ((load_exn path).Journal.records = 1))
+
 let test_journal_last_wins () =
   let r1 = Proto.failed ~id:"a" ~kind:"crash" "first" in
   let r2 = Proto.failed ~id:"a" ~kind:"crash" "second" in
@@ -729,7 +797,7 @@ let test_digest_excludes_deadline_priority () =
 
 let test_run_job_locally () =
   (match Runner.run_job_locally (job ~id:"easy" ()) with
-  | { Proto.verdict = Proto.V_exact { value = Value.Finite 1; _ }; _ } -> ()
+  | { Proto.verdict = Proto.V_exact { value = Cert.Value.Finite 1; _ }; _ } -> ()
   | r -> Alcotest.failf "easy job: expected exact 1, got %s" (Proto.reply_to_json r));
   check "budgeted hard job is bounded" true
     (is_bounded (Runner.run_job_locally (job ~id:"hard" ~db:hard_db ~steps:50 ())));
@@ -829,7 +897,9 @@ let test_degrade_budget_monotone () =
 
 (* ---- supervision sweeps ---- *)
 
-let run_batch ?journal ?(cfg = quick_cfg) jobs = Runner.run_batch ?journal cfg jobs
+let run_batch ?journal ?(cfg = quick_cfg) jobs =
+  let settled, stats = Runner.run_batch ?journal cfg jobs in
+  (List.map fst settled, stats)
 let no_faults f = Faults.with_plan Faults.Off f
 
 let test_kill_sweep () =
@@ -1104,7 +1174,7 @@ let test_journal_rejects_corrupt_answer () =
           stages = [];
           trace = None;
           verdict =
-            Proto.V_exact { value = Value.Finite 1; algorithm = "forged"; witness = Some [] };
+            Proto.V_exact { value = Cert.Value.Finite 1; algorithm = "forged"; witness = Some [] };
           cert = None;
         }
       in
@@ -1171,7 +1241,7 @@ let test_verify_reply () =
   (* A forged verdict no longer matches the (untouched) certificate: the
      unknown algorithm name and the unpinned witness must both fail. *)
   let forged =
-    { good with Proto.verdict = Proto.V_exact { value = Value.Finite 1; algorithm = "x"; witness = Some [] } }
+    { good with Proto.verdict = Proto.V_exact { value = Cert.Value.Finite 1; algorithm = "x"; witness = Some [] } }
   in
   check "forged witness fails" false (Runner.verify_reply forged);
   check "stripped certificate fails" false
@@ -1375,9 +1445,12 @@ let test_serve_disconnect_aborts_hedge () =
         }
       in
       let t0 = Unix.gettimeofday () in
-      Runner.serve_sockets ~preconnected_abrupt:[ srv_fd ] scfg;
+      let content =
+        with_traced (fun () -> Runner.serve_sockets ~preconnected_abrupt:[ srv_fd ] scfg)
+      in
       let elapsed = Unix.gettimeofday () -. t0 in
       ignore (Unix.waitpid [] pid);
+      check_request_exits "hedged cancel" content (exactly [ "cancelled" ]);
       check "the job was hedged before the disconnect" true
         (counter_count "runner.hedges_total" > hedges0);
       check "disconnect cancelled the inflight job" true
@@ -1511,7 +1584,7 @@ let forge (r : Proto.reply) =
   {
     r with
     Proto.verdict =
-      Proto.V_exact { value = Value.Finite 1; algorithm = "forged"; witness = Some [] };
+      Proto.V_exact { value = Cert.Value.Finite 1; algorithm = "forged"; witness = Some [] };
   }
 
 let test_cache_hit_miss_lru () =
@@ -1591,8 +1664,10 @@ let test_cache_cert_reject () =
 
 (* Drive [serve_sockets] end-to-end over pre-connected socketpairs: each
    client pre-writes its job lines, half-closes, and reads replies back
-   after the server returns. *)
-let run_serve_lines ?(encode = fun j -> Proto.job_to_json j) ~scfg jobs_per_client =
+   after the server returns. An [abrupt] client's half-close is a
+   disconnect. *)
+let run_serve_lines ?(abrupt = false) ?(encode = fun j -> Proto.job_to_json j) ~scfg
+    jobs_per_client =
   let ends = List.map (fun _ -> Transport.pair ()) jobs_per_client in
   let chans = List.map (fun (_, fd) -> Transport.channels_of_fd fd) ends in
   List.iter2
@@ -1600,7 +1675,9 @@ let run_serve_lines ?(encode = fun j -> Proto.job_to_json j) ~scfg jobs_per_clie
       List.iter (fun j -> output_string oc (encode j ^ "\n")) jobs;
       Transport.shutdown_send oc)
     chans jobs_per_client;
-  Runner.serve_sockets ~preconnected:(List.map fst ends) scfg;
+  let fds = List.map fst ends in
+  if abrupt then Runner.serve_sockets ~preconnected_abrupt:fds scfg
+  else Runner.serve_sockets ~preconnected:fds scfg;
   List.map
     (fun (ic, oc) ->
       let lines = In_channel.input_lines ic in
@@ -1696,11 +1773,6 @@ let test_serve_journal_seed_and_release () =
    (the reply is the record's last member). *)
 let journal_done_replies path =
   let key = {|,"reply":|} in
-  let index_of s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
-    go 0
-  in
   match String.split_on_char '\n' (read_file path) with
   | [] -> []
   | _header :: records ->
@@ -1757,6 +1829,109 @@ let test_serve_journal_shares_reply_bytes () =
           | None -> Alcotest.failf "%s has no Done record" id)
         client_lines;
       check "the journal loads" true ((load_exn jpath).Journal.records >= 3))
+
+(* The bytes of a reply line from its [outcome] member on: what is left
+   once the head ([v], [id], [attempts], [steps], [wall_s]) and the
+   [stages] and [trace] members before [outcome] are cut. *)
+let from_outcome line =
+  match index_of line {|"outcome":|} with
+  | Some k -> String.sub line k (String.length line - k)
+  | None -> Alcotest.failf "reply line without an outcome: %S" line
+
+(* A batch journal's [Done] record holds the line [rpq batch] prints (the
+   worker's line restamped), and that line is the one a serve journal
+   holds for the same job once the per-request fields are cut: both
+   drivers settle through the engine. *)
+let test_batch_journal_shares_reply_bytes () =
+  no_faults @@ fun () ->
+  with_temp (fun bpath ->
+      with_temp (fun spath ->
+          Sys.remove bpath;
+          Sys.remove spath;
+          let jobs = [ job ~id:"a" (); job ~id:"b" ~db:hard_db ~steps:300 () ] in
+          let settled, _ = Runner.run_batch ~journal:bpath quick_cfg jobs in
+          let batch_done = journal_done_replies bpath in
+          check "one Done record per job" true (List.length batch_done = List.length jobs);
+          List.iter
+            (fun ((r : Proto.reply), line) ->
+              Alcotest.(check (option string))
+                (r.Proto.id ^ ": the journal holds the printed line")
+                (Some line)
+                (List.assoc_opt r.Proto.id batch_done))
+            settled;
+          let scfg =
+            { Runner.default_serve_config with Runner.base = quick_cfg; serve_journal = Some spath }
+          in
+          ignore
+            (run_serve_lines ~scfg
+               [ List.map (fun (j : Proto.job) -> { j with Proto.id = "s" ^ j.Proto.id }) jobs ]);
+          let serve_done = journal_done_replies spath in
+          List.iter
+            (fun (j : Proto.job) ->
+              match (List.assoc_opt j.Proto.id batch_done, List.assoc_opt ("s" ^ j.Proto.id) serve_done) with
+              | Some b, Some s ->
+                  Alcotest.(check string)
+                    (j.Proto.id ^ ": batch and serve journal one reply")
+                    (from_outcome s) (from_outcome b);
+                  check (j.Proto.id ^ ": same steps") true
+                    ((decode_exn b).Proto.steps = (decode_exn s).Proto.steps)
+              | _ -> Alcotest.failf "%s: missing Done record" j.Proto.id)
+            jobs))
+
+(* Every way a request leaves the server ends in one release: settled, a
+   deadline expired in the admission queue, a disconnect's queued jobs,
+   a priority eviction, and a drain's queued and unsettled jobs. (The
+   hedged cancel is in [test_serve_disconnect_aborts_hedge].) *)
+let test_serve_request_exits () =
+  no_faults @@ fun () ->
+  let scfg ?(queue_cap = 64) () =
+    {
+      Runner.default_serve_config with
+      Runner.base = { quick_cfg with Runner.workers = 1; queue_cap };
+      drain_grace = 0.2;
+    }
+  in
+  let run label ?abrupt ?(scfg = scfg ()) jobs outcomes =
+    let content =
+      with_traced (fun () ->
+          ignore (run_serve_lines ?abrupt ~encode:Proto.job_to_wire_json ~scfg [ jobs ]))
+    in
+    check_request_exits label content outcomes
+  in
+  run "settled, deadline in the queue"
+    [ job ~id:"a" (); job ~id:"late" ~deadline_ms:0 () ]
+    (exactly [ "exact"; "deadline_exceeded" ]);
+  (* One worker: at most one job leaves the queue before the disconnect
+     is read. *)
+  run "disconnect" ~abrupt:true
+    (List.init 4 (fun i -> job ~id:(Printf.sprintf "d%d" i) ()))
+    (fun got ->
+      List.length got = 4
+      && List.for_all (fun o -> o = "exact" || o = "cancelled") got
+      && List.length (List.filter (( = ) "cancelled") got) >= 2);
+  run "priority eviction" ~scfg:(scfg ~queue_cap:2 ())
+    [
+      job ~id:"b1" ~priority:"batch" ();
+      job ~id:"b2" ~priority:"batch" ();
+      job ~id:"i1" ~priority:"interactive" ();
+    ]
+    (exactly [ "exact"; "exact"; "shed" ]);
+  (* The wedged job holds the only worker past the drain grace; the
+     others wait in the queue when SIGTERM lands. *)
+  let server = Unix.getpid () in
+  let killer =
+    match Unix.fork () with
+    | 0 ->
+        Unix.sleepf 0.3;
+        Unix.kill server Sys.sigterm;
+        Unix._exit 0
+    | pid -> pid
+  in
+  run "drain"
+    (job ~id:"w" ~db:hard_db ~steps:1000 ~faults:(Some "wedge:10") ()
+    :: List.init 3 (fun i -> job ~id:(Printf.sprintf "q%d" i) ()))
+    (exactly [ "shed"; "shed"; "shed"; "shed" ]);
+  ignore (Unix.waitpid [] killer)
 
 (* Drives [serve_sockets] from a forked client that sends each line only
    once the reply to the one before it is in, so a later job finds what
@@ -1930,16 +2105,7 @@ let test_serve_priority_shed_rates () =
 
 (* ---- telemetry: cross-process traces ---- *)
 
-module Trace = Obs.Trace
 module Trace_check = Runner.Trace_check
-
-(* Run [f] with tracing routed to a temp JSONL file; return the file's
-   bytes after [Trace.finish] has flushed the meta record and spans. *)
-let with_traced f =
-  with_temp (fun path ->
-      Trace.configure ~format:Trace.Jsonl path;
-      Fun.protect ~finally:Trace.finish f;
-      read_file path)
 
 (* A traced serve with a worker killed mid-job. The span opened here
    plays the remote client: its context rides the wire form of each job,
@@ -2046,6 +2212,7 @@ let () =
           Alcotest.test_case "auto-compaction" `Quick test_journal_auto_compact;
           Alcotest.test_case "crash sites" `Quick test_journal_crash_sites;
           Alcotest.test_case "last done wins" `Quick test_journal_last_wins;
+          Alcotest.test_case "the open returns load's entries" `Quick test_journal_open_load;
           Alcotest.test_case "job digest" `Quick test_job_digest;
           Alcotest.test_case "digest excludes delivery fields" `Quick
             test_digest_excludes_deadline_priority;
@@ -2077,6 +2244,8 @@ let () =
           Alcotest.test_case "partial journal" `Quick test_journal_resume_partial;
           Alcotest.test_case "corrupt answers rejected" `Quick test_journal_rejects_corrupt_answer;
           Alcotest.test_case "supervisor crash and resume" `Quick test_batch_crash_and_resume;
+          Alcotest.test_case "batch journals the serve reply bytes" `Quick
+            test_batch_journal_shares_reply_bytes;
           Alcotest.test_case "heap ceiling settles bounded" `Quick test_max_heap_bounds;
         ] );
       ( "serve",
@@ -2099,6 +2268,7 @@ let () =
           Alcotest.test_case "stats sees the line above" `Quick test_serve_stats_sees_prior_job;
           Alcotest.test_case "malformed worker lines never settle" `Quick
             test_serve_malformed_worker_lines;
+          Alcotest.test_case "every request exit releases once" `Quick test_serve_request_exits;
         ] );
       ( "trace",
         [

@@ -8,14 +8,14 @@ let lang = Automata.Lang.of_string
 let check = Alcotest.(check bool)
 
 let vcheck name expected got =
-  Alcotest.check (Alcotest.testable Value.pp Value.equal) name expected got
+  Alcotest.check (Alcotest.testable Cert.Value.pp Cert.Value.equal) name expected got
 
 (* ---- Hand-computed examples ---- *)
 
 let test_aa_path () =
   (* a path of 4 a-facts: 0-1-2-3-4; matches: 3 pairs; resilience 2 *)
   let d = Db.make ~nnodes:5 ~facts:[ (0, 'a', 1); (1, 'a', 2); (2, 'a', 3); (3, 'a', 4) ] in
-  vcheck "aa path" (Value.Finite 2) (fst (Exact.branch_and_bound d (lang "aa")))
+  vcheck "aa path" (Cert.Value.Finite 2) (fst (Exact.branch_and_bound d (lang "aa")))
 
 let test_bnb_memo_by_content () =
   (* RES_set(aa, encode(P5)) = vc(P5) + 4·(5−1)/2 = 2 + 8 = 10 (Prop 4.11).
@@ -28,7 +28,7 @@ let test_bnb_memo_by_content () =
   Alcotest.(check int) "facts" 21 (Db.fact_count d);
   let nodes = Obs.Metrics.counter "bnb.nodes" in
   let before = Obs.Metrics.count nodes in
-  vcheck "value" (Value.Finite 10) (fst (Exact.branch_and_bound d l));
+  vcheck "value" (Cert.Value.Finite 10) (fst (Exact.branch_and_bound d l));
   Alcotest.(check int) "nodes" 1375 (Obs.Metrics.count nodes - before)
 
 (* Fact ids among 1..64 whose [Iset.mix]es xor to 0, by elimination over
@@ -82,7 +82,7 @@ let test_bnb_memo_hash_collision () =
   let hits = Obs.Metrics.counter "bnb.memo_hits" in
   let before = Obs.Metrics.count hits in
   let value, witness = Exact.branch_and_bound d (lang "a") in
-  vcheck "value" (Value.Finite (I.cardinal a_facts)) value;
+  vcheck "value" (Cert.Value.Finite (I.cardinal a_facts)) value;
   check "witness is every a-fact" true (I.equal (I.of_list witness) a_facts);
   Alcotest.(check int) "no memo hits" 0 (Obs.Metrics.count hits - before)
 
@@ -97,7 +97,7 @@ let test_axb_flow () =
   (* cutting the single x-fact kills both walks *)
   (match Local_solver.solve d (lang "ax*b") with
   | Ok (v, w) ->
-      vcheck "mincut value" (Value.Finite 1) v;
+      vcheck "mincut value" (Cert.Value.Finite 1) v;
       check "witness size 1" true (List.length w = 1);
       let d' = Db.restrict d ~removed:(fun id -> List.mem id w) in
       check "witness works" true (not (Graphdb.Eval.satisfies d' (lang "ax*b")))
@@ -105,20 +105,20 @@ let test_axb_flow () =
 
 let test_infinite_resilience () =
   let d = Db.make ~nnodes:1 ~facts:[] in
-  vcheck "eps in L" Value.Infinite (Solver.resilience d (lang "a*"));
-  vcheck "empty language" (Value.Finite 0) (Solver.resilience d (lang "!"))
+  vcheck "eps in L" Cert.Value.Infinite (Solver.resilience d (lang "a*"));
+  vcheck "empty language" (Cert.Value.Finite 0) (Solver.resilience d (lang "!"))
 
 let test_trivially_false () =
   let d = Db.make ~nnodes:3 ~facts:[ (0, 'z', 1) ] in
-  vcheck "no match" (Value.Finite 0) (Solver.resilience d (lang "ab"))
+  vcheck "no match" (Cert.Value.Finite 0) (Solver.resilience d (lang "ab"))
 
 let test_bag_multiplicities () =
   (* one heavy fact vs two light ones *)
   let d = Db.make_bag ~nnodes:4 ~facts:[ (0, 'a', 1, 5); (1, 'b', 2, 1); (1, 'b', 3, 1) ] in
   (* killing ab: remove both b-facts (cost 2) beats the a-fact (cost 5) *)
-  vcheck "bag" (Value.Finite 2) (fst (Exact.branch_and_bound d (lang "ab")));
+  vcheck "bag" (Cert.Value.Finite 2) (fst (Exact.branch_and_bound d (lang "ab")));
   match Local_solver.solve d (lang "ab") with
-  | Ok (v, _) -> vcheck "bag mincut" (Value.Finite 2) v
+  | Ok (v, _) -> vcheck "bag mincut" (Cert.Value.Finite 2) v
   | Error e -> Alcotest.fail e
 
 let test_solver_dispatch () =
@@ -142,23 +142,23 @@ let test_st_resilience () =
   let l = lang "aa" in
   check "st sat" true (St_resilience.satisfies d l ~src:0 ~dst:2);
   check "st unsat" false (St_resilience.satisfies d l ~src:0 ~dst:1);
-  vcheck "st 0->2" (Value.Finite 1) (St_resilience.resilience d l ~src:0 ~dst:2);
-  vcheck "st 0->1" (Value.Finite 0) (St_resilience.resilience d l ~src:0 ~dst:1);
+  vcheck "st 0->2" (Cert.Value.Finite 1) (St_resilience.resilience d l ~src:0 ~dst:2);
+  vcheck "st 0->1" (Cert.Value.Finite 0) (St_resilience.resilience d l ~src:0 ~dst:1);
   (* local language: solved by MinCut on the guarded instance *)
   let d2 = Graphdb.Generate.flow_grid ~width:2 ~depth:2 ~seed:4 () in
   let r = St_resilience.solve d2 (lang "ax*b") ~src:0 ~dst:(Db.nnodes d2 - 1) in
   check "st local mincut" true (r.St_resilience.algorithm = Solver.Alg_local_mincut);
   (* eps with equal endpoints is unremovable *)
-  vcheck "eps same endpoint" Value.Infinite (St_resilience.resilience d (lang "a*") ~src:1 ~dst:1);
+  vcheck "eps same endpoint" Cert.Value.Infinite (St_resilience.resilience d (lang "a*") ~src:1 ~dst:1);
   (* eps with distinct endpoints behaves like the plain language *)
-  vcheck "eps diff endpoints" (Value.Finite 1)
+  vcheck "eps diff endpoints" (Cert.Value.Finite 1)
     (St_resilience.resilience d (lang "a*") ~src:0 ~dst:2)
 
 (* Brute-force reference for (s,t)-resilience. *)
 let st_bruteforce d l ~src ~dst =
   let live = Array.of_list (List.map fst (Db.facts d)) in
   let n = Array.length live in
-  let best = ref Value.Infinite in
+  let best = ref Cert.Value.Infinite in
   for mask = 0 to (1 lsl n) - 1 do
     let cost = ref 0 and removed = ref [] in
     for i = 0 to n - 1 do
@@ -167,9 +167,9 @@ let st_bruteforce d l ~src ~dst =
         removed := live.(i) :: !removed
       end
     done;
-    if Value.compare (Value.Finite !cost) !best < 0 then begin
+    if Cert.Value.compare (Cert.Value.Finite !cost) !best < 0 then begin
       let d2 = Db.restrict d ~removed:(fun id -> List.mem id !removed) in
-      if not (St_resilience.satisfies d2 l ~src ~dst) then best := Value.Finite !cost
+      if not (St_resilience.satisfies d2 l ~src ~dst) then best := Cert.Value.Finite !cost
     end
   done;
   !best
@@ -270,7 +270,7 @@ let prop_bnb_vs_bruteforce =
     (QCheck.pair (arb_db ~max_facts:9 ()) (QCheck.oneofl langs))
     (fun (d, s) ->
       let l = lang s in
-      Value.equal (fst (Exact.branch_and_bound d l)) (Exact.bruteforce d l))
+      Cert.Value.equal (fst (Exact.branch_and_bound d l)) (Exact.bruteforce d l))
 
 let prop_bnb_vs_bruteforce_bag =
   let langs = [ "aa"; "ax*b"; "ab|bc"; "abc|be"; "axb|cxd" ] in
@@ -278,7 +278,7 @@ let prop_bnb_vs_bruteforce_bag =
     (QCheck.pair (arb_db ~max_mult:4 ~max_facts:8 ()) (QCheck.oneofl langs))
     (fun (d, s) ->
       let l = lang s in
-      Value.equal (fst (Exact.branch_and_bound d l)) (Exact.bruteforce d l))
+      Cert.Value.equal (fst (Exact.branch_and_bound d l)) (Exact.bruteforce d l))
 
 let prop_hitting_set_vs_bnb =
   let langs = [ "aa"; "ab|bc"; "abc|be"; "axb|cxd"; "abc"; "ab|bc|ca" ] in
@@ -286,7 +286,7 @@ let prop_hitting_set_vs_bnb =
     (QCheck.pair (arb_db ~max_mult:3 ~max_facts:9 ()) (QCheck.oneofl langs))
     (fun (d, s) ->
       let l = lang s in
-      Value.equal (fst (Exact.hitting_set d l)) (fst (Exact.branch_and_bound d l)))
+      Cert.Value.equal (fst (Exact.hitting_set d l)) (fst (Exact.branch_and_bound d l)))
 
 let prop_local_mincut_vs_exact =
   let langs = [ "ax*b"; "ab|ad|cd"; "abc"; "a"; "axb|axc"; "x*y" ] in
@@ -297,12 +297,12 @@ let prop_local_mincut_vs_exact =
       let l = lang s in
       match Local_solver.solve d l with
       | Ok (v, w) ->
-          Value.equal v (fst (Exact.branch_and_bound d l))
+          Cert.Value.equal v (fst (Exact.branch_and_bound d l))
           &&
           (* the witness really is a contingency set of matching cost *)
           let d' = Db.restrict d ~removed:(fun id -> List.mem id w) in
           (not (Graphdb.Eval.satisfies d' l))
-          && Value.equal v (Value.Finite (List.fold_left (fun a id -> a + Db.mult d id) 0 w))
+          && Cert.Value.equal v (Cert.Value.Finite (List.fold_left (fun a id -> a + Db.mult d id) 0 w))
       | Error e -> QCheck.Test.fail_report e)
 
 let prop_chain_extraction_agrees =
@@ -332,7 +332,7 @@ let prop_bcl_vs_exact =
       let l = lang s in
       match Bcl.solve d l with
       | Ok (v, w) ->
-          Value.equal v (fst (Exact.branch_and_bound d l))
+          Cert.Value.equal v (fst (Exact.branch_and_bound d l))
           &&
           let d' = Db.restrict d ~removed:(fun id -> List.mem id w) in
           not (Graphdb.Eval.satisfies d' l)
@@ -434,7 +434,7 @@ module Bcl_oracle = struct
         let cut, flow = Net.min_cut_certified net ~source ~sink in
         let v = match cut.Net.value with Net.Finite v -> v | Net.Inf -> -1 in
         let facts = List.filter_map (fun eid -> List.assoc_opt eid !fact_edge) cut.Net.edges in
-        ( Value.Finite (base_cost + v),
+        ( Cert.Value.Finite (base_cost + v),
           List.sort_uniq compare (forced @ facts),
           Certify.cut ~net ~source ~sink ~cut ~flow ~fact_edge:!fact_edge ~forced:forced_w )
 end
@@ -479,7 +479,7 @@ let prop_submodular_vs_exact =
     (fun (d, s) ->
       let l = lang s in
       match Submod_solver.solve d l with
-      | Ok v -> Value.equal v (fst (Exact.branch_and_bound d l))
+      | Ok v -> Cert.Value.equal v (fst (Exact.branch_and_bound d l))
       | Error _ -> s = "ab|ac")
 
 let prop_submodular_oracle_is_submodular =
@@ -500,7 +500,7 @@ let prop_mirror_invariance =
     (fun (d, s) ->
       let l = lang s in
       let lm = Automata.Lang.of_regex (Automata.Regex.mirror (Automata.Regex.parse s)) in
-      Value.equal
+      Cert.Value.equal
         (fst (Exact.branch_and_bound d l))
         (fst (Exact.branch_and_bound (Db.reverse d) lm)))
 
@@ -510,7 +510,7 @@ let prop_solver_agrees_with_exact =
     (QCheck.pair (arb_db ~max_mult:2 ~max_facts:8 ()) (QCheck.oneofl langs))
     (fun (d, s) ->
       let l = lang s in
-      Value.equal (Solver.resilience d l) (fst (Exact.branch_and_bound d l)))
+      Cert.Value.equal (Solver.resilience d l) (fst (Exact.branch_and_bound d l)))
 
 let prop_reduction_preserves_resilience =
   (* Q_L = Q_reduce(L): resilience must agree on the original language. *)
@@ -522,7 +522,7 @@ let prop_reduction_preserves_resilience =
       let r = Automata.Reduce.nfa l in
       if Automata.Nfa.nullable l then true
       else
-        Value.equal (fst (Exact.branch_and_bound d l)) (fst (Exact.branch_and_bound d r)))
+        Cert.Value.equal (fst (Exact.branch_and_bound d l)) (fst (Exact.branch_and_bound d r)))
 
 let prop_st_vs_bruteforce =
   let langs = [ "aa"; "ax*b"; "ab|bc"; "abc" ] in
@@ -531,7 +531,7 @@ let prop_st_vs_bruteforce =
     (fun (d, s) ->
       let l = lang s in
       let src = 0 and dst = Db.nnodes d - 1 in
-      Value.equal (St_resilience.resilience d l ~src ~dst) (st_bruteforce d l ~src ~dst))
+      Cert.Value.equal (St_resilience.resilience d l ~src ~dst) (st_bruteforce d l ~src ~dst))
 
 let prop_witness_is_minimal_contingency =
   let langs = [ "aa"; "ax*b"; "ab|bc" ] in
@@ -541,8 +541,8 @@ let prop_witness_is_minimal_contingency =
       let l = lang s in
       let v, w = Exact.branch_and_bound d l in
       match v with
-      | Value.Infinite -> false
-      | Value.Finite cost ->
+      | Cert.Value.Infinite -> false
+      | Cert.Value.Finite cost ->
           let d' = Db.restrict d ~removed:(fun id -> List.mem id w) in
           (not (Graphdb.Eval.satisfies d' l))
           && cost = List.fold_left (fun a id -> a + Db.mult d id) 0 w)
@@ -562,7 +562,7 @@ let prop_pipeline_fuzz =
     (QCheck.pair (arb_db ~alphabet:[ 'a'; 'b'; 'c' ] ~max_mult:2 ~max_facts:7 ()) arb_lang)
     (fun (d, ws) ->
       let l = Automata.Nfa.of_words ws in
-      Value.equal (Solver.resilience d l) (fst (Exact.branch_and_bound d l)))
+      Cert.Value.equal (Solver.resilience d l) (fst (Exact.branch_and_bound d l)))
 
 let prop_thm61_fuzz =
   (* For every random reduced language with a repeated-letter word, the

@@ -7,7 +7,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let vcheck name expected got =
-  Alcotest.check (Alcotest.testable Value.pp Value.equal) name expected got
+  Alcotest.check (Alcotest.testable Cert.Value.pp Cert.Value.equal) name expected got
 
 let test_satisfies () =
   (* 0 -a-> 1 <-b- 2: the 2RPQ aB goes 0 →a 1, then backward along b to 2 *)
@@ -53,22 +53,22 @@ let test_matches () =
 let test_resilience () =
   (* aA is satisfied as long as ANY a-fact remains: resilience = #a-facts *)
   let d = Db.make ~nnodes:4 ~facts:[ (0, 'a', 1); (2, 'a', 3) ] in
-  vcheck "aA" (Value.Finite 2) (fst (Two_way.resilience d (lang "aA")));
+  vcheck "aA" (Cert.Value.Finite 2) (fst (Two_way.resilience d (lang "aA")));
   (* aB needs a and b facts consecutively sharing the head *)
   let d2 = Db.make ~nnodes:3 ~facts:[ (0, 'a', 1); (2, 'b', 1) ] in
-  vcheck "aB" (Value.Finite 1) (fst (Two_way.resilience d2 (lang "aB")));
-  vcheck "eps" Value.Infinite (fst (Two_way.resilience d2 (lang "a*")));
+  vcheck "aB" (Cert.Value.Finite 1) (fst (Two_way.resilience d2 (lang "aB")));
+  vcheck "eps" Cert.Value.Infinite (fst (Two_way.resilience d2 (lang "a*")));
   (* witness is a contingency set *)
   let v, w = Two_way.resilience d (lang "aA") in
   let d' = Db.restrict d ~removed:(fun id -> List.mem id w) in
   check "witness works" true (not (Two_way.satisfies d' (lang "aA")));
-  vcheck "witness cost" v (Value.Finite (List.fold_left (fun a id -> a + Db.mult d id) 0 w))
+  vcheck "witness cost" v (Cert.Value.Finite (List.fold_left (fun a id -> a + Db.mult d id) 0 w))
 
 (* brute-force cross-check *)
 let brute d l =
   let live = Array.of_list (List.map fst (Db.facts d)) in
   let n = Array.length live in
-  let best = ref Value.Infinite in
+  let best = ref Cert.Value.Infinite in
   for mask = 0 to (1 lsl n) - 1 do
     let cost = ref 0 and removed = ref [] in
     for i = 0 to n - 1 do
@@ -77,9 +77,9 @@ let brute d l =
         removed := live.(i) :: !removed
       end
     done;
-    if Value.compare (Value.Finite !cost) !best < 0 then begin
+    if Cert.Value.compare (Cert.Value.Finite !cost) !best < 0 then begin
       let d' = Db.restrict d ~removed:(fun id -> List.mem id !removed) in
-      if not (Two_way.satisfies d' l) then best := Value.Finite !cost
+      if not (Two_way.satisfies d' l) then best := Cert.Value.Finite !cost
     end
   done;
   !best
@@ -101,7 +101,7 @@ let prop_two_way_resilience_vs_brute =
     (QCheck.pair arb_db (QCheck.oneofl langs))
     (fun (d, s) ->
       let l = lang s in
-      Value.equal (fst (Two_way.resilience d l)) (brute d l))
+      Cert.Value.equal (fst (Two_way.resilience d l)) (brute d l))
 
 let prop_two_way_generalizes_one_way =
   let langs = [ "aa"; "ab"; "ab|ba" ] in
@@ -109,7 +109,7 @@ let prop_two_way_generalizes_one_way =
     (QCheck.pair arb_db (QCheck.oneofl langs))
     (fun (d, s) ->
       let l = lang s in
-      Value.equal (fst (Two_way.resilience d l)) (fst (Exact.branch_and_bound d l)))
+      Cert.Value.equal (fst (Two_way.resilience d l)) (fst (Exact.branch_and_bound d l)))
 
 let () =
   Alcotest.run "two_way"
