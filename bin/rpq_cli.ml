@@ -1160,32 +1160,21 @@ let journal_file_arg =
 (* One line of JSON stats. [live_md5] digests the settled id -> (digest,
    reply) map in sorted order, so CI can assert in one comparison that a
    compaction changed the journal's bytes but not its meaning. *)
-let journal_inspect_line path (rep : Journal.report) =
-  let tbl = Journal.completed rep.Journal.entries in
-  let live =
-    List.sort compare (Hashtbl.fold (fun id (digest, reply) acc ->
-        (id, digest, reply) :: acc) tbl [])
-  in
+let journal_inspect_line path ((rep : Journal.report), live) =
   (* Per-entry certificate accounting: how many live settled answers carry
-     a certificate, and how many of those re-check. [certs] counts
-     presence; a gap between [certs] and [cert_valid] is a red flag that
+     a certificate, and how many of those fail re-check — a red flag that
      `compact' will refuse to drop history for. *)
-  let certs, cert_valid =
-    List.fold_left
-      (fun (present, valid) (_, _, (reply : Runner.Proto.reply)) ->
-        match reply.Runner.Proto.cert with
-        | None -> (present, valid)
-        | Some _ ->
-            ( present + 1,
-              valid + if Result.is_ok (Cert.Checker.check_reply reply) then 1 else 0 ))
-      (0, 0) live
+  let with_cert =
+    List.filter (fun (_, (_, (r : Cert.Proto.reply))) -> Option.is_some r.cert) live
   in
+  let certs = List.length with_cert in
+  let cert_invalid = List.length (Chaos.cert_failures with_cert) in
   let live_md5 =
     Digest.to_hex
       (Digest.string
          (String.concat "\n"
             (List.map
-               (fun (id, digest, reply) ->
+               (fun (id, (digest, reply)) ->
                  Printf.sprintf "%s %s %s" id digest (Runner.Proto.reply_to_json reply))
                live)))
   in
@@ -1204,8 +1193,8 @@ let journal_inspect_line path (rep : Journal.report) =
          ("done", J.Int (rep.Journal.records - started));
          ("live", J.Int (List.length live));
          ("certs", J.Int certs);
-         ("cert_valid", J.Int cert_valid);
-         ("cert_invalid", J.Int (certs - cert_valid));
+         ("cert_valid", J.Int (certs - cert_invalid));
+         ("cert_invalid", J.Int cert_invalid);
          ("bytes", J.Int rep.Journal.bytes);
          ("dead_bytes", J.Int rep.Journal.dead_bytes);
          ("torn_bytes", J.Int rep.Journal.torn_bytes);
@@ -1220,10 +1209,10 @@ let journal_inspect_line path (rep : Journal.report) =
 
 let journal_inspect_cmd =
   let run file =
-    match Journal.load file with
+    match Chaos.load_settled file with
     | Error e -> input_error "%s" e
-    | Ok rep ->
-        print_endline (journal_inspect_line file rep);
+    | Ok settled ->
+        print_endline (journal_inspect_line file settled);
         0
   in
   Cmd.v
@@ -1249,22 +1238,8 @@ let journal_compact_cmd =
      answer can no longer be cross-checked against earlier records. So a
      live entry whose certificate fails re-check blocks compaction unless
      forced. *)
-  let cert_failures file =
-    match Journal.load file with
-    | Error e -> Error e
-    | Ok rep ->
-        let tbl = Journal.completed rep.Journal.entries in
-        Ok
-          (List.sort compare
-             (Hashtbl.fold
-                (fun id (_, reply) acc ->
-                  match Cert.Checker.check_reply reply with
-                  | Ok () -> acc
-                  | Error msg -> (id, msg) :: acc)
-                tbl []))
-  in
   let run file force =
-    match cert_failures file with
+    match Result.map (fun (_, live) -> Chaos.cert_failures live) (Chaos.load_settled file) with
     | Error e -> input_error "%s" e
     | Ok failures ->
         List.iter
@@ -1314,311 +1289,9 @@ let journal_cmd =
           $(b,rpq chaos)).")
     [ journal_inspect_cmd; journal_compact_cmd ]
 
-(* ---- chaos: deterministic crash-recovery harness ---- *)
+(* ---- chaos ---- *)
 
-let m_chaos_crashes = Obs.Metrics.counter "chaos.crashes"
-
-let status_to_string = function
-  | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-  | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
-
-(* Reply lines a child [rpq batch] wrote to its redirected stdout. *)
-let read_replies path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map (fun line ->
-         match Runner.Proto.reply_of_json line with
-         | Ok r -> r
-         | Error e ->
-             prerr_endline (Printf.sprintf "rpq: chaos: bad reply line in %s: %s" path e);
-             exit 1)
-
-(* Volatile fields zeroed (trace contexts embed pids), so
-   equal-modulo-time replies print identically and two chaos runs with
-   the same seed diff byte-for-byte. *)
-let normalized_reply (r : Runner.Proto.reply) =
-  Runner.Proto.reply_to_json { r with Runner.Proto.wall_s = 0.0; stages = []; trace = None }
-
-(* Children inherit our environment minus any ambient fault, trace, or
-   flight-recorder plan — the chaos schedule owns fault injection, and
-   [flight] arms the child's own black box at a path this harness will
-   assert on after each injected crash. *)
-let chaos_child_env ?flight faults =
-  let keep =
-    Array.to_list (Unix.environment ())
-    |> List.filter (fun kv ->
-           not
-             (String.starts_with ~prefix:"RPQ_FAULTS=" kv
-             || String.starts_with ~prefix:"RPQ_TRACE=" kv
-             || String.starts_with ~prefix:"RPQ_FLIGHT=" kv))
-  in
-  let extra =
-    ("RPQ_FAULTS=" ^ faults)
-    :: (match flight with Some p -> [ "RPQ_FLIGHT=" ^ p ] | None -> [])
-  in
-  Array.of_list (extra @ keep)
-
-let rec chaos_waitpid pid =
-  match Unix.waitpid [] pid with
-  | _, status -> status
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> chaos_waitpid pid
-
-let die fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("rpq: chaos: " ^ msg);
-      exit 1)
-    fmt
-
-(* ---- chaos --churn: client churn over a live socket server ----
-
-   The harness starts this very binary as `rpq serve --listen ...` with a
-   content-invariant net fault armed ([net:partial_write:P] halves every
-   socket flush — the suffix stays buffered, so payloads are unchanged),
-   then drives a seeded schedule at it: victims connect, submit, and
-   vanish mid-stream; two survivors (one a slow reader) split every job
-   and read their replies; a finishing client resubmits every job so the
-   journal's settled map is total despite the cancellations. Assertions:
-   every reply a surviving client reads carries a valid certificate, the
-   server drains cleanly on SIGTERM (exit 0, journal lock released), and
-   the journal's settled answers equal a churn-free reference serve run
-   modulo wall-clock fields. Everything printed is a pure function of the
-   seed and the jobfile, so two runs diff byte-identically. *)
-let run_churn ~jobs ~kills ~seed ~net_period ~hedge_after ~(cfg : Runner.config) =
-  (* A victim's vanished reader must surface as EPIPE in the server, and
-     a vanished server as EPIPE here — never as SIGPIPE. *)
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
-  let njobs = List.length jobs in
-  let job_arr = Array.of_list jobs in
-  let tmpdir = Filename.temp_file "rpq_churn" "" in
-  Sys.remove tmpdir;
-  Unix.mkdir tmpdir 0o700;
-  let sock = Filename.concat tmpdir "churn.sock" in
-  let journal = Filename.concat tmpdir "churn.journal" in
-  let ref_sock = Filename.concat tmpdir "ref.sock" in
-  let ref_journal = Filename.concat tmpdir "ref.journal" in
-  let cleanup () =
-    List.iter
-      (fun f -> if Sys.file_exists f then Sys.remove f)
-      [ sock; journal; journal ^ ".tmp"; ref_sock; ref_journal; ref_journal ^ ".tmp" ];
-    match Unix.rmdir tmpdir with
-    | () -> ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  let start_server ~faults ~hedged ~sock ~journal =
-    let argv =
-      [
-        Sys.executable_name; "serve";
-        "--listen"; sock;
-        "--journal"; journal;
-        "--workers"; string_of_int cfg.Runner.workers;
-        "--retries"; string_of_int cfg.Runner.retries;
-        "--queue-cap"; string_of_int cfg.Runner.queue_cap;
-        "--cache-entries"; "256";
-        "--client-inflight"; "4";
-        "--drain-grace"; "30";
-      ]
-      @ (match cfg.Runner.job_timeout with
-        | Some s -> [ "--job-timeout"; string_of_float s ]
-        | None -> [])
-      (* The churned server hedges; the reference never does. The final
-         journal diff is then exactly the claim the hedge design makes:
-         under a deterministic fault plan, hedged and unhedged serving
-         settle every job identically (modulo wall clock). *)
-      @ (match if hedged then hedge_after else None with
-        | Some s -> [ "--hedge-after"; string_of_float s ]
-        | None -> [])
-    in
-    let pid =
-      Unix.create_process_env Sys.executable_name (Array.of_list argv)
-        (chaos_child_env faults) Unix.stdin Unix.stderr Unix.stderr
-    in
-    (* Poll for the socket file rather than blocking in waitpid: reap
-       only if the child is already gone. *)
-    let rec wait_sock n =
-      if Sys.file_exists sock then ()
-      else if n > 400 then die "server never created its socket at %s" sock
-      else begin
-        (match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ -> ()
-        | _, st -> die "server died before listening (%s)" (status_to_string st)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        Unix.sleepf 0.025;
-        wait_sock (n + 1)
-      end
-    in
-    wait_sock 0;
-    pid
-  in
-  let connect sock =
-    let rec go n =
-      match Runner.Transport.connect_unix sock with
-      | conn -> conn
-      | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) when n < 200 ->
-          Unix.sleepf 0.025;
-          go (n + 1)
-    in
-    go 0
-  in
-  let send_job oc (j : Runner.Proto.job) =
-    output_string oc (Runner.Proto.job_to_json j);
-    output_char oc '\n';
-    flush oc
-  in
-  let read_reply ic =
-    match input_line ic with
-    | exception End_of_file -> die "server closed a surviving client's connection"
-    | line -> begin
-        match Runner.Proto.reply_of_json line with
-        | Ok r -> r
-        | Error e -> die "bad reply line from server: %s" e
-      end
-  in
-  let check_cert (r : Runner.Proto.reply) =
-    (match r.Runner.Proto.verdict with
-    | Runner.Proto.V_failed _ ->
-        die "job %S came back failed: %s" r.Runner.Proto.id (normalized_reply r)
-    | Runner.Proto.V_exact _ | Runner.Proto.V_bounded _ -> ());
-    match Cert.Checker.check_reply r with
-    | Ok () -> ()
-    | Error msg ->
-        die "reply %S carries an invalid certificate: %s" r.Runner.Proto.id msg
-  in
-  Printf.printf "chaos churn: seed %d, %d jobs, %d kills, net:partial_write:%d%s\n" seed njobs
-    kills net_period
-    (match hedge_after with
-    | Some s -> Printf.sprintf ", hedge-after %g" s
-    | None -> "");
-  let server =
-    start_server
-      ~faults:(Printf.sprintf "net:partial_write:%d" net_period)
-      ~hedged:true ~sock ~journal
-  in
-  (* The seed's stream, as for the crash schedule; printed up front so
-     two runs of one seed diff clean. *)
-  let rng = Invariant.Prng.make seed in
-  let draw bound = Invariant.Prng.int rng bound in
-  for k = 1 to kills do
-    let nsub = 1 + draw (min 4 njobs) in
-    let start = draw njobs in
-    let read_first = draw 2 = 1 in
-    Printf.printf "kill %d: victim submits %d job(s) from index %d%s\n" k nsub start
-      (if read_first then ", reads one reply" else "");
-    let ic, oc = connect sock in
-    for i = 0 to nsub - 1 do
-      send_job oc job_arr.((start + i) mod njobs)
-    done;
-    if read_first then check_cert (read_reply ic);
-    (* Vanish mid-stream: queued jobs get cancelled server-side, inflight
-       ones settle into journal and cache with nobody to deliver to. *)
-    close_out_noerr oc;
-    close_in_noerr ic
-  done;
-  (* Survivors: two clients split every job; the second reads slowly.
-     Each must get exactly its replies, every certificate valid. *)
-  let ic1, oc1 = connect sock in
-  let ic2, oc2 = connect sock in
-  Array.iteri (fun i j -> send_job (if i mod 2 = 0 then oc1 else oc2) j) job_arr;
-  let n1 = (njobs + 1) / 2 in
-  let n2 = njobs / 2 in
-  for _ = 1 to n1 do
-    check_cert (read_reply ic1)
-  done;
-  for _ = 1 to n2 do
-    Unix.sleepf 0.002;
-    check_cert (read_reply ic2)
-  done;
-  close_out_noerr oc1;
-  close_in_noerr ic1;
-  close_out_noerr oc2;
-  close_in_noerr ic2;
-  Printf.printf "survivors: %d + %d replies, all certificates valid\n" n1 n2;
-  (* Finisher: resubmit everything under the original ids so the settled
-     map is total; cancelled jobs compute now, settled ones come from the
-     certificate-gated cache. *)
-  let icf, ocf = connect sock in
-  Array.iter (send_job ocf) job_arr;
-  for _ = 1 to njobs do
-    check_cert (read_reply icf)
-  done;
-  close_out_noerr ocf;
-  close_in_noerr icf;
-  Unix.kill server Sys.sigterm;
-  (match chaos_waitpid server with
-  | Unix.WEXITED 0 -> ()
-  | st -> die "server did not drain cleanly on SIGTERM (%s)" (status_to_string st));
-  print_endline "server drained cleanly on SIGTERM";
-  (* Reference: same jobs, one client, no churn, no faults. *)
-  let ref_server =
-    start_server ~faults:"off" ~hedged:false ~sock:ref_sock ~journal:ref_journal
-  in
-  let icr, ocr = connect ref_sock in
-  Array.iter (send_job ocr) job_arr;
-  for _ = 1 to njobs do
-    check_cert (read_reply icr)
-  done;
-  close_out_noerr ocr;
-  close_in_noerr icr;
-  Unix.kill ref_server Sys.sigterm;
-  (match chaos_waitpid ref_server with
-  | Unix.WEXITED 0 -> ()
-  | st -> die "reference server did not drain cleanly (%s)" (status_to_string st));
-  let settled path =
-    match Runner.Journal.load path with
-    | Error e -> die "journal %s refuses to load: %s" path e
-    | Ok rep ->
-        let tbl = Runner.Journal.completed rep.Runner.Journal.entries in
-        List.sort
-          (fun (a, _, _) (b, _, _) -> compare a b)
-          (Hashtbl.fold (fun id (digest, reply) acc -> (id, digest, reply) :: acc) tbl [])
-  in
-  let churned = settled journal in
-  let reference = settled ref_journal in
-  let diffs = ref 0 in
-  let rec cmp a b =
-    match (a, b) with
-    | [], [] -> ()
-    | (ida, _, _) :: ta, [] ->
-        Printf.printf "diff %s: settled only under churn\n" ida;
-        incr diffs;
-        cmp ta []
-    | [], (idb, _, _) :: tb ->
-        Printf.printf "diff %s: settled only in reference\n" idb;
-        incr diffs;
-        cmp [] tb
-    | (ida, dga, ra) :: ta, (idb, dgb, rb) :: tb ->
-        if ida = idb then begin
-          if dga <> dgb || not (Runner.Proto.reply_equal_ignoring_time ra rb) then begin
-            Printf.printf "diff %s:\n  reference %s\n  churned   %s\n" ida
-              (normalized_reply rb) (normalized_reply ra);
-            incr diffs
-          end;
-          cmp ta tb
-        end
-        else if ida < idb then begin
-          Printf.printf "diff %s: settled only under churn\n" ida;
-          incr diffs;
-          cmp ta b
-        end
-        else begin
-          Printf.printf "diff %s: settled only in reference\n" idb;
-          incr diffs;
-          cmp a tb
-        end
-  in
-  cmp churned reference;
-  List.iter (fun (_, _, r) -> print_endline (normalized_reply r)) churned;
-  Printf.printf "chaos churn: %d jobs, %d kills, diffs: %d\n" njobs kills !diffs;
-  if !diffs = 0 then 0 else 1
-
-(* The harness re-executes this very binary ([batch] in a child process)
-   with RPQ_FAULTS armed at a seeded crash site, so the supervisor truly
-   dies mid-write (_exit 70, no unwinding) and recovery runs against
-   whatever bytes made it to the journal — the closest deterministic
-   approximation of a power cut the test harness can stage. *)
+(* The harness itself lives in [Chaos]; this is its command line. *)
 let chaos_cmd =
   let jobs_arg =
     Arg.(
@@ -1647,8 +1320,9 @@ let chaos_cmd =
              fault armed) and drive a seeded schedule of clients at it — $(b,--kills) victims \
              that vanish mid-stream, two survivors (one reading slowly) that must get exactly \
              their certificate-valid replies, and a finishing client that resubmits every \
-             job. Asserts a clean SIGTERM drain and a final journal equal to a churn-free \
-             reference run (modulo wall-clock fields).")
+             job. Asserts a clean SIGTERM drain and a final journal whose settled answers \
+             equal a fault-free, unhedged $(b,rpq batch) reference run (modulo wall-clock \
+             fields).")
   in
   let kills_arg =
     Arg.(
@@ -1668,9 +1342,9 @@ let chaos_cmd =
       & opt (some float) None
       & info [ "hedge-after" ] ~docv:"SECONDS"
           ~doc:
-            "Arm certificate-gated hedging in the $(b,--churn) server (the reference server \
-             stays unhedged), so the final journal diff asserts that hedged and unhedged \
-             serving settle every job identically modulo wall clock.")
+            "Arm certificate-gated hedging in the $(b,--churn) server, so the final journal \
+             diff asserts that hedged serving settles every job as the unhedged $(b,rpq batch) \
+             reference does, modulo wall clock.")
   in
   let run jobfile crashes seed workers retries queue_cap job_timeout churn kills net_period
       hedge_after =
@@ -1685,197 +1359,10 @@ let chaos_cmd =
         | Ok _ when churn && net_period < 1 -> input_error "chaos: net period must be positive"
         | Ok _ when (match hedge_after with Some s -> s < 0.0 | None -> false) ->
             input_error "chaos: negative hedge delay"
-        | Ok jobs when churn -> run_churn ~jobs ~kills ~seed ~net_period ~hedge_after ~cfg
         | Ok jobs ->
-            let journal = Filename.temp_file "rpq_chaos" ".journal" in
-            let out_file = Filename.temp_file "rpq_chaos" ".jsonl" in
-            let flight_file = Filename.temp_file "rpq_chaos" ".flight" in
-            Sys.remove journal;
-            Sys.remove flight_file;
-            let cleanup () =
-              List.iter
-                (fun f -> if Sys.file_exists f then Sys.remove f)
-                [ journal; journal ^ ".tmp"; out_file; flight_file; flight_file ^ ".tmp" ]
-            in
-            Fun.protect ~finally:cleanup @@ fun () ->
-            let run_child ?flight ~faults ~with_journal ~out () =
-              let argv =
-                [ Sys.executable_name; "batch"; jobfile ]
-                @ (if with_journal then [ "--journal"; journal ] else [])
-                @ [
-                    "--workers"; string_of_int cfg.Runner.workers;
-                    "--retries"; string_of_int cfg.Runner.retries;
-                    "--queue-cap"; string_of_int cfg.Runner.queue_cap;
-                    "--journal-sync"; "per_line";
-                  ]
-                @ (match cfg.Runner.job_timeout with
-                  | Some s -> [ "--job-timeout"; string_of_float s ]
-                  | None -> [])
-              in
-              let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-              let pid =
-                Unix.create_process_env Sys.executable_name (Array.of_list argv)
-                  (chaos_child_env ?flight faults) Unix.stdin fd_out Unix.stderr
-              in
-              Unix.close fd_out;
-              chaos_waitpid pid
-            in
-            (* Every answer that survived a crash must carry a certificate
-               that re-checks: a settled record whose evidence does not
-               hold is exactly the corruption the journal + certificate
-               machinery exists to rule out. *)
-            let load_settled () =
-              match Journal.load journal with
-              | Error e -> die "crash left a journal that refuses to load: %s" e
-              | Ok rep ->
-                  let tbl = Journal.completed rep.Journal.entries in
-                  Hashtbl.iter
-                    (fun id (_, reply) ->
-                      match Cert.Checker.check_reply reply with
-                      | Ok () -> ()
-                      | Error msg ->
-                          die "settled job %S survived a crash with a bad certificate: %s" id msg)
-                    tbl;
-                  Hashtbl.length tbl
-            in
-            (* The library's crash hook dumps the flight recorder before
-               _exit 70, so every injected crash must leave a parseable
-               black box at the path we arm the child with. *)
-            let validate_flight () =
-              match In_channel.with_open_text flight_file In_channel.input_all with
-              | exception Sys_error _ -> die "crash left no flight dump at %s" flight_file
-              | contents -> begin
-                  match Cert.Json.parse contents with
-                  | Error e -> die "crash left an unparseable flight dump: %s" e
-                  | Ok v ->
-                      let get f conv = Option.bind (Cert.Json.member f v) conv in
-                      (match get "v" Cert.Json.to_int_opt with
-                      | Some 1 -> ()
-                      | _ -> die "flight dump lacks version 1");
-                      (match get "reason" Cert.Json.to_str_opt with
-                      | Some r when String.starts_with ~prefix:"crash:" r -> ()
-                      | Some r -> die "flight dump has unexpected reason %S" r
-                      | None -> die "flight dump lacks a reason");
-                      (match Cert.Json.member "events" v with
-                      | Some (Cert.Json.List _) -> ()
-                      | _ -> die "flight dump lacks an events array");
-                      Sys.remove flight_file
-                end
-            in
-            (* Reference: the same batch, no journal, no faults. *)
-            (match run_child ~faults:"off" ~with_journal:false ~out:out_file () with
-            | Unix.WEXITED (0 | 1) -> ()
-            | st -> die "reference run died unexpectedly (%s)" (status_to_string st));
-            let reference = read_replies out_file in
-            (* Seeded schedule: the seed's Invariant.Prng stream, as for
-               Resilience.Faults. Printed up front so two runs of the same
-               seed diff byte-identically. *)
-            (* [journal.mid_compact] is excluded from the random schedule:
-               whether auto-compaction runs at all depends on journal
-               geometry, so a drawn hit count would usually never fire and
-               the round would inject nothing. The unit suite covers that
-               site directly. *)
-            let sites =
-              Array.of_list
-                (List.filter (fun s -> s <> "journal.mid_compact") Faults.crash_sites)
-            in
-            let rng = Invariant.Prng.make seed in
-            let draw bound = Invariant.Prng.int rng bound in
-            Printf.printf "chaos: seed %d, %d planned crashes, %d jobs\n" seed crashes
-              (List.length jobs);
-            (* Each crash's hit count is drawn below the number of times its
-               site is sure to fire in the next run, so every crash fires and
-               the schedule is a function of the seed alone, never of how
-               the workers' completions happened to interleave. [unsettled]
-               is a lower bound on the jobs left: a run with U unsettled jobs
-               appends a Started and a Done record for each (every append
-               reaches [pre_fsync] under [per_line]) and dispatches each at
-               least once, so it visits a journal site at least 2U times and
-               [pool.post_dispatch] at least U times. A crash at the h-th
-               visit settles at most the jobs whose Done record was written
-               by then (two appends each), or whose dispatch came before the
-               h-th. *)
-            let per_job site = if site = "pool.post_dispatch" then 1 else 2 in
-            let settled_at_most site hits =
-              match site with
-              | "pool.post_dispatch" -> hits - 1
-              | "journal.pre_append" -> (hits - 1) / 2
-              | _ -> hits / 2
-            in
-            let unsettled = ref (List.length jobs) in
-            let settled_floor = ref 0 in
-            let flight_dumps = ref 0 in
-            let fired = ref 0 in
-            for i = 1 to crashes do
-              if !unsettled <= 0 then
-                (* Every job may be settled: a crash could find no append or
-                   dispatch left to interrupt. *)
-                Printf.printf "crash %d: skipped (journal may be complete)\n" i
-              else begin
-                let site = sites.(draw (Array.length sites)) in
-                let hits = 1 + draw (per_job site * !unsettled) in
-                unsettled := !unsettled - settled_at_most site hits;
-                let spec = Printf.sprintf "crash:%s:%d" site hits in
-                Printf.printf "crash %d: %s\n" i spec;
-                (match
-                   run_child ~flight:flight_file ~faults:spec ~with_journal:true ~out:out_file ()
-                 with
-                | Unix.WEXITED 70 ->
-                    incr fired;
-                    Obs.Metrics.incr m_chaos_crashes;
-                    validate_flight ();
-                    incr flight_dumps
-                | Unix.WEXITED (0 | 1) ->
-                    (* The site never reached its hit count: the batch simply
-                       completed. Later resumes reuse its journal. *)
-                    ()
-                | st -> die "crashed run %d died unexpectedly (%s)" i (status_to_string st));
-                let settled = load_settled () in
-                Printf.eprintf "chaos: after crash %d: %d settled\n%!" i settled;
-                if settled < !settled_floor then
-                  die "settled answers went backwards (%d after %d): journal lost data" settled
-                    !settled_floor;
-                if List.length jobs - settled < !unsettled then
-                  die "crash %d settled %d jobs, more than its hit count allows" i
-                    (settled - !settled_floor);
-                settled_floor := settled
-              end
-            done;
-            if crashes > 0 && !fired = 0 then
-              die "no crash site ever fired: the schedule injected nothing";
-            (* Final resume, fault-free: must converge and agree with the
-               reference modulo wall_s/stages. *)
-            (match run_child ~faults:"off" ~with_journal:true ~out:out_file () with
-            | Unix.WEXITED 0 -> ()
-            | Unix.WEXITED 1 -> die "final resume settled with structured failures"
-            | st -> die "final resume died (%s)" (status_to_string st));
-            let final = read_replies out_file in
-            if List.length final <> List.length reference then
-              die "final resume emitted %d replies, reference %d" (List.length final)
-                (List.length reference);
-            List.iter
-              (fun (r : Runner.Proto.reply) ->
-                match Cert.Checker.check_reply r with
-                | Ok () -> ()
-                | Error msg ->
-                    die "final reply %S carries an invalid certificate: %s" r.Runner.Proto.id msg)
-              final;
-            let diffs =
-              List.fold_left2
-                (fun acc (r : Runner.Proto.reply) (f : Runner.Proto.reply) ->
-                  if Runner.Proto.reply_equal_ignoring_time r f then acc
-                  else begin
-                    Printf.printf "diff %s:\n  reference %s\n  resumed   %s\n" r.Runner.Proto.id
-                      (normalized_reply r) (normalized_reply f);
-                    acc + 1
-                  end)
-                0 reference final
-            in
-            List.iter (fun r -> print_endline (normalized_reply r)) final;
-            Printf.printf "chaos: %d flight dumps validated\n" !flight_dumps;
-            Printf.printf "chaos: %d jobs, %d of %d planned crashes fired, diffs: %d\n"
-              (List.length jobs) !fired crashes diffs;
-            if diffs = 0 then 0 else 1
+            Chaos.run ~jobfile ~jobs ~seed cfg
+              (if churn then Chaos.Churn { kills; net_period; hedge_after }
+               else Chaos.Crash crashes)
       end
   in
   Cmd.v
@@ -1886,7 +1373,8 @@ let chaos_cmd =
           ($(b,crash:SITE:N) via RPQ_FAULTS, _exit 70 mid-write), resuming from the journal \
           each time, and finally asserting that a fault-free resume converges to replies \
           byte-identical to an uncrashed reference run (modulo wall-clock fields). Exits 0 \
-          iff there are zero diffs.")
+          iff there are zero diffs; every child process and temp file is gone when it \
+          exits, passing or failing.")
     Term.(
       const run $ jobs_arg $ crashes_arg $ seed_arg $ workers_arg $ retries_arg $ queue_cap_arg
       $ job_timeout_arg $ churn_arg $ kills_arg $ net_period_arg $ hedge_after_arg)

@@ -334,10 +334,6 @@ let classification_of_obj obj =
   let* c_cert = cert_of obj in
   Ok { c_language; c_verdict; c_cert }
 
-let classification_of_json s =
-  let* v = Json.parse s in
-  classification_of_obj v
-
 (* [wall_s] and [stages] are both wall-clock measurements: legitimately
    different across otherwise-identical runs, so both are excluded. The
    certificate is excluded too — its LP duals round-trip through a %.9g

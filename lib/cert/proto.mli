@@ -163,7 +163,6 @@ val reply_of_obj : Json.t -> (reply, string) result
     embedding replies inside larger objects (journal entries). *)
 
 val classification_to_json : classification -> string
-val classification_of_json : string -> (classification, string) result
 val classification_to_obj : classification -> Json.t
 val classification_of_obj : Json.t -> (classification, string) result
 

@@ -158,11 +158,6 @@ let words_of_chain_nfa_exn (a0 : Automata.Nfa.t) =
 let words_of_chain_nfa a =
   try Ok (words_of_chain_nfa_exn a) with Not_chain msg -> Error msg
 
-let is_bcl_nfa a =
-  match Automata.Dfa.words (Automata.Dfa.of_nfa a) with
-  | None -> false
-  | Some ws -> is_bcl ws
-
 (* Proposition 7.5's MinCut construction. The certificate comes back as a
    thunk so uncertified callers pay nothing for its serialization.
 

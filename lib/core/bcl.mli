@@ -18,9 +18,6 @@ val endpoint_graph : Automata.Word.t list -> (char list * (char * char) list)
 
 val is_bcl : Automata.Word.t list -> bool
 
-val is_bcl_nfa : Automata.Nfa.t -> bool
-(** Recognizes BCLs given an automaton: the language must be finite. *)
-
 val words_of_chain_nfa : Automata.Nfa.t -> (Automata.Word.t list, string) result
 (** Lemma F.2: extracts the explicit word list of a chain language directly
     from an εNFA in O(|Σ|² × |A|), without determinizing — this is what

@@ -138,4 +138,3 @@ type spent = { steps : int; elapsed : float }
 let spent (b : t) = { steps = b.steps; elapsed = Obs.Clock.now () -. b.started }
 let exhaustion b = b.state
 let exhausted b = b.state <> None
-let is_unlimited b = not b.limited

@@ -97,4 +97,3 @@ val exhaustion : t -> exhaustion option
 (** Why this budget stopped, if it did. *)
 
 val exhausted : t -> bool
-val is_unlimited : t -> bool

@@ -42,5 +42,3 @@ let paranoid what f =
     Obs.Metrics.incr paranoid_runs;
     match f () with Ok () -> () | Error vs -> failed what vs
   end
-
-let paranoid_enabled () = !current = Paranoid

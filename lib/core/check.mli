@@ -40,5 +40,3 @@ val cheap : string -> (unit -> (unit, Invariant.violation list) result) -> unit
 
 val paranoid : string -> (unit -> (unit, Invariant.violation list) result) -> unit
 (** Like {!cheap}, but only at level [Paranoid]. *)
-
-val paranoid_enabled : unit -> bool

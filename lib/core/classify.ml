@@ -152,5 +152,3 @@ let verdict_summary = function
       Printf.sprintf "NP-hard (neutral letter %c, non-local reduction, Prop 5.7)" e
   | NPHard (Known_gadget name) -> Printf.sprintf "NP-hard (gadget: %s)" name
   | Unclassified why -> Printf.sprintf "UNCLASSIFIED (%s)" why
-
-let pp_verdict ppf v = Format.pp_print_string ppf (verdict_summary v)

@@ -51,7 +51,6 @@ val classify : ?four_legged_bound:int -> Automata.Nfa.t -> t
 val classify_regex : ?four_legged_bound:int -> string -> t
 (** Convenience: parse then classify. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_summary : verdict -> string
 (** One-line rendering, e.g. ["PTIME (local, Thm 3.3)"]. *)
 

@@ -104,7 +104,6 @@ let solve ?classification d a =
       }
 
 let resilience d a = (solve d a).value
-let resilience_regex d s = resilience d (Automata.Lang.of_string s)
 
 type outcome =
   | Exact of result

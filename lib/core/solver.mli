@@ -43,9 +43,6 @@ val solve : ?classification:Classify.t -> Graphdb.Db.t -> Automata.Nfa.t -> resu
 val resilience : Graphdb.Db.t -> Automata.Nfa.t -> Cert.Value.t
 (** Just the value. *)
 
-val resilience_regex : Graphdb.Db.t -> string -> Cert.Value.t
-(** Convenience: parse the regex and solve. *)
-
 (** {1 Anytime solving under a budget} *)
 
 type outcome =

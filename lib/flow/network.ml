@@ -1,10 +1,5 @@
 type capacity = Finite of int | Inf
 
-let cap_add a b =
-  match (a, b) with
-  | Finite x, Finite y -> Finite (x + y)
-  | _ -> Inf
-
 let cap_compare a b =
   match (a, b) with
   | Finite x, Finite y -> compare x y

@@ -6,7 +6,6 @@
 
 type capacity = Finite of int | Inf
 
-val cap_add : capacity -> capacity -> capacity
 val cap_compare : capacity -> capacity -> int
 val pp_capacity : Format.formatter -> capacity -> unit
 

@@ -210,9 +210,6 @@ let lex stripped =
 let tokens stripped =
   List.filter_map (fun t -> if t.op then None else Some (t.text, t.line)) (lex stripped)
 
-let operator_runs stripped =
-  List.filter_map (fun t -> if t.op then Some (t.text, t.line) else None) (lex stripped)
-
 let read_file path =
   match open_in_bin path with
   | exception Sys_error msg -> raise (Lint_error (path, 0, "cannot read file: " ^ msg))

@@ -48,9 +48,6 @@ val lex : string -> token list
 val tokens : string -> (string * int) list
 (** Identifier tokens only (with line numbers) of a stripped source. *)
 
-val operator_runs : string -> (string * int) list
-(** Operator runs only (with line numbers) of a stripped source. *)
-
 val read_file : string -> string
 (** @raise Lint_error if the file cannot be read. *)
 

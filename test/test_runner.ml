@@ -2187,6 +2187,145 @@ let test_trace_orphan_reject () =
   | Ok _ -> Alcotest.fail "a span naming a parent absent from the file must reject"
   | Error e -> check "error names the orphan" true (contains e "orphan")
 
+(* ---- chaos: the CI chaos commands, through the built binary ---- *)
+
+(* The suite runs in _build/default/test; test/dune builds the binary
+   before it. *)
+let rpq = Filename.concat (Sys.getcwd ()) "../bin/rpq_cli.exe"
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* A work dir holding the databases and jobfiles, and [tmp], the TMPDIR
+   every chaos run gets; removed after [f dir]. *)
+let with_chaos_dir f =
+  let dir = Filename.temp_file "rpq_chaos_test" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Unix.mkdir (Filename.concat dir "tmp") 0o700;
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
+
+(* Runs [rpq ARGS] under TMPDIR=[dir]/tmp, stderr appended to
+   [dir]/stderr; returns the exit code and stdout. *)
+let run_rpq dir args =
+  let out = Filename.concat dir "stdout" in
+  let env =
+    Array.append
+      [| "TMPDIR=" ^ Filename.concat dir "tmp" |]
+      (Array.of_list
+         (List.filter
+            (fun kv -> not (String.starts_with ~prefix:"TMPDIR=" kv))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let fd_out = Unix.openfile out Unix.[ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+  let err = Filename.concat dir "stderr" in
+  let fd_err = Unix.openfile err Unix.[ O_WRONLY; O_CREAT; O_APPEND ] 0o644 in
+  let pid =
+    Unix.create_process_env rpq (Array.of_list (rpq :: args)) env Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let code = match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1 in
+  (code, read_file out)
+
+(* Writes [dir]/NAME: [n] lines "[dir]/DB QUERY" per (n, db, query). *)
+let jobfile dir name lines =
+  let path = Filename.concat dir name in
+  write_file path
+    (String.concat ""
+       (List.concat_map
+          (fun (n, db, query) ->
+            List.init n (fun _ -> Printf.sprintf "%s %s\n" (Filename.concat dir db) query))
+          lines));
+  path
+
+(* The CI chaos databases: easy.db, and vc.db from `rpq gen -n 8`. *)
+let chaos_fixtures dir =
+  write_file (Filename.concat dir "easy.db") easy_db;
+  let code, _ = run_rpq dir [ "gen"; "-n"; "8"; "-o"; Filename.concat dir "vc.db" ] in
+  Alcotest.(check int) "rpq gen exits 0" 0 code
+
+(* Live processes whose command line names [dir]: a child of the
+   harness, or a worker of one. *)
+let processes_naming dir =
+  Array.to_list (Sys.readdir "/proc")
+  |> List.filter (fun p -> p <> "" && String.for_all (fun c -> c >= '0' && c <= '9') p)
+  |> List.filter (fun p ->
+         match read_file (Printf.sprintf "/proc/%s/cmdline" p) with
+         | cmdline -> contains cmdline dir
+         | exception Sys_error _ -> false)
+
+(* Nothing a chaos run started may outlive it: no process naming the
+   work dir (a leftover is killed, so a failure does not hang the suite
+   on the pipes it inherited), no file in its TMPDIR. *)
+let check_nothing_left dir =
+  let left = processes_naming dir in
+  List.iter
+    (fun p -> try Unix.kill (int_of_string p) Sys.sigkill with Unix.Unix_error _ -> ())
+    left;
+  Alcotest.(check (list string)) "no process outlives the run" [] left;
+  Alcotest.(check (list string)) "TMPDIR ends empty" []
+    (Array.to_list (Sys.readdir (Filename.concat dir "tmp")))
+
+(* A CI chaos command: it exits 0, prints [expect], leaves nothing
+   behind, and a second run prints the same bytes. *)
+let test_chaos_command jobs args expect () =
+  with_chaos_dir @@ fun dir ->
+  chaos_fixtures dir;
+  let jobs = jobfile dir "jobs.txt" jobs in
+  let run () =
+    let code, out = run_rpq dir ([ "chaos"; "--jobs"; jobs ] @ args) in
+    Alcotest.(check int) "chaos exits 0" 0 code;
+    check_nothing_left dir;
+    out
+  in
+  let first = run () in
+  List.iter (fun line -> check ("prints " ^ line) true (contains first line)) expect;
+  Alcotest.(check string) "a second run prints the same bytes" first (run ())
+
+let test_chaos_crash =
+  test_chaos_command
+    [ (40, "easy.db", "aa"); (20, "vc.db", "aa steps=400") ]
+    [ "--crashes"; "8"; "--seed"; "7"; "--workers"; "4" ]
+    [ "diffs: 0"; "8 of 8 planned crashes fired"; "chaos: 8 flight dumps validated" ]
+
+let test_chaos_churn =
+  test_chaos_command
+    [ (8, "easy.db", "aa"); (4, "vc.db", "aa steps=400") ]
+    [ "--churn"; "--kills"; "8"; "--seed"; "7"; "--workers"; "4" ]
+    [ "diffs: 0" ]
+
+let test_chaos_hedged_churn =
+  test_chaos_command
+    [
+      (6, "easy.db", "aa");
+      (3, "vc.db", "aa steps=400");
+      (3, "vc.db", "aa faults=kill:200 steps=1000");
+    ]
+    [ "--churn"; "--kills"; "4"; "--seed"; "11"; "--workers"; "4"; "--hedge-after"; "0.05" ]
+    [ "diffs: 0"; "hedge-after 0.05" ]
+
+(* A job that comes back failed fails the run in either mode; the run
+   still stops its server, reaps every child and removes its files. *)
+let test_chaos_failure_cleans_up () =
+  with_chaos_dir @@ fun dir ->
+  chaos_fixtures dir;
+  let jobs = jobfile dir "jobs.txt" [ (1, "easy.db", "aa"); (1, "easy.db", "a(") ] in
+  let fails args why =
+    let code, _ =
+      run_rpq dir ([ "chaos"; "--jobs"; jobs; "--seed"; "7"; "--workers"; "2" ] @ args)
+    in
+    Alcotest.(check int) "chaos exits 1" 1 code;
+    check ("says " ^ why) true (contains (read_file (Filename.concat dir "stderr")) why);
+    check_nothing_left dir
+  in
+  fails [ "--churn"; "--kills"; "1" ] {|rpq: chaos: job "j2" came back failed|};
+  fails [ "--crashes"; "1" ] "rpq: chaos: final resume settled with structured failures"
+
 let () =
   Alcotest.run "runner"
     [
@@ -2279,5 +2418,14 @@ let () =
         [
           Alcotest.test_case "hit / miss / lru" `Quick test_cache_hit_miss_lru;
           Alcotest.test_case "certificate gate" `Quick test_cache_cert_reject;
+        ] );
+      ( "chaos",
+        [
+          Alcotest.test_case "crash schedule converges, twice alike" `Quick test_chaos_crash;
+          Alcotest.test_case "churn equals the batch reference" `Quick test_chaos_churn;
+          Alcotest.test_case "hedged churn equals the batch reference" `Quick
+            test_chaos_hedged_churn;
+          Alcotest.test_case "a failing run leaves nothing behind" `Quick
+            test_chaos_failure_cleans_up;
         ] );
     ]
