@@ -22,7 +22,10 @@ let by_id (a, _) (b, _) = String.compare a b
 let load_settled path =
   Result.map
     (fun (rep : Journal.report) ->
-      (rep, List.sort by_id (List.of_seq (Hashtbl.to_seq (Journal.completed rep.entries)))))
+      let live =
+        Hashtbl.fold (fun id (s : Journal.settled) acc -> (id, (s.digest, s.reply)) :: acc) rep.settled []
+      in
+      (rep, List.sort by_id live))
     (Journal.load path)
 
 (* The settled answers whose certificate fails re-check, as (id, why). *)

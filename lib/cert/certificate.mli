@@ -92,7 +92,14 @@ type t =
 val kind_name : t -> string
 (** The wire [kind] tag: [trivial], [cut], [bounds], [hardness], [opaque]. *)
 
-val to_obj : t -> Json.t
-val of_obj : Json.t -> (t, string) result
+val add : Buffer.t -> t -> unit
+(** Appends the certificate's JSON object. *)
+
 val to_json : t -> string
+
+val read : Json.reader -> (t, string) result
+(** Reads the next value as a certificate. A syntax error raises inside
+    the reader (see {!Json.read}); a missing or ill-typed field, checked
+    in a fixed order per kind, is the [Error]. *)
+
 val of_json : string -> (t, string) result

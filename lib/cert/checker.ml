@@ -639,15 +639,12 @@ let check_classification (c : Proto.classification) =
   | other -> fail "unknown classification verdict %S" other
 
 let check_line line =
-  match Json.parse line with
+  match Json.read line Proto.read_record with
   | Error e -> Error (Printf.sprintf "unparseable JSON: %s" e)
-  | Ok v -> (
-      match Json.member "kind" v with
-      | Some (Json.Str "classification") ->
-          let* c = Proto.classification_of_obj v in
-          let* () = check_classification c in
-          Ok "classification"
-      | _ ->
-          let* r = Proto.reply_of_obj v in
-          let* () = check_reply r in
-          Ok (Proto.verdict_name r.verdict))
+  | Ok (Error e) -> Error e
+  | Ok (Ok (Proto.Classification c)) ->
+      let* () = check_classification c in
+      Ok "classification"
+  | Ok (Ok (Proto.Reply r)) ->
+      let* () = check_reply r in
+      Ok (Proto.verdict_name r.verdict)

@@ -73,14 +73,7 @@ let failed ?(retriable = false) ~id ~kind fmt =
       })
     fmt
 
-(* ---- encoding ---- *)
-
-let value_to_json = function Value.Finite n -> Json.Int n | Value.Infinite -> Json.Str "inf"
-
-let value_of_json = function
-  | Json.Int n -> Some (Value.Finite n)
-  | Json.Str "inf" -> Some Value.Infinite
-  | _ -> None
+(* ---- jobs ---- *)
 
 let opt field conv = function None -> [] | Some v -> [ (field, conv v) ]
 
@@ -115,69 +108,75 @@ let job_to_wire_json (j : job) =
        @ (if j.priority = default_priority then [] else [ ("priority", Json.Str j.priority) ])
        @ opt "trace" (fun s -> Json.Str s) j.trace))
 
-let witness_fields = function
-  | None -> []
-  | Some w -> [ ("witness", Json.List (List.map (fun i -> Json.Int i) w)) ]
+(* ---- replies and classification records ---- *)
 
-(* Emitted only when non-empty, so untraced replies are byte-identical to
-   the pre-telemetry schema. *)
-let stages_fields = function
-  | [] -> []
-  | sts -> [ ("stages", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) sts)) ]
+let add_value b = function
+  | Value.Finite n -> Json.add_int b n
+  | Value.Infinite -> Json.add_string b "inf"
 
-let cert_fields = function None -> [] | Some c -> [ ("cert", Certificate.to_obj c) ]
+let member b name add v =
+  Json.add_member b name;
+  add b v
+
+let add_witness b = Option.iter (member b "witness" (Json.add_list Json.add_int))
+let add_cert b = Option.iter (member b "cert" Certificate.add)
 
 (* The head of every reply: the members a supervisor restamps when it
    settles a worker's reply, first and in this order, so that
    [reply_head] below is a prefix of [reply_to_json]. *)
-let head_fields (r : reply) =
-  [
-    ("v", Json.Int schema_version);
-    ("id", Json.Str r.id);
-    ("attempts", Json.Int r.attempts);
-    ("steps", Json.Int r.steps);
-    ("wall_s", Json.Float r.wall_s);
-  ]
+let add_head b (r : reply) =
+  Buffer.add_string b {|{"v":|};
+  Json.add_int b schema_version;
+  member b "id" Json.add_string r.id;
+  member b "attempts" Json.add_int r.attempts;
+  member b "steps" Json.add_int r.steps;
+  member b "wall_s" Json.add_float r.wall_s
 
-let reply_to_obj (r : reply) =
-  let common =
-    head_fields r
-    @ stages_fields r.stages
-    @ opt "trace" (fun s -> Json.Str s) r.trace
-  in
-  let rest =
-    match r.verdict with
-    | V_exact { value; algorithm; witness } ->
-        [
-          ("outcome", Json.Str "exact");
-          ("value", value_to_json value);
-          ("algorithm", Json.Str algorithm);
-        ]
-        @ witness_fields witness
-    | V_bounded { lower; upper; witness; reason } ->
-        [
-          ("outcome", Json.Str "bounded");
-          ("lower", value_to_json lower);
-          ("upper", value_to_json upper);
-          ("reason", Json.Str reason);
-        ]
-        @ witness_fields witness
-    | V_failed { kind; message; retriable } ->
-        [
-          ("outcome", Json.Str "error");
-          ("kind", Json.Str kind);
-          ("message", Json.Str message);
-          ("retriable", Json.Bool retriable);
-        ]
-  in
-  Json.Obj (common @ rest @ cert_fields r.cert)
+(* [stages] is emitted only when non-empty, so untraced replies are
+   byte-identical to the pre-telemetry schema. *)
+let add_stages b = function
+  | [] -> ()
+  | (k, v) :: sts ->
+      Json.add_member b "stages";
+      Buffer.add_char b '{';
+      Json.add_key b k;
+      Json.add_float b v;
+      List.iter (fun (k, v) -> member b k Json.add_float v) sts;
+      Buffer.add_char b '}'
 
-let reply_to_json r = Json.to_string (reply_to_obj r)
+let add_bool b v = Buffer.add_string b (if v then "true" else "false")
+
+let reply_to_json (r : reply) =
+  let b = Buffer.create 1024 in
+  add_head b r;
+  add_stages b r.stages;
+  Option.iter (member b "trace" Json.add_string) r.trace;
+  (match r.verdict with
+  | V_exact { value; algorithm; witness } ->
+      member b "outcome" Json.add_string "exact";
+      member b "value" add_value value;
+      member b "algorithm" Json.add_string algorithm;
+      add_witness b witness
+  | V_bounded { lower; upper; witness; reason } ->
+      member b "outcome" Json.add_string "bounded";
+      member b "lower" add_value lower;
+      member b "upper" add_value upper;
+      member b "reason" Json.add_string reason;
+      add_witness b witness
+  | V_failed { kind; message; retriable } ->
+      member b "outcome" Json.add_string "error";
+      member b "kind" Json.add_string kind;
+      member b "message" Json.add_string message;
+      member b "retriable" add_bool retriable);
+  add_cert b r.cert;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* [reply_to_json r] up to the end of its [wall_s] value. *)
 let reply_head r =
-  let s = Json.to_string (Json.Obj (head_fields r)) in
-  String.sub s 0 (String.length s - 1)
+  let b = Buffer.create 128 in
+  add_head b r;
+  Buffer.contents b
 
 (* The head's last value is a number, so the byte after it must end it:
    a line spelling [wall_s] as 0.50 has the canonical 0.5 as a prefix. *)
@@ -195,19 +194,18 @@ let restamp line (r : reply) ~id ~attempts ~wall_s =
   end
   else reply_to_json settled
 
-let classification_to_obj (c : classification) =
-  Json.Obj
-    ([
-       ("v", Json.Int schema_version);
-       ("kind", Json.Str "classification");
-       ("language", Json.Str c.c_language);
-       ("verdict", Json.Str c.c_verdict);
-     ]
-    @ cert_fields c.c_cert)
+let classification_to_json (c : classification) =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b {|{"v":|};
+  Json.add_int b schema_version;
+  member b "kind" Json.add_string "classification";
+  member b "language" Json.add_string c.c_language;
+  member b "verdict" Json.add_string c.c_verdict;
+  add_cert b c.c_cert;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
-let classification_to_json c = Json.to_string (classification_to_obj c)
-
-(* ---- decoding ---- *)
+(* ---- decoding jobs ---- *)
 
 let field_err what = Error (Printf.sprintf "missing or ill-typed field %S" what)
 
@@ -221,16 +219,6 @@ let get_opt obj what conv =
   | Some v -> ( match conv v with Some v -> Ok (Some v) | None -> field_err what)
 
 let ( let* ) = Result.bind
-
-let check_version obj =
-  match Json.member "v" obj with
-  | None -> Ok ()
-  | Some (Json.Int v) when v = schema_version -> Ok ()
-  | Some (Json.Int v) ->
-      Error
-        (Printf.sprintf "unsupported reply schema version %d (this reader understands v%d)" v
-           schema_version)
-  | Some _ -> field_err "v"
 
 let job_of_obj obj =
   let* id = get obj "id" Json.to_str_opt in
@@ -264,75 +252,123 @@ let job_of_json s =
   let* v = Json.parse s in
   job_of_obj v
 
-let witness_of obj =
-  match Json.member "witness" obj with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.List items) ->
-      let ints = List.filter_map Json.to_int_opt items in
-      if List.length ints = List.length items then Ok (Some ints) else field_err "witness"
-  | Some _ -> field_err "witness"
+(* ---- reading replies and classification records ---- *)
 
-let stages_of obj =
-  match Json.member "stages" obj with
-  | None | Some Json.Null -> Ok []
-  | Some (Json.Obj fields) ->
-      let parsed =
-        List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float_opt v)) fields
-      in
-      if List.length parsed = List.length fields then Ok parsed else field_err "stages"
-  | Some _ -> field_err "stages"
+type record = Reply of reply | Classification of classification
 
-let cert_of obj =
-  match Json.member "cert" obj with
-  | None | Some Json.Null -> Ok None
-  | Some v ->
-      let* c = Certificate.of_obj v in
-      Ok (Some c)
+let got what = function Json.Got v -> Ok v | Json.Absent | Json.Ill -> field_err what
 
-let reply_of_obj obj =
-  let* () = check_version obj in
-  let* id = get obj "id" Json.to_str_opt in
-  let* attempts = get obj "attempts" Json.to_int_opt in
-  let* steps = get obj "steps" Json.to_int_opt in
-  let* wall_s = get obj "wall_s" Json.to_float_opt in
-  let* stages = stages_of obj in
-  let* trace = get_opt obj "trace" Json.to_str_opt in
-  let* outcome = get obj "outcome" Json.to_str_opt in
-  let* verdict =
-    match outcome with
-    | "exact" ->
-        let* value = get obj "value" value_of_json in
-        let* algorithm = get obj "algorithm" Json.to_str_opt in
-        let* witness = witness_of obj in
-        Ok (V_exact { value; algorithm; witness })
-    | "bounded" ->
-        let* lower = get obj "lower" value_of_json in
-        let* upper = get obj "upper" value_of_json in
-        let* reason = get obj "reason" Json.to_str_opt in
-        let* witness = witness_of obj in
-        Ok (V_bounded { lower; upper; witness; reason })
-    | "error" ->
-        let* kind = get obj "kind" Json.to_str_opt in
-        let* message = get obj "message" Json.to_str_opt in
-        let* retriable = get obj "retriable" (function Json.Bool b -> Some b | _ -> None) in
-        Ok (V_failed { kind; message; retriable })
-    | other -> Error (Printf.sprintf "unknown outcome %S" other)
+(* For the members that may be absent or [null]. *)
+let got_opt what = function Json.Absent -> Ok None | Json.Got v -> Ok v | Json.Ill -> field_err what
+
+let check_version = function
+  | Json.Absent -> Ok ()
+  | Json.Got v when v = schema_version -> Ok ()
+  | Json.Got v ->
+      Error
+        (Printf.sprintf "unsupported reply schema version %d (this reader understands v%d)" v
+           schema_version)
+  | Json.Ill -> field_err "v"
+
+let value r =
+  if Json.peek r <> '"' then Value.Finite (Json.int r)
+  else if Json.str r = "inf" then Value.Infinite
+  else begin
+    Json.ill r;
+    Value.Infinite
+  end
+
+(* Every member a reply or a classification record can hold is read into
+   its slot in one pass. The two finishers check the slots in their own
+   order; the first of duplicated members counts, and [kind] tells a
+   classification record from a failed reply's error kind. *)
+let read_members r =
+  let slot () = ref Json.Absent in
+  let v = slot () and id = slot () and attempts = slot () and steps = slot () in
+  let wall_s = slot () and stages = slot () and trace = slot () and outcome = slot () in
+  let value_ = slot () and algorithm = slot () and witness = slot () and lower = slot () in
+  let upper = slot () and reason = slot () and kind = slot () and message = slot () in
+  let retriable = slot () and language = slot () and verdict = slot () and cert = slot () in
+  let witness_list = Json.nullable (Json.list Json.int) in
+  Json.fields r (function
+    | "v" -> Json.fill r v Json.int
+    | "id" -> Json.fill r id Json.str
+    | "attempts" -> Json.fill r attempts Json.int
+    | "steps" -> Json.fill r steps Json.int
+    | "wall_s" -> Json.fill r wall_s Json.float
+    | "stages" -> Json.fill r stages (Json.nullable (Json.assoc Json.float))
+    | "trace" -> Json.fill r trace (Json.nullable Json.str)
+    | "outcome" -> Json.fill r outcome Json.str
+    | "value" -> Json.fill r value_ value
+    | "algorithm" -> Json.fill r algorithm Json.str
+    | "witness" -> Json.fill r witness witness_list
+    | "lower" -> Json.fill r lower value
+    | "upper" -> Json.fill r upper value
+    | "reason" -> Json.fill r reason Json.str
+    | "kind" -> Json.fill r kind Json.str
+    | "message" -> Json.fill r message Json.str
+    | "retriable" -> Json.fill r retriable Json.bool
+    | "language" -> Json.fill r language Json.str
+    | "verdict" -> Json.fill r verdict Json.str
+    | "cert" -> Json.fill r cert (Json.nullable Certificate.read)
+    | _ -> Json.skip r);
+  let cert () =
+    let* c = got_opt "cert" !cert in
+    match c with None -> Ok None | Some c -> Result.map Option.some c
   in
-  let* cert = cert_of obj in
-  Ok { id; attempts; steps; wall_s; stages; trace; verdict; cert }
+  let reply () =
+    let* () = check_version !v in
+    let* id = got "id" !id in
+    let* attempts = got "attempts" !attempts in
+    let* steps = got "steps" !steps in
+    let* wall_s = got "wall_s" !wall_s in
+    let* stages = got_opt "stages" !stages in
+    let stages = Option.value stages ~default:[] in
+    let* trace = got_opt "trace" !trace in
+    let* outcome = got "outcome" !outcome in
+    let* verdict =
+      match outcome with
+      | "exact" ->
+          let* value = got "value" !value_ in
+          let* algorithm = got "algorithm" !algorithm in
+          let* witness = got_opt "witness" !witness in
+          Ok (V_exact { value; algorithm; witness })
+      | "bounded" ->
+          let* lower = got "lower" !lower in
+          let* upper = got "upper" !upper in
+          let* reason = got "reason" !reason in
+          let* witness = got_opt "witness" !witness in
+          Ok (V_bounded { lower; upper; witness; reason })
+      | "error" ->
+          let* kind = got "kind" !kind in
+          let* message = got "message" !message in
+          let* retriable = got "retriable" !retriable in
+          Ok (V_failed { kind; message; retriable })
+      | other -> Error (Printf.sprintf "unknown outcome %S" other)
+    in
+    let* cert = cert () in
+    Ok { id; attempts; steps; wall_s; stages; trace; verdict; cert }
+  in
+  let classification () =
+    let* () = check_version !v in
+    let* c_language = got "language" !language in
+    let* c_verdict = got "verdict" !verdict in
+    let* c_cert = cert () in
+    Ok { c_language; c_verdict; c_cert }
+  in
+  (!kind, reply, classification)
 
-let reply_of_json s =
-  let* v = Json.parse s in
-  reply_of_obj v
+let read_reply r =
+  let _, reply, _ = read_members r in
+  reply ()
 
-let classification_of_obj obj =
-  let* () = check_version obj in
-  let* kind = get obj "kind" Json.to_str_opt in
-  let* () = if kind = "classification" then Ok () else Error "not a classification record" in
-  let* c_language = get obj "language" Json.to_str_opt in
-  let* c_verdict = get obj "verdict" Json.to_str_opt in
-  let* c_cert = cert_of obj in
-  Ok { c_language; c_verdict; c_cert }
+let read_record r =
+  match read_members r with
+  | Json.Got "classification", _, classification ->
+      Result.map (fun c -> Classification c) (classification ())
+  | _, reply, _ -> Result.map (fun x -> Reply x) (reply ())
+
+let reply_of_json s = Result.join (Json.read s read_reply)
 
 (* [wall_s] and [stages] are both wall-clock measurements: legitimately
    different across otherwise-identical runs, so both are excluded. The

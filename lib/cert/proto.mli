@@ -157,14 +157,22 @@ val restamp : string -> reply -> id:string -> attempts:int -> wall_s:float -> st
     certificate again. The decode that produced [r] is the validation:
     bytes after the head are forwarded as the worker wrote them. *)
 
-val reply_to_obj : reply -> Json.t
-val reply_of_obj : Json.t -> (reply, string) result
-(** The [Json.t]-level halves of [reply_to_json]/[reply_of_json], for
-    embedding replies inside larger objects (journal entries). *)
+val read_reply : Json.reader -> (reply, string) result
+(** Reads the next value as a reply, straight into the record (a journal
+    entry's [reply] member). A syntax error raises inside the reader
+    (see {!Json.read}); the [Error] is a field error. Members may come
+    in any order, the first of duplicated members counts, unknown ones
+    are skipped, and the fields are checked in the order of the record
+    above, so the error does not depend on the members' order. *)
 
 val classification_to_json : classification -> string
-val classification_to_obj : classification -> Json.t
-val classification_of_obj : Json.t -> (classification, string) result
+
+type record = Reply of reply | Classification of classification
+
+val read_record : Json.reader -> (record, string) result
+(** A line of a reply stream: a classification record when its [kind]
+    member is ["classification"], else a reply, read as {!read_reply}
+    does. *)
 
 val reply_equal_ignoring_time : reply -> reply -> bool
 (** Structural equality minus [wall_s], [stages], and [cert] — the

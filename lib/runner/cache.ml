@@ -11,9 +11,10 @@ let m_entries = Obs.Metrics.gauge "cache.entries"
    lookup and eviction stay O(1), and the table is the single owner of
    every node (the list never holds a key the table lacks). An entry
    stored with its reply's bytes holds just those, about a tenth of the
-   decoded reply's memory, and decodes them on its first hit only. One
-   stored from a decoded reply (a journal seed) keeps that reply and is
-   encoded on its first hit, so seeding costs no encode. *)
+   decoded reply's memory, and decodes them on its first hit only. A
+   journal seeds entries with the lines its records hold, so seeding
+   encodes nothing. One stored from a decoded reply alone keeps that
+   reply and is encoded on its first hit. *)
 type node = {
   key : string;
   mutable line : string Lazy.t;

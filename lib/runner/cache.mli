@@ -51,8 +51,9 @@ val store : t -> digest:string -> ?line:string -> Cert.Proto.reply -> unit
 (** Inserts or refreshes an entry, evicting the least recently used
     entries beyond capacity. With [line], which must be the reply's
     bytes as sent, the entry holds those bytes and not the decoded
-    reply. Without it (a reply decoded from a journal), the entry keeps
-    the reply and encodes it on its first hit. Error replies
+    reply; a serve journal seeds the cache with its records' reply bytes
+    ({!Journal.settled}). Without it, the entry keeps the reply and
+    encodes it on its first hit. Error replies
     ([V_failed]) are ignored —
     they describe circumstance, not the job's answer. Certificates are
     {e not} checked here; the gate sits at {!find}, once, on the serving

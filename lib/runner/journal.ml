@@ -20,16 +20,15 @@ let canonical_digest j = job_digest { j with id = "" }
    spliced around the reply's own line: the same bytes as encoding the
    whole object, since the reply is its last member. *)
 let done_payload ~id ~digest reply_json =
-  String.concat ""
-    [
-      {|{"event":"done","id":|};
-      Json.to_string (Json.Str id);
-      {|,"job":|};
-      Json.to_string (Json.Str digest);
-      {|,"reply":|};
-      reply_json;
-      "}";
-    ]
+  let b = Buffer.create (String.length reply_json + 96) in
+  Buffer.add_string b {|{"event":"done","id":|};
+  Json.add_string b id;
+  Json.add_member b "job";
+  Json.add_string b digest;
+  Json.add_member b "reply";
+  Buffer.add_string b reply_json;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let entry_to_json = function
   | Started { id; digest } ->
@@ -37,27 +36,34 @@ let entry_to_json = function
         (Json.Obj [ ("event", Json.Str "start"); ("id", Json.Str id); ("job", Json.Str digest) ])
   | Done { id; digest; reply } -> done_payload ~id ~digest (reply_to_json reply)
 
-let entry_of_json line =
+(* An entry and, for [Done], the bytes of its [reply] member: the
+   settled line as the supervisor wrote it. *)
+let read_entry r =
+  let event = ref Json.Absent and id = ref Json.Absent and job = ref Json.Absent in
+  let reply = ref Json.Absent in
+  Json.fields r (function
+    | "event" -> Json.fill r event Json.str
+    | "id" -> Json.fill r id Json.str
+    | "job" -> Json.fill r job Json.str
+    | "reply" -> Json.fill r reply (Json.spanned read_reply)
+    | _ -> Json.skip r);
   let ( let* ) = Result.bind in
-  let* v = Json.parse line in
-  let str what =
-    match Option.bind (Json.member what v) Json.to_str_opt with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing or ill-typed field %S" what)
+  let str what = function
+    | Json.Got s -> Ok s
+    | Json.Absent | Json.Ill -> Error (Printf.sprintf "missing or ill-typed field %S" what)
   in
-  let* event = str "event" in
-  let* id = str "id" in
-  let* digest = str "job" in
-  match event with
-  | "start" -> Ok (Started { id; digest })
-  | "done" -> begin
-      match Json.member "reply" v with
-      | None -> Error "done entry without a reply"
-      | Some r ->
-          let* reply = reply_of_obj r in
-          Ok (Done { id; digest; reply })
-    end
-  | other -> Error (Printf.sprintf "unknown journal event %S" other)
+  let* event = str "event" !event in
+  let* id = str "id" !id in
+  let* digest = str "job" !job in
+  match (event, !reply) with
+  | "start", _ -> Ok (Started { id; digest }, "")
+  | "done", Json.Got (reply, line) ->
+      let* reply = reply in
+      Ok (Done { id; digest; reply }, line)
+  | "done", (Json.Absent | Json.Ill) -> Error "done entry without a reply"
+  | other, _ -> Error (Printf.sprintf "unknown journal event %S" other)
+
+let entry_of_json line = Result.map fst (Result.join (Json.read line read_entry))
 
 let append_s = Obs.Metrics.histogram "runner.journal_append_s"
 let fsync_s = Obs.Metrics.histogram "journal.fsync_s"
@@ -69,27 +75,56 @@ let compact_s = Obs.Metrics.histogram "journal.compact_s"
 (* 32-bit state without masking gymnastics.                             *)
 (* ------------------------------------------------------------------ *)
 
-let crc_table =
+(* Slicing-by-8: [t.(k * 256 + i)] is the state byte [i] leaves after
+   [k] more zero bytes, so one step folds eight bytes with eight
+   independent lookups. Row 0 is the bytewise table. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun i ->
-         let c = ref i in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for i = 0 to 255 do
+       let c = ref i in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(i) <- !c
+     done;
+     for i = 256 to (8 * 256) - 1 do
+       let prev = t.(i - 256) in
+       t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+     done;
+     t)
 
 (* Folds bytes [off, off + len) of [s] into the running (pre-inversion)
    state [c]: a checksum can span several strings without joining them. *)
 let crc_update c s off len =
-  let table = Lazy.force crc_table in
-  let c = ref c in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
+  let t = Lazy.force crc_tables in
+  let byte i = Char.code (String.unsafe_get s i) in
+  let c = ref c and i = ref off in
+  let stop = off + len in
+  while !i + 8 <= stop do
+    let j = !i in
+    let word = byte j lor (byte (j + 1) lsl 8) lor (byte (j + 2) lsl 16) lor (byte (j + 3) lsl 24) in
+    let x = !c lxor word in
+    c :=
+      t.((7 * 256) + (x land 0xFF))
+      lxor t.((6 * 256) + ((x lsr 8) land 0xFF))
+      lxor t.((5 * 256) + ((x lsr 16) land 0xFF))
+      lxor t.((4 * 256) + (x lsr 24))
+      lxor t.((3 * 256) + byte (j + 4))
+      lxor t.((2 * 256) + byte (j + 5))
+      lxor t.(256 + byte (j + 6))
+      lxor t.(byte (j + 7));
+    i := j + 8
+  done;
+  while !i < stop do
+    c := t.((!c lxor byte !i) land 0xFF) lxor (!c lsr 8);
+    incr i
   done;
   !c
 
 let crc_init = 0xFFFFFFFF
 let crc_final c = c lxor 0xFFFFFFFF land 0xFFFFFFFF
+let crc32 s ~off ~len = crc_final (crc_update crc_init s off len)
 
 (* ------------------------------------------------------------------ *)
 (* v2 on-disk format.                                                  *)
@@ -120,8 +155,11 @@ let output_frame oc ~seq payload =
 
 type torn = Truncated | Bad_checksum
 
+type settled = { digest : string; reply : reply; line : string }
+
 type report = {
   entries : entry list;
+  settled : (string, settled) Hashtbl.t;
   records : int;
   bytes : int;
   dead_bytes : int;
@@ -130,9 +168,11 @@ type report = {
   last_seq : int;
 }
 
-let empty_report =
+(* A fresh value each time: [settled] is a table a caller may fill. *)
+let empty_report () =
   {
     entries = [];
+    settled = Hashtbl.create 0;
     records = 0;
     bytes = 0;
     dead_bytes = 0;
@@ -221,9 +261,9 @@ let scan_record s ~lineno ~prev_seq o =
                 refuse "sequence regressed (%d after %d): not an append-only journal" seq
                   prev_seq
               else begin
-                match entry_of_json (String.sub s p len) with
+                match Result.join (Json.read (String.sub s p len) read_entry) with
                 | Error msg -> refuse "checksummed record with a bad payload: %s" msg
-                | Ok e -> Ok (e, p + len + 1 - o, seq)
+                | Ok (e, line) -> Ok (e, line, p + len + 1 - o, seq)
               end
             end
       end
@@ -234,13 +274,19 @@ let parse_v2 path s =
   let hlen = String.length header_line in
   try
     let sized = ref [] in
+    let settled = Hashtbl.create 64 in
     let o = ref hlen in
     let lineno = ref 2 in
     let last_seq = ref 0 in
     let torn = ref None in
     while !o < n && !torn = None do
       match scan_record s ~lineno:!lineno ~prev_seq:!last_seq !o with
-      | Ok (e, size, seq) ->
+      | Ok (e, line, size, seq) ->
+          (* Last entry wins: a re-run job (e.g. after a failed
+             re-verification) supersedes its earlier answer. *)
+          (match e with
+          | Done { id; digest; reply } -> Hashtbl.replace settled id { digest; reply; line }
+          | Started _ -> ());
           sized := (e, size) :: !sized;
           last_seq := seq;
           o := !o + size;
@@ -252,6 +298,7 @@ let parse_v2 path s =
     Ok
       {
         entries = List.map fst sized;
+        settled;
         records = List.length sized;
         bytes = n;
         dead_bytes = dead_of sized + torn_bytes;
@@ -269,7 +316,7 @@ let read_file path =
 
 let load path =
   match read_file path with
-  | exception Sys_error _ -> Ok empty_report
+  | exception Sys_error _ -> Ok (empty_report ())
   | s ->
       let n = String.length s in
       let hlen = String.length header_line in
@@ -279,25 +326,13 @@ let load path =
            empty v2 journal with the header prefix as the torn tail. *)
         Ok
           {
-            empty_report with
+            (empty_report ()) with
             bytes = n;
             dead_bytes = n;
             torn_bytes = n;
             torn = (if n = 0 then None else Some Truncated);
           }
       else Error (Printf.sprintf "%s:1: not an rpq journal (missing %s header)" path header)
-
-let completed entries =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (function
-      | Started _ -> ()
-      | Done { id; digest; reply } ->
-          (* Last entry wins: a re-run job (e.g. after a failed
-             re-verification) supersedes its earlier answer. *)
-          Hashtbl.replace tbl id (digest, reply))
-    entries;
-  tbl
 
 (* ------------------------------------------------------------------ *)
 (* Atomic rewrite: temp + fsync + rename. Shared by explicit            *)
@@ -438,7 +473,7 @@ let open_load ?(sync = Per_job) ?(compact_ratio = default_compact_ratio) path =
       ignore (Unix.lseek fd 0 Unix.SEEK_END);
       let oc = Unix.out_channel_of_descr fd in
       if good = 0 then output_string oc header_line;
-      Ok ({ fd; oc; sync; key; seq }, rep.entries)
+      Ok ({ fd; oc; sync; key; seq }, rep)
 
 let open_append ?sync ?compact_ratio path =
   Result.map fst (open_load ?sync ?compact_ratio path)

@@ -63,13 +63,32 @@ val entry_to_json : entry -> string
     added by {!append}. *)
 
 val entry_of_json : string -> (entry, string) result
+(** Reads a record payload straight into the entry, with
+    {!Cert.Proto.read_reply} for a [Done] entry's reply. *)
+
+val crc32 : string -> off:int -> len:int -> int
+(** The CRC32 (IEEE) of [len] bytes of the string from [off], as the
+    records carry it. It folds eight bytes a step (slicing-by-8). *)
 
 type torn =
   | Truncated  (** the final record is a strict prefix of a valid frame *)
   | Bad_checksum  (** the final record is complete but its CRC fails *)
 
+type settled = {
+  digest : string;
+  reply : Cert.Proto.reply;
+  line : string;
+      (** the bytes of the record's [reply] member: the settled line as
+          the supervisor sent it, kept from the decode so a resume prints
+          it, and a cache serves it, without encoding the reply again *)
+}
+
 type report = {
   entries : entry list;  (** every intact record, in file order *)
+  settled : (string, settled) Hashtbl.t;
+      (** settled jobs by id: the last [Done] entry wins, so a re-run job
+          (e.g. after a failed re-verification) supersedes its earlier
+          answer *)
   records : int;  (** [List.length entries] *)
   bytes : int;  (** total file size *)
   dead_bytes : int;
@@ -88,10 +107,6 @@ val load : string -> (report, string) result
     [path:line] position — resuming from such a file would silently drop
     results. *)
 
-val completed : entry list -> (string, string * Cert.Proto.reply) Hashtbl.t
-(** Settled jobs by id, mapping to [(digest, reply)]; for duplicate ids
-    the last [Done] entry wins. *)
-
 type sync =
   | Never  (** flush to the OS only: fastest, loses on power cut *)
   | Per_line  (** [Unix.fsync] after every record *)
@@ -102,9 +117,9 @@ type sync =
 type t
 
 val open_load :
-  ?sync:sync -> ?compact_ratio:float -> string -> (t * entry list, string) result
+  ?sync:sync -> ?compact_ratio:float -> string -> (t * report, string) result
 (** Opens the journal for appending, creating it if missing, and returns
-    its entries as {!load} reads them, before any auto-compaction: a
+    its report as {!load} reads it, before any auto-compaction: a
     driver reads its journal once, under the lock, at the open. Eager,
     and exclusive: the file is locked ([Unix.lockf], plus an in-process
     registry — record locks do not exclude within one process) so two
@@ -114,8 +129,8 @@ val open_load :
     and a torn tail is truncated, so appends always extend a clean
     prefix. New records continue the sequence from the last intact one.
     [sync] defaults to [Per_job]. Corruption refuses exactly as {!load}
-    does. [t] does not keep the entries: a long-lived supervisor holds
-    only what it takes from them. *)
+    does. [t] does not keep the report: a long-lived supervisor holds
+    only what it takes from it. *)
 
 val open_append : ?sync:sync -> ?compact_ratio:float -> string -> (t, string) result
 (** {!open_load} without the entries. *)

@@ -140,6 +140,14 @@ let spawn t =
         wedged = false;
       }
 
+(* Forks a worker into an empty slot. *)
+let refill t w =
+  let fresh = spawn t in
+  w.pid <- fresh.pid;
+  w.to_worker <- fresh.to_worker;
+  w.of_worker <- fresh.of_worker;
+  Obs.Log.info "worker-respawn" [ ("pid", Cert.Json.Int fresh.pid) ]
+
 let create cfg ~handler =
   if cfg.workers < 1 then invalid_arg "Pool.create: need at least one worker";
   if cfg.grace < 0.0 then invalid_arg "Pool.create: negative grace";
@@ -175,6 +183,7 @@ let assign t ~id ?timeout ~payload () =
     else find (i + 1)
   in
   let w = find 0 in
+  if w.pid = 0 then refill t w;
   (* The effective wall deadline is the tighter of the pool-wide cap and
      the caller's per-job budget (e.g. a client deadline's remainder). *)
   let wall =
@@ -197,7 +206,7 @@ let assign t ~id ?timeout ~payload () =
      must re-dispatch. The chaos harness arms this site to prove it. *)
   Resilience.Faults.crash_site "pool.post_dispatch"
 
-let dead_worker t w status =
+let dead_worker w status =
   let death =
     match w.term_sent, status with
     | Some _, _ -> if w.wedged then Wedged else Timed_out
@@ -208,35 +217,29 @@ let dead_worker t w status =
   let id = match w.job with Some (id, _) -> id | None -> "" in
   (try Unix.close w.to_worker with Unix.Unix_error _ -> ());
   (try Unix.close w.of_worker with Unix.Unix_error _ -> ());
-  (* Mark dead before forking the replacement: the new pipes may reuse the
-     fd numbers just closed, and the child must not close them again when
-     it sweeps the pool (it would sever its own ends). *)
+  (* The slot stays empty until {!assign} needs it: a pool that is
+     closing (a drain aborting what outlived its grace, a hedge cancelled
+     just before exit) forks nothing that {!shutdown} would kill at once.
+     An empty slot holds no fds, so no child sweeps fd numbers the
+     supervisor has reused. *)
   w.pid <- 0;
-  let fresh = spawn t in
-  w.pid <- fresh.pid;
-  w.to_worker <- fresh.to_worker;
-  w.of_worker <- fresh.of_worker;
   Buffer.clear w.buf;
   w.job <- None;
   w.term_sent <- None;
   w.wedged <- false;
-  Obs.Log.info "worker-respawn"
-    [
-      ("death", Cert.Json.Str (death_to_string death));
-      ("pid", Cert.Json.Int fresh.pid);
-    ];
+  Obs.Log.info "worker-exit" [ ("death", Cert.Json.Str (death_to_string death)) ];
   if id = "" then None else Some (Crashed { id; death })
 
 (* Reap a worker whose reply pipe hit EOF (or that we SIGKILLed). *)
-let reap t w =
+let reap w =
   let _, status = restart_eintr (fun () -> Unix.waitpid [] w.pid) in
-  dead_worker t w status
+  dead_worker w status
 
 (* Deliberate discard of an in-flight attempt (hedge loser, cancelled
    client): clear the assignment FIRST so the reap classifies an idle
    worker (no [Crashed] event — [dead_worker] only reports when a job id
    is attached) and any reply bytes already in the pipe are dropped as
-   stray output, then SIGKILL and respawn. *)
+   stray output, then SIGKILL; the next {!assign} refills the slot. *)
 let abort t ~id =
   if not t.alive then false
   else
@@ -249,7 +252,7 @@ let abort t ~id =
         w.wedged <- false;
         Buffer.clear w.buf;
         (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (reap t w);
+        ignore (reap w);
         true
 
 (* The complete lines in the [n] bytes just read, the first one joined
@@ -279,10 +282,10 @@ let handle_readable t w events =
   match restart_eintr (fun () -> Unix.read w.of_worker chunk 0 (Bytes.length chunk)) with
   | 0 -> begin
       (* EOF: the worker is gone (crash, or self-kill under [kill:N]). *)
-      match reap t w with Some e -> e :: events | None -> events
+      match reap w with Some e -> e :: events | None -> events
     end
   | exception Unix.Unix_error _ -> begin
-      match reap t w with Some e -> e :: events | None -> events
+      match reap w with Some e -> e :: events | None -> events
     end
   | n ->
       let prefix = Obs.Trace.pipe_prefix in
@@ -327,7 +330,7 @@ let enforce_deadlines t events =
              the quarantine policy in {!Runner} treats them differently. *)
           w.wedged <- true;
           (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (match reap t w with Some e -> e :: events | None -> events)
+          (match reap w with Some e -> e :: events | None -> events)
       | _ -> events)
     events t.pool
 
@@ -346,7 +349,8 @@ let poll ?(extra = []) ?(extra_write = []) ?(timeout = 1.0) t =
   let events = enforce_deadlines t [] in
   if events <> [] then List.rev events
   else begin
-    let fds = extra @ Array.to_list (Array.map (fun w -> w.of_worker) t.pool) in
+    let live = List.filter (fun w -> w.pid <> 0) (Array.to_list t.pool) in
+    let fds = extra @ List.map (fun w -> w.of_worker) live in
     let wait =
       let w = next_wakeup t ~timeout in
       if Float.is_finite w then w else -1.0 (* select: negative = block *)
@@ -360,7 +364,7 @@ let poll ?(extra = []) ?(extra_write = []) ?(timeout = 1.0) t =
         (fun events fd ->
           if List.memq fd extra then Input fd :: events
           else
-            match Array.find_opt (fun w -> w.of_worker = fd) t.pool with
+            match Array.find_opt (fun w -> w.pid <> 0 && w.of_worker = fd) t.pool with
             | Some w -> handle_readable t w events
             | None -> events)
         [] readable
@@ -373,14 +377,15 @@ let poll ?(extra = []) ?(extra_write = []) ?(timeout = 1.0) t =
 let shutdown t =
   if t.alive then begin
     t.alive <- false;
-    Array.iter
+    let live = List.filter (fun w -> w.pid <> 0) (Array.to_list t.pool) in
+    List.iter
       (fun w ->
         (try Unix.close w.to_worker with Unix.Unix_error _ -> ());
         try Unix.close w.of_worker with Unix.Unix_error _ -> ())
-      t.pool;
+      live;
     (* Closing the job pipe makes a healthy worker's input_line hit
        End_of_file and _exit 0; a wedged one needs the hammer. *)
-    Array.iter
+    List.iter
       (fun w ->
         match restart_eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] w.pid) with
         | 0, _ ->
@@ -388,5 +393,5 @@ let shutdown t =
             ignore (restart_eintr (fun () -> Unix.waitpid [] w.pid))
         | _ -> ()
         | exception Unix.Unix_error _ -> ())
-      t.pool
+      live
   end

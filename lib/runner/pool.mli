@@ -5,7 +5,8 @@
     detects and classifies worker deaths, enforces per-job wall-clock
     deadlines (SIGTERM, then SIGKILL after a grace period — the SIGKILL
     path catches workers that block SIGTERM, as [wedge:N] ones do), and
-    respawns a replacement for every dead worker. Policy — retries,
+    forks a replacement for every dead worker when its slot is next
+    assigned, so a closing pool forks nothing. Policy — retries,
     budget degradation, queueing, journaling — lives in {!Runner}.
 
     Workers run [handler] on each job line and reply with one line. The
@@ -64,13 +65,15 @@ val assign : t -> id:string -> ?timeout:float -> payload:string -> unit -> unit
     effective wall deadline is the tighter of the pool-wide [job_timeout]
     and [?timeout] (seconds; e.g. the remainder of a client's end-to-end
     deadline). Raises [Invalid_argument] if no worker is idle — the
-    caller owns the queue and must not overcommit. A crash racing the
+    caller owns the queue and must not overcommit. An idle slot whose
+    worker died is refilled here, with a fresh fork. A crash racing the
     send is fine: the death surfaces through {!poll} and the job is
     reported [Crashed]. *)
 
 val abort : t -> id:string -> bool
 (** Deliberately discards the in-flight attempt running [id]: SIGKILLs
-    its worker, reaps and respawns it, and suppresses the [Crashed] event
+    its worker, reaps it (the slot is refilled by the next {!assign}),
+    and suppresses the [Crashed] event
     (the caller chose the death — it is not a failure of the job). Reply
     bytes already buffered from the doomed attempt are dropped. Returns
     [false] if no worker is running [id] (it may have just completed).
@@ -87,8 +90,8 @@ val poll :
     deadline is nearer) for worker replies, worker deaths, readability of
     an [extra] fd, or writability of an [extra_write] fd (used by the
     serve loop to flush backpressured client output), and returns the
-    events observed — possibly none. Dead workers have already been
-    replaced by the time their [Crashed] event is returned. *)
+    events observed — possibly none. A dead worker's slot counts as idle
+    and is refilled by the next {!assign}. *)
 
 val shutdown : t -> unit
 (** Closes all pipes, SIGKILLs stragglers, reaps every child. Idempotent.

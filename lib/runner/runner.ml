@@ -967,7 +967,7 @@ let run_batch ?journal cfg (jobs : job list) : (reply * string) list * batch_sta
     | None -> (None, Hashtbl.create 0)
     | Some path -> begin
         match Journal.open_load ~sync:cfg.journal_sync path with
-        | Ok (j, entries) -> (Some j, Journal.completed entries)
+        | Ok (j, rep) -> (Some j, rep.Journal.settled)
         | Error msg -> invalid_arg (Printf.sprintf "Runner.run_batch: %s" msg)
       end
   in
@@ -983,9 +983,9 @@ let run_batch ?journal cfg (jobs : job list) : (reply * string) list * batch_sta
                journal. *)
             let digest = match jnl with None -> "" | Some _ -> Journal.job_digest j in
             match Hashtbl.find_opt recorded j.id with
-            | Some (d, reply)
+            | Some { Journal.digest = d; reply; line }
               when d = digest && (Check.level () = Check.Off || verify_reply reply) ->
-                Hashtbl.replace results j.id (reply, reply_to_json reply);
+                Hashtbl.replace results j.id (reply, line);
                 incr resumed;
                 None
             | _ -> Some (j, digest))
@@ -1558,15 +1558,16 @@ let settled srv e (t : task) (r : reply) line =
       release srv e rq ~outcome:(verdict_name r.verdict) (Deliver line)
 
 (* The journal is read once, at the open: its settled answers seed the
-   cache. Serve journals key [Done] entries by the canonical digest,
-   which is exactly the cache key, and the certificate gate inside
-   [Cache.find] keeps a tampered entry from ever being served. *)
+   cache with their journaled lines. Serve journals key [Done] entries by
+   the canonical digest, which is exactly the cache key, and the
+   certificate gate inside [Cache.find] keeps a tampered entry from ever
+   being served. *)
 let open_serve_journal (cfg : config) cache path =
   match Journal.open_load ~sync:cfg.journal_sync path with
-  | Ok (jl, entries) ->
+  | Ok (jl, rep) ->
       Hashtbl.iter
-        (fun _id (digest, reply) -> Cache.store cache ~digest reply)
-        (Journal.completed entries);
+        (fun _id { Journal.digest; reply; line } -> Cache.store cache ~digest ~line reply)
+        rep.Journal.settled;
       jl
   | Error msg -> invalid_arg (Printf.sprintf "Runner.serve_sockets: %s" msg)
 

@@ -687,6 +687,772 @@ let test_codec_edge_cases () =
       Cert.Json.List [];
     ]
 
+(* ---- the tree codec, the oracle of the streaming one ---- *)
+
+(* Replies, classification records and certificates were once built as a
+   [Cert.Json.t] tree and printed, or parsed to a tree and walked; journal
+   entries and checked lines were read the same way. These are those
+   functions, copied verbatim but for module paths: the streaming writers
+   must emit their bytes, and the readers must give their values and
+   their error strings. *)
+module Tree_certificate = struct
+  [@@@warning "-32"]
+
+  open Cert
+  open Cert.Certificate
+
+let ints xs = Json.List (List.map (fun i -> Json.Int i) xs)
+let int_lists xss = Json.List (List.map ints xss)
+let pairs ps = Json.List (List.map (fun (a, b) -> Json.List [ Json.Int a; Json.Int b ]) ps)
+let cap_to_json = function Fin n -> Json.Int n | Inf -> Json.Str "inf"
+
+let to_obj = function
+  | Trivial { why } -> Json.Obj [ ("kind", Json.Str "trivial"); ("why", Json.Str why) ]
+  | Cut c ->
+      Json.Obj
+        [
+          ("kind", Json.Str "cut");
+          ("vertices", Json.Int c.vertices);
+          ("source", Json.Int c.source);
+          ("sink", Json.Int c.sink);
+          ( "edges",
+            Json.List
+              (List.map
+                 (fun (s, d, cap) -> Json.List [ Json.Int s; Json.Int d; cap_to_json cap ])
+                 c.edges) );
+          ("flow", ints c.flow);
+          ("cut_edges", ints c.cut_edges);
+          ("fact_edges", pairs c.fact_edges);
+          ("forced", pairs c.forced);
+          ("weights", pairs c.weights);
+          ("inf_path", ints c.inf_path);
+        ]
+  | Bounds b ->
+      Json.Obj
+        ([ ("kind", Json.Str "bounds"); ("weights", pairs b.fact_weights) ]
+        @ (match b.covers with None -> [] | Some cs -> [ ("covers", int_lists cs) ])
+        @
+        match b.dual with
+        | None -> []
+        | Some ys -> [ ("dual", Json.List (List.map (fun y -> Json.Float y) ys)) ])
+  | Hardness h ->
+      Json.Obj
+        [
+          ("kind", Json.Str "hardness");
+          ("language", Json.Str h.language);
+          ("words", Json.List (List.map (fun w -> Json.Str w) h.words));
+          ( "facts",
+            Json.List
+              (List.map
+                 (fun (id, src, label, dst) ->
+                   Json.List [ Json.Int id; Json.Int src; Json.Str label; Json.Int dst ])
+                 h.facts) );
+          ("f_in", Json.Int h.f_in);
+          ("f_out", Json.Int h.f_out);
+          ("matches", int_lists h.matches);
+          ("condensed", int_lists h.condensed);
+          ("path_length", Json.Int h.path_length);
+        ]
+  | Opaque { algorithm } ->
+      Json.Obj [ ("kind", Json.Str "opaque"); ("algorithm", Json.Str algorithm) ]
+
+let ( let* ) = Result.bind
+let field_err what = Error (Printf.sprintf "certificate: missing or ill-typed field %S" what)
+
+let get obj what conv =
+  match Option.bind (Json.member what obj) conv with Some v -> Ok v | None -> field_err what
+
+let map_all what conv items =
+  let vs = List.filter_map conv items in
+  if List.length vs = List.length items then Ok vs else field_err what
+
+let ints_of what = function
+  | Json.List items -> map_all what Json.to_int_opt items
+  | _ -> field_err what
+
+let get_ints obj what =
+  match Json.member what obj with Some v -> ints_of what v | None -> field_err what
+
+let get_int_lists obj what =
+  match Json.member what obj with
+  | Some (Json.List items) ->
+      map_all what (fun v -> Result.to_option (ints_of what v)) items
+  | _ -> field_err what
+
+let get_pairs obj what =
+  match Json.member what obj with
+  | Some (Json.List items) ->
+      map_all what
+        (function
+          | Json.List [ Json.Int a; Json.Int b ] -> Some (a, b)
+          | _ -> None)
+        items
+  | _ -> field_err what
+
+let cap_of_json = function
+  | Json.Int n -> Some (Fin n)
+  | Json.Str "inf" -> Some Inf
+  | _ -> None
+
+let of_obj obj =
+  let* kind = get obj "kind" Json.to_str_opt in
+  match kind with
+  | "trivial" ->
+      let* why = get obj "why" Json.to_str_opt in
+      Ok (Trivial { why })
+  | "cut" ->
+      let* vertices = get obj "vertices" Json.to_int_opt in
+      let* source = get obj "source" Json.to_int_opt in
+      let* sink = get obj "sink" Json.to_int_opt in
+      let* edges =
+        match Json.member "edges" obj with
+        | Some (Json.List items) ->
+            map_all "edges"
+              (function
+                | Json.List [ Json.Int s; Json.Int d; cap ] ->
+                    Option.map (fun c -> (s, d, c)) (cap_of_json cap)
+                | _ -> None)
+              items
+        | _ -> field_err "edges"
+      in
+      let* flow = get_ints obj "flow" in
+      let* cut_edges = get_ints obj "cut_edges" in
+      let* fact_edges = get_pairs obj "fact_edges" in
+      let* forced = get_pairs obj "forced" in
+      let* weights = get_pairs obj "weights" in
+      let* inf_path = get_ints obj "inf_path" in
+      Ok
+        (Cut
+           {
+             vertices;
+             source;
+             sink;
+             edges;
+             flow;
+             cut_edges;
+             fact_edges;
+             forced;
+             weights;
+             inf_path;
+           })
+  | "bounds" ->
+      let* fact_weights = get_pairs obj "weights" in
+      let* covers =
+        match Json.member "covers" obj with
+        | None -> Ok None
+        | Some _ ->
+            let* cs = get_int_lists obj "covers" in
+            Ok (Some cs)
+      in
+      let* dual =
+        match Json.member "dual" obj with
+        | None -> Ok None
+        | Some (Json.List items) ->
+            let* ys = map_all "dual" Json.to_float_opt items in
+            Ok (Some ys)
+        | Some _ -> field_err "dual"
+      in
+      Ok (Bounds { fact_weights; covers; dual })
+  | "hardness" ->
+      let* language = get obj "language" Json.to_str_opt in
+      let* words =
+        match Json.member "words" obj with
+        | Some (Json.List items) -> map_all "words" Json.to_str_opt items
+        | _ -> field_err "words"
+      in
+      let* facts =
+        match Json.member "facts" obj with
+        | Some (Json.List items) ->
+            map_all "facts"
+              (function
+                | Json.List [ Json.Int id; Json.Int src; Json.Str label; Json.Int dst ] ->
+                    Some (id, src, label, dst)
+                | _ -> None)
+              items
+        | _ -> field_err "facts"
+      in
+      let* f_in = get obj "f_in" Json.to_int_opt in
+      let* f_out = get obj "f_out" Json.to_int_opt in
+      let* matches = get_int_lists obj "matches" in
+      let* condensed = get_int_lists obj "condensed" in
+      let* path_length = get obj "path_length" Json.to_int_opt in
+      Ok (Hardness { language; words; facts; f_in; f_out; matches; condensed; path_length })
+  | "opaque" ->
+      let* algorithm = get obj "algorithm" Json.to_str_opt in
+      Ok (Opaque { algorithm })
+  | other -> Error (Printf.sprintf "unknown certificate kind %S" other)
+
+end
+
+module Tree_proto = struct
+  [@@@warning "-32"]
+
+  open Cert
+  open Cert.Proto
+
+let value_to_json = function Value.Finite n -> Json.Int n | Value.Infinite -> Json.Str "inf"
+
+let value_of_json = function
+  | Json.Int n -> Some (Value.Finite n)
+  | Json.Str "inf" -> Some Value.Infinite
+  | _ -> None
+
+let opt field conv = function None -> [] | Some v -> [ (field, conv v) ]
+
+let witness_fields = function
+  | None -> []
+  | Some w -> [ ("witness", Json.List (List.map (fun i -> Json.Int i) w)) ]
+
+(* Emitted only when non-empty, so untraced replies are byte-identical to
+   the pre-telemetry schema. *)
+let stages_fields = function
+  | [] -> []
+  | sts -> [ ("stages", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) sts)) ]
+
+let cert_fields = function None -> [] | Some c -> [ ("cert", Tree_certificate.to_obj c) ]
+
+(* The head of every reply: the members a supervisor restamps when it
+   settles a worker's reply, first and in this order, so that
+   [reply_head] below is a prefix of [reply_to_json]. *)
+let head_fields (r : reply) =
+  [
+    ("v", Json.Int schema_version);
+    ("id", Json.Str r.id);
+    ("attempts", Json.Int r.attempts);
+    ("steps", Json.Int r.steps);
+    ("wall_s", Json.Float r.wall_s);
+  ]
+
+let reply_to_obj (r : reply) =
+  let common =
+    head_fields r
+    @ stages_fields r.stages
+    @ opt "trace" (fun s -> Json.Str s) r.trace
+  in
+  let rest =
+    match r.verdict with
+    | V_exact { value; algorithm; witness } ->
+        [
+          ("outcome", Json.Str "exact");
+          ("value", value_to_json value);
+          ("algorithm", Json.Str algorithm);
+        ]
+        @ witness_fields witness
+    | V_bounded { lower; upper; witness; reason } ->
+        [
+          ("outcome", Json.Str "bounded");
+          ("lower", value_to_json lower);
+          ("upper", value_to_json upper);
+          ("reason", Json.Str reason);
+        ]
+        @ witness_fields witness
+    | V_failed { kind; message; retriable } ->
+        [
+          ("outcome", Json.Str "error");
+          ("kind", Json.Str kind);
+          ("message", Json.Str message);
+          ("retriable", Json.Bool retriable);
+        ]
+  in
+  Json.Obj (common @ rest @ cert_fields r.cert)
+
+let reply_to_json r = Json.to_string (reply_to_obj r)
+
+let classification_to_obj (c : classification) =
+  Json.Obj
+    ([
+       ("v", Json.Int schema_version);
+       ("kind", Json.Str "classification");
+       ("language", Json.Str c.c_language);
+       ("verdict", Json.Str c.c_verdict);
+     ]
+    @ cert_fields c.c_cert)
+
+let classification_to_json c = Json.to_string (classification_to_obj c)
+
+let field_err what = Error (Printf.sprintf "missing or ill-typed field %S" what)
+
+let get obj what conv = match Option.bind (Json.member what obj) conv with
+  | Some v -> Ok v
+  | None -> field_err what
+
+let get_opt obj what conv =
+  match Json.member what obj with
+  | None | Some Json.Null -> Ok None
+  | Some v -> ( match conv v with Some v -> Ok (Some v) | None -> field_err what)
+
+let ( let* ) = Result.bind
+
+let check_version obj =
+  match Json.member "v" obj with
+  | None -> Ok ()
+  | Some (Json.Int v) when v = schema_version -> Ok ()
+  | Some (Json.Int v) ->
+      Error
+        (Printf.sprintf "unsupported reply schema version %d (this reader understands v%d)" v
+           schema_version)
+  | Some _ -> field_err "v"
+
+let witness_of obj =
+  match Json.member "witness" obj with
+  | None | Some Json.Null -> Ok None
+  | Some (Json.List items) ->
+      let ints = List.filter_map Json.to_int_opt items in
+      if List.length ints = List.length items then Ok (Some ints) else field_err "witness"
+  | Some _ -> field_err "witness"
+
+let stages_of obj =
+  match Json.member "stages" obj with
+  | None | Some Json.Null -> Ok []
+  | Some (Json.Obj fields) ->
+      let parsed =
+        List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float_opt v)) fields
+      in
+      if List.length parsed = List.length fields then Ok parsed else field_err "stages"
+  | Some _ -> field_err "stages"
+
+let cert_of obj =
+  match Json.member "cert" obj with
+  | None | Some Json.Null -> Ok None
+  | Some v ->
+      let* c = Tree_certificate.of_obj v in
+      Ok (Some c)
+
+let reply_of_obj obj =
+  let* () = check_version obj in
+  let* id = get obj "id" Json.to_str_opt in
+  let* attempts = get obj "attempts" Json.to_int_opt in
+  let* steps = get obj "steps" Json.to_int_opt in
+  let* wall_s = get obj "wall_s" Json.to_float_opt in
+  let* stages = stages_of obj in
+  let* trace = get_opt obj "trace" Json.to_str_opt in
+  let* outcome = get obj "outcome" Json.to_str_opt in
+  let* verdict =
+    match outcome with
+    | "exact" ->
+        let* value = get obj "value" value_of_json in
+        let* algorithm = get obj "algorithm" Json.to_str_opt in
+        let* witness = witness_of obj in
+        Ok (V_exact { value; algorithm; witness })
+    | "bounded" ->
+        let* lower = get obj "lower" value_of_json in
+        let* upper = get obj "upper" value_of_json in
+        let* reason = get obj "reason" Json.to_str_opt in
+        let* witness = witness_of obj in
+        Ok (V_bounded { lower; upper; witness; reason })
+    | "error" ->
+        let* kind = get obj "kind" Json.to_str_opt in
+        let* message = get obj "message" Json.to_str_opt in
+        let* retriable = get obj "retriable" (function Json.Bool b -> Some b | _ -> None) in
+        Ok (V_failed { kind; message; retriable })
+    | other -> Error (Printf.sprintf "unknown outcome %S" other)
+  in
+  let* cert = cert_of obj in
+  Ok { id; attempts; steps; wall_s; stages; trace; verdict; cert }
+
+let reply_of_json s =
+  let* v = Json.parse s in
+  reply_of_obj v
+
+let classification_of_obj obj =
+  let* () = check_version obj in
+  let* kind = get obj "kind" Json.to_str_opt in
+  let* () = if kind = "classification" then Ok () else Error "not a classification record" in
+  let* c_language = get obj "language" Json.to_str_opt in
+  let* c_verdict = get obj "verdict" Json.to_str_opt in
+  let* c_cert = cert_of obj in
+  Ok { c_language; c_verdict; c_cert }
+
+end
+
+module Tree_journal = struct
+  open Cert
+  open Runner.Journal
+
+let entry_of_json line =
+  let ( let* ) = Result.bind in
+  let* v = Json.parse line in
+  let str what =
+    match Option.bind (Json.member what v) Json.to_str_opt with
+    | Some s -> Ok s
+    | None -> Error (Printf.sprintf "missing or ill-typed field %S" what)
+  in
+  let* event = str "event" in
+  let* id = str "id" in
+  let* digest = str "job" in
+  match event with
+  | "start" -> Ok (Started { id; digest })
+  | "done" -> begin
+      match Json.member "reply" v with
+      | None -> Error "done entry without a reply"
+      | Some r ->
+          let* reply = Tree_proto.reply_of_obj r in
+          Ok (Done { id; digest; reply })
+    end
+  | other -> Error (Printf.sprintf "unknown journal event %S" other)
+
+end
+
+module Tree_checker = struct
+  open Cert
+
+  let ( let* ) = Result.bind
+
+let check_line line =
+  match Json.parse line with
+  | Error e -> Error (Printf.sprintf "unparseable JSON: %s" e)
+  | Ok v -> (
+      match Json.member "kind" v with
+      | Some (Json.Str "classification") ->
+          let* c = Tree_proto.classification_of_obj v in
+          let* () = Checker.check_classification c in
+          Ok "classification"
+      | _ ->
+          let* r = Tree_proto.reply_of_obj v in
+          let* () = Checker.check_reply r in
+          Ok (Proto.verdict_name r.verdict))
+end
+
+(* ---- the streaming codec against the tree codec ---- *)
+
+module Json = Cert.Json
+module Value = Cert.Value
+
+let gen_bytes = QCheck.Gen.(string_size ~gen:char (int_bound 6))
+
+let gen_int =
+  QCheck.Gen.(oneof [ int_range (-3) 40; oneofl [ 0; min_int; max_int; 1_000_000_007 ]; int ])
+
+let gen_ints = QCheck.Gen.(list_size (int_bound 5) gen_int)
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [ (6, float); (3, oneofl [ 0.; -0.; 1e-05; 0.5; 2.; 1e300 ]); (1, oneofl [ nan; infinity ]) ])
+
+let gen_value =
+  QCheck.Gen.(frequency [ (4, map (fun n -> Value.Finite n) gen_int); (1, return Value.Infinite) ])
+
+let gen_cap =
+  QCheck.Gen.(
+    frequency [ (4, map (fun n -> Certificate.Fin n) gen_int); (1, return Certificate.Inf) ])
+
+let gen_cert =
+  let open QCheck.Gen in
+  let pairs = list_size (int_bound 4) (pair gen_int gen_int) in
+  let int_lists = list_size (int_bound 3) gen_ints in
+  oneof
+    [
+      map (fun why -> Certificate.Trivial { why }) gen_bytes;
+      (let* vertices = gen_int and* source = gen_int and* sink = gen_int in
+       let* edges = list_size (int_bound 5) (triple gen_int gen_int gen_cap) in
+       let* flow = gen_ints and* cut_edges = gen_ints and* fact_edges = pairs in
+       let+ forced = pairs and+ weights = pairs and+ inf_path = gen_ints in
+       Certificate.Cut
+         { vertices; source; sink; edges; flow; cut_edges; fact_edges; forced; weights; inf_path });
+      (let* fact_weights = pairs and* covers = opt int_lists in
+       let+ dual = opt (list_size (int_bound 4) gen_float) in
+       Certificate.Bounds { fact_weights; covers; dual });
+      (let* language = gen_bytes and* words = list_size (int_bound 3) gen_bytes in
+       let* facts = list_size (int_bound 4) (quad gen_int gen_int gen_bytes gen_int) in
+       let* f_in = gen_int and* f_out = gen_int and* matches = int_lists in
+       let+ condensed = int_lists and+ path_length = gen_int in
+       Certificate.Hardness { language; words; facts; f_in; f_out; matches; condensed; path_length });
+      map (fun algorithm -> Certificate.Opaque { algorithm }) gen_bytes;
+    ]
+
+let gen_reply =
+  let open QCheck.Gen in
+  let witness = opt gen_ints in
+  let* id = gen_bytes and* attempts = gen_int and* steps = gen_int and* wall_s = gen_float in
+  let* stages = list_size (int_bound 3) (pair gen_bytes gen_float) in
+  let* trace = opt gen_bytes in
+  let* verdict =
+    oneof
+      [
+        (let+ value = gen_value and+ algorithm = gen_bytes and+ witness = witness in
+         Proto.V_exact { value; algorithm; witness });
+        (let+ lower = gen_value and+ upper = gen_value and+ witness = witness
+         and+ reason = gen_bytes in
+         Proto.V_bounded { lower; upper; witness; reason });
+        (let+ kind = gen_bytes and+ message = gen_bytes and+ retriable = bool in
+         Proto.V_failed { kind; message; retriable });
+      ]
+  in
+  let+ cert = opt gen_cert in
+  { Proto.id; attempts; steps; wall_s; stages; trace; verdict; cert }
+
+let gen_classification =
+  let open QCheck.Gen in
+  let+ c_language = gen_bytes
+  and+ c_verdict = oneof [ oneofl [ "np-hard"; "inconclusive" ]; gen_bytes ]
+  and+ c_cert = opt gen_cert in
+  { Proto.c_language; c_verdict; c_cert }
+
+(* A line of a reply stream: a reply or a classification record. *)
+let gen_line =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map Proto.reply_to_json gen_reply);
+        (1, map Proto.classification_to_json gen_classification);
+      ])
+
+let prop_writers_match_tree =
+  QCheck.Test.make ~name:"writers emit the tree codec's bytes" ~count:1500
+    (QCheck.make
+       QCheck.Gen.(
+         triple gen_reply gen_classification gen_cert))
+    (fun (r, c, cert) ->
+      String.equal (Proto.reply_to_json r) (Tree_proto.reply_to_json r)
+      && String.equal (Proto.classification_to_json c) (Tree_proto.classification_to_json c)
+      && String.equal (Certificate.to_json cert) (Json.to_string (Tree_certificate.to_obj cert)))
+
+(* ---- variants of a line ---- *)
+
+(* Applies [f] to every node, children first. *)
+let rec map_tree f = function
+  | Json.Obj fs -> f (Json.Obj (List.map (fun (k, v) -> (k, map_tree f v)) fs))
+  | Json.List vs -> f (Json.List (List.map (map_tree f) vs))
+  | v -> f v
+
+let chance rng p = Random.State.float rng 1.0 < p
+let insert_at rng x xs =
+  let i = Random.State.int rng (List.length xs + 1) in
+  List.filteri (fun j _ -> j < i) xs @ (x :: List.filteri (fun j _ -> j >= i) xs)
+
+let shuffle rng xs =
+  List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) xs))
+
+(* A leaf of another type, or the same type with another value. *)
+let swap rng = function
+  | Json.Int n -> (
+      match Random.State.int rng 3 with
+      | 0 -> Json.Float (float_of_int n)
+      | 1 -> Json.Str (string_of_int n)
+      | _ -> Json.Null)
+  | Json.Float f -> if chance rng 0.5 then Json.Int (truncate f) else Json.Str "inf"
+  | Json.Str s -> (
+      match Random.State.int rng 3 with
+      | 0 -> Json.Int (String.length s)
+      | 1 -> Json.Str "inf"
+      | _ -> Json.Bool true)
+  | Json.Null -> Json.Int 0
+  | Json.Bool b -> Json.Bool (not b)
+  | Json.List [] -> Json.Obj []
+  | Json.Obj [] -> Json.List []
+  | v -> v
+
+let mutate rng = function
+  | `Reorder ->
+      map_tree (function Json.Obj fs when chance rng 0.5 -> Json.Obj (shuffle rng fs) | v -> v)
+  | `Duplicate ->
+      map_tree (function
+        | Json.Obj (_ :: _ as fs) when chance rng 0.4 ->
+            let k, v = List.nth fs (Random.State.int rng (List.length fs)) in
+            let v =
+              if chance rng 0.5 then map_tree (fun v -> if chance rng 0.3 then swap rng v else v) v
+              else v
+            in
+            Json.Obj (insert_at rng (k, v) fs)
+        | v -> v)
+  | `Unknown ->
+      map_tree (function
+        | Json.Obj fs when chance rng 0.4 ->
+            let junk =
+              [ Json.Null; Json.Int 7; Json.List [ Json.Str "x"; Json.Obj [] ]; Json.Float 1.5 ]
+            in
+            Json.Obj (insert_at rng ("zz", List.nth junk (Random.State.int rng 4)) fs)
+        | v -> v)
+  | `Swap -> map_tree (fun v -> if chance rng 0.08 then swap rng v else v)
+  | `Resize ->
+      (* Arrays one element longer or shorter: tuples of the wrong length. *)
+      map_tree (function
+        | Json.List (_ :: _ as vs) when chance rng 0.15 ->
+            let i = Random.State.int rng (List.length vs) in
+            if chance rng 0.5 then Json.List (List.filteri (fun j _ -> j <> i) vs)
+            else Json.List (insert_at rng (List.nth vs i) vs)
+        | v -> v)
+
+(* Prints with random whitespace between tokens and random, still valid,
+   escapes inside strings. *)
+let print_loose rng v =
+  let b = Buffer.create 256 in
+  let ws () =
+    if chance rng 0.2 then
+      Buffer.add_string b (List.nth [ " "; "\n"; "\t "; "\r\n" ] (Random.State.int rng 4))
+  in
+  let str s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        if c = '"' || c = '\\' || Char.code c < 0x20 || chance rng 0.2 then
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        else if c = '/' && chance rng 0.5 then Buffer.add_string b "\\/"
+        else Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+  in
+  let rec go v =
+    ws ();
+    (match v with
+    | Json.Str s -> str s
+    | Json.List vs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then begin
+              ws ();
+              Buffer.add_char b ','
+            end;
+            go v)
+          vs;
+        ws ();
+        Buffer.add_char b ']'
+    | Json.Obj fs ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then begin
+              ws ();
+              Buffer.add_char b ','
+            end;
+            ws ();
+            str k;
+            ws ();
+            Buffer.add_char b ':';
+            go v)
+          fs;
+        ws ();
+        Buffer.add_char b '}'
+    | v -> Buffer.add_string b (Json.to_string v));
+    ws ()
+  in
+  go v;
+  Buffer.contents b
+
+let one_byte_edit rng s =
+  let n = String.length s in
+  let i = Random.State.int rng (n + 1) and c = Char.chr (Random.State.int rng 256) in
+  let j = min i (n - 1) in
+  match Random.State.int rng 4 with
+  | 0 when n > 0 -> String.mapi (fun k x -> if k = j then c else x) s
+  | 1 when n > 0 -> String.sub s 0 j ^ String.sub s (j + 1) (n - j - 1)
+  | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | _ -> String.sub s 0 i
+
+let variant rng line =
+  match Json.parse line with
+  | Error _ -> line
+  | Ok tree -> (
+      match Random.State.int rng 8 with
+      | 0 | 1 -> one_byte_edit rng line
+      | 2 -> Json.to_string (mutate rng `Reorder tree)
+      | 3 -> Json.to_string (mutate rng `Duplicate tree)
+      | 4 -> Json.to_string (mutate rng `Unknown tree)
+      | 5 -> print_loose rng tree
+      | 6 -> Json.to_string (mutate rng `Resize tree)
+      | _ -> Json.to_string (mutate rng `Swap tree))
+
+let gen_variant =
+  QCheck.Gen.(
+    let* line = gen_line in
+    fun rng -> if chance rng 0.1 then line else variant rng line)
+
+(* The certificate a line holds, if any, on its own. *)
+let cert_of_line line =
+  match Json.parse line with Ok v -> Option.map Json.to_string (Json.member "cert" v) | Error _ -> None
+
+let same_reading line =
+  let done_payload = {|{"event":"done","id":"x","job":"d","reply":|} ^ line ^ "}" in
+  Proto.reply_of_json line = Tree_proto.reply_of_json line
+  && Checker.check_line line = Tree_checker.check_line line
+  && Runner.Journal.entry_of_json done_payload = Tree_journal.entry_of_json done_payload
+  &&
+  match cert_of_line line with
+  | None -> true
+  | Some c -> Certificate.of_json c = Result.bind (Json.parse c) Tree_certificate.of_obj
+
+let prop_readers_match_tree =
+  QCheck.Test.make ~name:"readers give the tree codec's values and errors" ~count:4000
+    (QCheck.make ~print:String.escaped gen_variant)
+    same_reading
+
+(* Every committed accept line re-encodes to its own bytes. *)
+let test_corpus_reencodes () =
+  List.iter
+    (fun file ->
+      List.iteri
+        (fun i line ->
+          let again =
+            match Json.read line Proto.read_record with
+            | Ok (Ok (Proto.Reply r)) -> Proto.reply_to_json r
+            | Ok (Ok (Proto.Classification c)) -> Proto.classification_to_json c
+            | Ok (Error e) | Error e -> Alcotest.failf "%s:%d does not read: %s" file (i + 1) e
+          in
+          Alcotest.(check string) (Printf.sprintf "%s:%d re-encodes" file (i + 1)) line again)
+        (lines_of file))
+    (corpus_files "accept_")
+
+(* ---- a journal written by the tree codec ---- *)
+
+(* [batch_6743fcc.journal] was written by [rpq batch --journal] at commit
+   6743fcc, before the streaming codec: a BCL and a local cut, a bounded
+   reply whose bounds carry covers and a dual, an exact ILP reply, a
+   trivial one and an error. It must load to the entries the tree codec
+   reads from its payloads, and each settled line must be the journaled
+   reply's bytes, which re-encode to themselves. *)
+let journal_fixture =
+  Filename.concat
+    (if Sys.file_exists "journals" then "journals" else Filename.concat "test" "journals")
+    "batch_6743fcc.journal"
+
+let test_tree_codec_journal () =
+  let module J = Runner.Journal in
+  let text = In_channel.with_open_bin journal_fixture In_channel.input_all in
+  (* Each record is <len>:<crc>:<seq>:<payload> on its own line. *)
+  let payloads =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ':' l with
+        | _len :: _crc :: _seq :: (_ :: _ as payload) -> Some (String.concat ":" payload)
+        | _ -> None)
+      (List.tl (String.split_on_char '\n' text))
+  in
+  let rep = match J.load journal_fixture with Ok r -> r | Error e -> Alcotest.failf "load: %s" e in
+  check "twelve records" true (List.length payloads = 12 && rep.J.records = 12);
+  List.iteri
+    (fun i p ->
+      match Tree_journal.entry_of_json p with
+      | Error e -> Alcotest.failf "record %d: the tree codec refuses it: %s" (i + 1) e
+      | Ok e ->
+          check (Printf.sprintf "record %d loads to the same entry" (i + 1)) true
+            (List.nth rep.J.entries i = e))
+    payloads;
+  let kinds =
+    Hashtbl.fold
+      (fun id (s : J.settled) acc ->
+        Alcotest.(check string)
+          (id ^ ": the settled line re-encodes")
+          s.line (Proto.reply_to_json s.reply);
+        check (id ^ ": the settled line is in the journal") true
+          (List.exists (fun p -> String.ends_with ~suffix:(",\"reply\":" ^ s.line ^ "}") p) payloads);
+        let kind =
+          match (s.reply.Proto.verdict, s.reply.Proto.cert) with
+          | Proto.V_failed _, _ -> "error"
+          | Proto.V_bounded _, Some (Certificate.Bounds { covers = Some _; dual = Some _; _ }) ->
+              "bounded covers+dual"
+          | _, Some c -> Certificate.kind_name c
+          | _, None -> "none"
+        in
+        kind :: acc)
+      rep.J.settled []
+  in
+  Alcotest.(check (list string))
+    "what the journal holds"
+    [ "bounded covers+dual"; "bounds"; "cut"; "cut"; "error"; "trivial" ]
+    (List.sort compare kinds)
+
 let () =
   Alcotest.run "certcheck"
     [
@@ -717,4 +1483,12 @@ let () =
                prop_parse_bytes_matches_oracle;
                prop_parse_edits_match_oracle;
              ] );
+      ( "reply codec",
+        [
+          Alcotest.test_case "accept corpus re-encodes byte for byte" `Quick test_corpus_reencodes;
+          Alcotest.test_case "a journal the tree codec wrote loads alike" `Quick
+            test_tree_codec_journal;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_writers_match_tree; prop_readers_match_tree ]
+      );
     ]

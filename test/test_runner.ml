@@ -29,9 +29,12 @@ let hard_db =
   Ser.to_string (Gadgets.encode pre g)
 
 (* Big enough that an exact solve cannot finish inside any deadline the
-   tests hand out — exercises budget clamping without a timing race. *)
+   tests hand out — exercises budget clamping without a timing race. The
+   aa gadget on K12 needs more than 0.6 s to solve exactly on a 2-vCPU
+   x86-64 container, while every stage still stops within a few ms of a
+   150 ms deadline. On K8 the ILP stage finished exactly in 0.12 s. *)
 let slow_db =
-  let g = Graphs.Ugraph.complete 8 in
+  let g = Graphs.Ugraph.complete 12 in
   let pre, _ = Gadgets.gadget_aa () in
   Ser.to_string (Gadgets.encode pre g)
 
@@ -385,6 +388,12 @@ let load_exn path =
   | Ok rep -> rep
   | Error e -> Alcotest.failf "load: %s" e
 
+(* A report's settled answers as (digest, reply) by id. *)
+let completed (rep : Journal.report) =
+  let tbl = Hashtbl.create 16 in
+  Hashtbl.iter (fun id (s : Journal.settled) -> Hashtbl.replace tbl id (s.digest, s.reply)) rep.settled;
+  tbl
+
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
@@ -473,8 +482,11 @@ let test_journal_roundtrip () =
       check "no torn tail" true (rep.Journal.torn = None && rep.Journal.torn_bytes = 0);
       (* Started records and superseded Dones are compactable. *)
       check "dead bytes accounted" true (rep.Journal.dead_bytes > 0);
-      let tbl = Journal.completed rep.Journal.entries in
+      let tbl = completed rep in
       check "a settled" true (Hashtbl.find_opt tbl "a" = Some ("d1", sample_reply));
+      check "the settled line is the journaled reply's bytes" true
+        (Option.map (fun (s : Journal.settled) -> s.line) (Hashtbl.find_opt rep.settled "a")
+        = Some (Proto.reply_to_json sample_reply));
       check "b pending" true (Hashtbl.find_opt tbl "b" = None);
       (* Reopening continues the sequence rather than restarting it. *)
       let j = open_exn path in
@@ -642,7 +654,7 @@ let test_journal_compact () =
       check "nothing left to reclaim" true (rep.Journal.dead_bytes = 0);
       (* The settled map is invariant under compaction. *)
       check "last Done survives" true
-        (Hashtbl.find_opt (Journal.completed rep.Journal.entries) "a" = Some ("d", r2)))
+        (Hashtbl.find_opt (completed rep) "a" = Some ("d", r2)))
 
 let test_journal_auto_compact () =
   with_temp (fun path ->
@@ -662,7 +674,7 @@ let test_journal_auto_compact () =
       let rep = load_exn path in
       check "auto-compacted on open" true (rep.Journal.records = 2);
       check "latest answer survived" true
-        (match Hashtbl.find_opt (Journal.completed rep.Journal.entries) "a" with
+        (match Hashtbl.find_opt (completed rep) "a" with
         | Some (_, r) -> (
             match r.Proto.verdict with
             | Proto.V_failed { message; _ } -> contains message "v9"
@@ -732,9 +744,9 @@ let test_journal_open_load () =
         let loaded = (load_exn path).Journal.entries in
         match Journal.open_load ?compact_ratio path with
         | Error e -> Alcotest.failf "%s: open_load: %s" label e
-        | Ok (j, entries) ->
+        | Ok (j, rep) ->
             Journal.close j;
-            check (label ^ ": the open returns load's entries") true (entries = loaded)
+            check (label ^ ": the open returns load's entries") true (rep.Journal.entries = loaded)
       in
       Sys.remove path;
       opens_as_loaded "missing file" ();
@@ -760,7 +772,40 @@ let test_journal_last_wins () =
       Journal.Done { id = "a"; digest = "d"; reply = r2 };
     ]
   in
-  check "last done wins" true (Hashtbl.find_opt (Journal.completed entries) "a" = Some ("d", r2))
+  with_temp (fun path ->
+      write_journal path entries;
+      check "last done wins" true (Hashtbl.find_opt (completed (load_exn path)) "a" = Some ("d", r2)))
+
+(* The bytewise CRC32 the journal used before it folded eight bytes a
+   step: the reference the sliced one must equal. *)
+let crc32_bytewise s ~off ~len =
+  let table =
+    Array.init 256 (fun i ->
+        let c = ref i in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let test_journal_crc () =
+  check "CRC32 check value" true (Journal.crc32 "123456789" ~off:0 ~len:9 = 0xcbf43926);
+  let prng = Random.State.make [| 28 |] in
+  let s = String.init 80 (fun _ -> Char.chr (Random.State.int prng 256)) in
+  for len = 0 to 64 do
+    for off = 0 to String.length s - len do
+      if Journal.crc32 s ~off ~len <> crc32_bytewise s ~off ~len then
+        Alcotest.failf "crc32 differs at off %d len %d" off len
+    done
+  done;
+  let big = String.init 30_011 (fun _ -> Char.chr (Random.State.int prng 256)) in
+  check "a 30 KB record" true
+    (Journal.crc32 big ~off:3 ~len:30_000 = crc32_bytewise big ~off:3 ~len:30_000)
 
 let test_job_digest () =
   let j1 = job ~id:"x" ~steps:100 () in
@@ -1007,7 +1052,7 @@ let test_hedge_race_single_settlement () =
   match Runner.Journal.load journal with
   | Error e -> Alcotest.failf "journal refuses to load: %s" e
   | Ok rep ->
-      let settled = Runner.Journal.completed rep.Runner.Journal.entries in
+      let settled = completed rep in
       check "exactly one settled answer journaled" true (Hashtbl.length settled = 1)
 
 let test_hedged_unhedged_parity () =
@@ -1213,7 +1258,7 @@ let test_batch_crash_and_resume () =
       let rep = load_exn path in
       check "journal survives the crash" true (rep.Journal.torn_bytes = 0);
       check "nothing settled before the crash" true
-        (Hashtbl.length (Journal.completed rep.Journal.entries) = 0);
+        (Hashtbl.length (completed rep) = 0);
       let replies, stats = run_batch ~journal:path jobs in
       check "resume settles everything" true
         (List.length replies = 3 && stats.Runner.failures = 0);
@@ -1403,6 +1448,30 @@ let test_admission_priority_classes () =
     (Admission.steal_lowest adm ~below:2 = Some (2, "n4"));
   check "nothing left queued" true (Admission.queued adm = 0)
 
+(* Runs [f] with info-level logs in a temp file and counts the workers
+   forked into an emptied slot while it ran: each such fork logs one
+   [worker-respawn] record. *)
+let counting_respawns f =
+  let log = Filename.temp_file "rpq_respawn" ".log" in
+  Obs.Log.reset_repeats ();
+  Obs.Log.set_file log;
+  Obs.Log.set_level (Some Obs.Log.Info);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Log.set_level (Some Obs.Log.Warn);
+      Obs.Log.close_file ();
+      Sys.remove log)
+    (fun () ->
+      let v = f () in
+      Obs.Log.close_file ();
+      let respawns =
+        List.length
+          (List.filter
+             (fun l -> contains l {|"event":"worker-respawn"|})
+             (String.split_on_char '\n' (read_file log)))
+      in
+      (v, respawns))
+
 let test_serve_disconnect_aborts_hedge () =
   no_faults @@ fun () ->
   (* A client submits a job that can only wedge, lingers long enough for
@@ -1445,11 +1514,13 @@ let test_serve_disconnect_aborts_hedge () =
         }
       in
       let t0 = Unix.gettimeofday () in
-      let content =
-        with_traced (fun () -> Runner.serve_sockets ~preconnected_abrupt:[ srv_fd ] scfg)
+      let content, respawns =
+        counting_respawns (fun () ->
+            with_traced (fun () -> Runner.serve_sockets ~preconnected_abrupt:[ srv_fd ] scfg))
       in
       let elapsed = Unix.gettimeofday () -. t0 in
       ignore (Unix.waitpid [] pid);
+      check "no worker forked for the aborted attempts" true (respawns = 0);
       check_request_exits "hedged cancel" content (exactly [ "cancelled" ]);
       check "the job was hedged before the disconnect" true
         (counter_count "runner.hedges_total" > hedges0);
@@ -1461,7 +1532,7 @@ let test_serve_disconnect_aborts_hedge () =
         | Error e -> Alcotest.failf "journal refuses to load: %s" e
         | Ok rep ->
             check "no orphan settlement journaled" true
-              (Hashtbl.length (Runner.Journal.completed rep.Runner.Journal.entries) = 0)
+              (Hashtbl.length (completed rep) = 0)
       end
 
 (* A client on a real socket that half-closes with more jobs queued than
@@ -1749,7 +1820,7 @@ let test_serve_journal_seed_and_release () =
       | Ok jl -> Journal.close jl
       | Error e -> Alcotest.failf "journal lock not released after serve: %s" e);
       let rep = load_exn jpath in
-      (match Hashtbl.find_opt (Journal.completed rep.Journal.entries) "t1" with
+      (match Hashtbl.find_opt (completed rep) "t1" with
       | Some (d, r) ->
           check "journaled under the canonical digest" true (d = digest);
           check "journaled settlement verifies (last wins over the forgery)" true
@@ -1932,6 +2003,37 @@ let test_serve_request_exits () =
     :: List.init 3 (fun i -> job ~id:(Printf.sprintf "q%d" i) ()))
     (exactly [ "shed"; "shed"; "shed"; "shed" ]);
   ignore (Unix.waitpid [] killer)
+
+(* The job that outlives a drain's grace is aborted, and the closing
+   pool forks no worker in its place. Nothing dies before the grace, so
+   any replacement forked in this run would come after it. *)
+let test_serve_drain_forks_nothing () =
+  no_faults @@ fun () ->
+  let scfg =
+    {
+      Runner.default_serve_config with
+      Runner.base = { quick_cfg with Runner.workers = 1 };
+      drain_grace = 0.2;
+    }
+  in
+  let server = Unix.getpid () in
+  let killer =
+    match Unix.fork () with
+    | 0 ->
+        Unix.sleepf 0.3;
+        Unix.kill server Sys.sigterm;
+        Unix._exit 0
+    | pid -> pid
+  in
+  let replies, respawns =
+    counting_respawns (fun () ->
+        run_serve_lines ~encode:Proto.job_to_wire_json ~scfg
+          [ [ job ~id:"w" ~db:hard_db ~steps:1000 ~faults:(Some "wedge:10") () ] ])
+  in
+  ignore (Unix.waitpid [] killer);
+  check "the wedged job was shed at the drain" true
+    (List.for_all (fun l -> contains l "did not settle within the grace") (List.concat replies));
+  check "no worker forked after the grace" true (respawns = 0)
 
 (* Drives [serve_sockets] from a forked client that sends each line only
    once the reply to the one before it is in, so a later job finds what
@@ -2351,6 +2453,7 @@ let () =
           Alcotest.test_case "auto-compaction" `Quick test_journal_auto_compact;
           Alcotest.test_case "crash sites" `Quick test_journal_crash_sites;
           Alcotest.test_case "last done wins" `Quick test_journal_last_wins;
+          Alcotest.test_case "sliced crc32 equals the bytewise one" `Quick test_journal_crc;
           Alcotest.test_case "the open returns load's entries" `Quick test_journal_open_load;
           Alcotest.test_case "job digest" `Quick test_job_digest;
           Alcotest.test_case "digest excludes delivery fields" `Quick
@@ -2408,6 +2511,8 @@ let () =
           Alcotest.test_case "malformed worker lines never settle" `Quick
             test_serve_malformed_worker_lines;
           Alcotest.test_case "every request exit releases once" `Quick test_serve_request_exits;
+          Alcotest.test_case "a drain forks no worker after the grace" `Quick
+            test_serve_drain_forks_nothing;
         ] );
       ( "trace",
         [
