@@ -1483,7 +1483,7 @@ let () =
                prop_parse_bytes_matches_oracle;
                prop_parse_edits_match_oracle;
              ] );
-      ( "reply codec",
+      ( "replies",
         [
           Alcotest.test_case "accept corpus re-encodes byte for byte" `Quick test_corpus_reencodes;
           Alcotest.test_case "a journal the tree codec wrote loads alike" `Quick
